@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -195,6 +196,16 @@ def test_byte_determinism(tmp_path):
         outs.append(out)
     for name in ("points.txt", "distances.csv", "manifest.json"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def test_points_golden_digest(tmp_path):
+    # desk config at seed 7 with 200 samples; frozen so that a change to the
+    # stream layout or the construction cannot pass on rerun equality alone
+    cfg = write_config(tmp_path / "cfg.json", samples=200)
+    assert main(["construct", "--config", cfg, "--out", str(tmp_path)]) == 0
+    digest = hashlib.sha256((tmp_path / "points.txt").read_bytes()).hexdigest()
+    assert digest == ("04023dd3ae0c0384f58279661d827dec"
+                      "1d2bfa153b4762ca18334f02e7762d9a")
 
 
 def test_seed_override_changes_points(tmp_path):

@@ -19,6 +19,19 @@ def test_labels_change_the_stream():
     assert BitStream(0, "ab", "c").take_bits(64) != BitStream(0, "a", "bc").take_bits(64)
 
 
+# 700 bits of the stream for coordinate 1, block 2 of point 3 at seed 7,
+# frozen so that any change to the key or counter layout fails loudly
+GOLDEN_700 = (
+    "6b831c06eeb9ca1b352881126a08a12aa9e848f6c02eeb9febfb0266d39f155c"
+    "74b1687e75147ad888fc571ff580e6fc68e70baff9cf1b722a471776a0a84dab"
+    "55e66453d3309c3e5a3529744113ed8f7c2ea58874952fe")
+
+
+def test_stream_layout_frozen():
+    bits = BitStream(7, "point", 3, "coord", 1, "block", 2).take_bits(700)
+    assert format(bits, "0175x") == GOLDEN_700
+
+
 def test_chunking_does_not_matter():
     whole = BitStream(3, "chunk").take_bits(700)
     s = BitStream(3, "chunk")
