@@ -1,5 +1,7 @@
 """Exact-arithmetic fractal constructions with polyhedral-norm distance sets."""
 
+__version__ = "0.1.0"
+
 from .dyadic import Dyadic
 from .errors import PolyfracError
 from .norms import Functional, PolyhedralNorm, custom_norm, min_margin, preset
@@ -10,8 +12,6 @@ from .distset import DistanceRecord, collapse_check, euclid_floor, pairwise, pin
 from .dimension import (BoxCountSeries, ComplexityProfile, count_exact,
                         decoupled_count, falconer_check, profile_c_aware,
                         profile_ideal, slab_system)
-
-__version__ = "0.1.0"
 
 __all__ = [
     "Dyadic", "PolyfracError", "Functional", "PolyhedralNorm", "custom_norm",

@@ -20,14 +20,13 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import __version__
 from . import construct as cn
 from . import dimension as dm
 from . import distset as ds
 from .errors import (BudgetExceeded, FormatError, OutOfRange, PolyfracError)
 from .norms import PolyhedralNorm, custom_norm, margin_ok, min_margin, preset
 from .schedule import free_fraction, generate
-
-__version__ = "0.1.0"
 
 _POINTS_FILE = "points.txt"
 _SAMPLES_FILE = "samples.txt"
@@ -58,12 +57,17 @@ def _parse_s(raw) -> Fraction:
         raise OutOfRange(f"cannot read target dimension {raw!r}") from None
 
 
+def _whole(name: str, value, low: int = 1) -> int:
+    # JSON 7.5 or true would otherwise pass for 7 or 1 under another hash
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise OutOfRange(f"{name} must be an integer >= {low}, not {value!r}")
+    return value
+
+
 def _resolve(cfg: dict, seed=None, samples=None, budget=None) -> _Run:
     if not isinstance(cfg, dict):
         raise FormatError("config must be a JSON object")
-    dim = cfg["dimension"]
-    if not isinstance(dim, int) or dim < 1:
-        raise OutOfRange("dimension must be a positive integer")
+    dim = _whole("dimension", cfg["dimension"])
     s = _parse_s(cfg["s"])
     ncfg = cfg["norm"]
     if "preset" in ncfg:
@@ -91,13 +95,11 @@ def _resolve(cfg: dict, seed=None, samples=None, budget=None) -> _Run:
                          ratio=scfg.get("ratio", 2))
     else:
         raise FormatError("schedule needs block ends or a geometric rule")
-    seed = cfg.get("seed", 0) if seed is None else seed
-    samples = cfg.get("samples", 1000) if samples is None else samples
-    budget = cfg.get("budget", 10**8) if budget is None else budget
-    if not isinstance(samples, int) or samples < 1:
-        raise OutOfRange("samples must be a positive integer")
-    if not isinstance(budget, int) or budget < 1:
-        raise OutOfRange("budget must be a positive integer")
+    seed = _whole("seed", cfg.get("seed", 0) if seed is None else seed, 0)
+    samples = _whole("samples",
+                     cfg.get("samples", 1000) if samples is None else samples)
+    budget = _whole("budget",
+                    cfg.get("budget", 10**8) if budget is None else budget)
     spec = cn.FractalSpec(dim, s, norm, sched, seed)
     raw_scales = cfg.get("scales", "checkpoints")
     if raw_scales == "checkpoints":
@@ -105,7 +107,7 @@ def _resolve(cfg: dict, seed=None, samples=None, budget=None) -> _Run:
     else:
         scales = list(raw_scales)
         for r in scales:
-            if not isinstance(r, int) or not 1 <= r <= sched.depth:
+            if _whole("scale", r) > sched.depth:
                 raise OutOfRange(f"scale {r!r} outside 1..{sched.depth}")
     resolved = {
         "dimension": dim,
@@ -425,14 +427,6 @@ def main(argv=None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    threads = os.environ.get("POLYFRAC_THREADS")
-    if threads is not None:
-        try:
-            if int(threads) < 1:
-                raise ValueError
-        except ValueError:
-            print(f"bad POLYFRAC_THREADS value {threads!r}", file=sys.stderr)
-            return 2
     try:
         with open(args.config) as fh:
             cfg = json.load(fh)

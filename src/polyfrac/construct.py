@@ -17,10 +17,13 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from operator import mul
 
 from .dyadic import Dyadic
-from .errors import (FormatError, NoSolution, OutOfRange, PrecisionExceeded)
-from .norms import Functional, PolyhedralNorm, min_margin
+from .errors import (FormatError, IndexOutOfRange, InfeasibleSchedule,
+                     NoSolution, OutOfRange, PrecisionExceeded)
+from .norms import PolyhedralNorm, min_margin
 from .schedule import BlockSchedule, validate
 from .streams import BitStream
 
@@ -48,7 +51,7 @@ class FractalSpec:
     def __post_init__(self):
         if self.norm.dim != self.dim:
             raise OutOfRange("norm dimension does not match spec dimension")
-        if not 0 <= self.seed < 1 << 64:
+        if not isinstance(self.seed, int) or not 0 <= self.seed < 1 << 64:
             raise OutOfRange("seed must be an unsigned 64-bit integer")
         if self.schedule.free_fraction != self.target - (self.dim - 1):
             raise OutOfRange("schedule free fraction inconsistent with target")
@@ -60,8 +63,44 @@ class FractalSpec:
                 f"margin {self.schedule.margin} below norm requirement {c}")
         report = validate(self.schedule)
         if not report.ok:
-            from .errors import InfeasibleSchedule
             raise InfeasibleSchedule("; ".join(report.failures()))
+
+    @cached_property
+    def plan(self) -> tuple["_Block", ...]:
+        """Each block resolved once for build_point and verify_point."""
+        sched, depth = self.schedule, self.schedule.depth
+        plan = []
+        for k in range(1, sched.n_blocks + 1):
+            f = self.norm.functionals[sched.functional_for_block(k)]
+            m_lo, m_hi, n = sched.bound(k), sched.bound(k + 1), sched.split(k)
+            ends = [n if i == f.pivot else m_hi for i in range(self.dim)]
+            draws = tuple((i, hi - m_lo, depth - hi + 1)
+                          for i, hi in enumerate(ends) if hi > m_lo)
+            # validation leaves a < b exactly when the pivot has places to
+            # solve (n < m_hi); otherwise the window is empty and unchecked
+            a, b = sched.window(k)
+            marker = _marker(m_hi - 1 + f.precision, a, b) if a < b else None
+            plan.append(_Block(k, f.mantissas, f.precision, f.pivot, m_hi, a,
+                               b, draws, depth - m_hi + 1, marker,
+                               1 << (m_hi - n)))
+        return tuple(plan)
+
+
+@dataclass(frozen=True, slots=True)
+class _Block:
+    """Block k of a spec, as build_point and verify_point use it."""
+
+    k: int
+    coeffs: tuple   # mantissas of the block's functional, at precision pv
+    pv: int
+    pivot: int
+    m_hi: int       # block end
+    a: int          # constrained window (a, b]
+    b: int
+    draws: tuple    # (coordinate, bit count, shift) of each random digit run
+    shift: int      # shift of place m_hi - 1 in a depth-place mantissa
+    marker: tuple | None  # of the sum truncated there; None: empty window
+    cap: int        # bound on the pivot offset
 
 
 def make_spec(dim: int, target, norm: PolyhedralNorm, seed: int, *, m=None,
@@ -108,13 +147,25 @@ class SamplePoint:
 
 # -- pivot digit solver ----------------------------------------------------
 
-def _steer(rho: int, step: int, modulus: int, lo: int, width: int,
-           max_offsets: int) -> int:
-    """Smallest u >= 0 with (rho + u*step) mod modulus in [lo, lo+width).
+def _dot(mants, coeffs) -> int:
+    return sum(map(mul, mants, coeffs))
 
-    Requires step <= width; then every period at or above rho admits a
-    landing, so only the u < max_offsets cap can fail.
+
+def _marker(scale: int, a: int, b: int) -> tuple[int, int, int]:
+    """(modulus, lo, width) at scale: a sum s * 2**-scale sits on the marker
+    residue when s mod modulus lies in [lo, lo + width), i.e. its digits are
+    zero on (a, b], then 1 at place b + 1, then 0 at place b + 2."""
+    return 1 << (scale - a), 1 << (scale - b - 1), 1 << (scale - b - 2)
+
+
+def _steer(s0: int, step: int, marker: tuple, max_offsets: int) -> int:
+    """Smallest u >= 0 with s0 + u*step on the marker residue.
+
+    Requires step <= width; then every period at or above s0 mod modulus
+    admits a landing, so only the u < max_offsets cap can fail.
     """
+    modulus, lo, width = marker
+    rho = s0 % modulus
     q0 = max(0, -((rho + 1 - lo - width) // -modulus))
     for q in range(q0, q0 + 4):
         target = lo + q * modulus
@@ -144,58 +195,32 @@ def solve_pivot_offset(partial_sum: Dyadic, pivot_coeff: Dyadic, split: int,
         return 0
     t = block_end - 1
     scale = max(partial_sum.precision, t + pivot_coeff.precision, b + 2)
-    s0 = partial_sum.mantissa << (scale - partial_sum.precision)
+    marker = _marker(scale, a, b)
     step = pivot_coeff.mantissa << (scale - t - pivot_coeff.precision)
-    modulus = 1 << (scale - a)
-    lo = 1 << (scale - b - 1)
-    width = 1 << (scale - b - 2)
-    if step > width:
+    if step > marker[2]:
         raise NoSolution("pivot coefficient too large for the margin")
-    return _steer(s0 % modulus, step, modulus, lo, width,
-                  1 << (block_end - split))
-
-
-def _solve_block(mants: list, depth: int, f: Functional, split: int,
-                 block_end: int, margin: int) -> int:
-    # integer fast path of solve_pivot_offset on the live digit state
-    t = block_end - 1
-    pv = f.precision
-    s0 = 0
-    for m, v in zip(mants, f.mantissas):
-        s0 += (m >> (depth - t)) * v
-    a = split + margin
-    b = block_end - margin
-    modulus = 1 << (t + pv - a)
-    lo = 1 << (t + pv - b - 1)
-    width = 1 << (t + pv - b - 2)
-    return _steer(s0 % modulus, f.mantissas[f.pivot], modulus, lo, width,
-                  1 << (block_end - split))
+    return _steer(partial_sum.mantissa << (scale - partial_sum.precision),
+                  step, marker, 1 << (block_end - split))
 
 
 # -- point construction ----------------------------------------------------
 
 def build_point(spec: FractalSpec, index: int = 0,
                 role: str = "pinned") -> SamplePoint:
-    sched = spec.schedule
-    depth = sched.depth
+    depth = spec.schedule.depth
     mants = [0] * spec.dim
-    for k in range(1, sched.n_blocks + 1):
-        f = spec.norm.functionals[sched.functional_for_block(k)]
-        m_lo, m_hi = sched.bound(k), sched.bound(k + 1)
-        n = sched.split(k)
-        for i in range(spec.dim):
-            hi = n if i == f.pivot else m_hi
-            nbits = hi - m_lo
-            if nbits:
-                bits = BitStream(spec.seed, "point", index, "coord", i,
-                                 "block", k).take_bits(nbits)
-                mants[i] |= bits << (depth - hi + 1)
-        if n < m_hi:
-            u = _solve_block(mants, depth, f, n, m_hi, sched.margin)
-            mants[f.pivot] |= u << (depth - m_hi + 1)
+    coords = BitStream(spec.seed, "point", index, "coord")
+    for blk in spec.plan:
+        for i, nbits, shift in blk.draws:
+            mants[i] |= coords.child(i, "block", blk.k).take_bits(nbits) << shift
+        if blk.marker:
+            # the pivot's unsolved places are still zero
+            s0 = _dot([m >> blk.shift for m in mants], blk.coeffs)
+            u = _steer(s0, blk.coeffs[blk.pivot], blk.marker, blk.cap)
+            mants[blk.pivot] |= u << blk.shift
+    tail = spec.schedule.n_blocks + 1
     for i in range(spec.dim):
-        mants[i] |= BitStream(spec.seed, "point", index, "coord", i,
-                              "block", sched.n_blocks + 1).take_bit()
+        mants[i] |= coords.child(i, "block", tail).take_bit()
     return SamplePoint(tuple(Dyadic(m, depth) for m in mants), role, index)
 
 
@@ -222,60 +247,56 @@ def sample_points(spec: FractalSpec, count: int,
 
 # -- per-block verification ------------------------------------------------
 
-def _require_depth(point: SamplePoint, spec: FractalSpec, k: int) -> None:
-    if point.precision < spec.schedule.bound(k + 1):
+def _block_checks(mants: list, prec: int, blk: _Block, fulls: dict) -> dict:
+    """{check: leftmost offending place} for each check block blk fails;
+    fulls caches the point's full dot product per functional."""
+    if prec < blk.m_hi:
         raise PrecisionExceeded(
-            f"block {k} needs {spec.schedule.bound(k + 1)} stored places, "
-            f"point has {point.precision}")
+            f"block {blk.k} needs {blk.m_hi} stored places, point has {prec}")
+    if not blk.marker:
+        return {}
+    full = fulls.get(blk.coeffs)
+    if full is None:
+        full = fulls[blk.coeffs] = _dot(mants, blk.coeffs)
+    failed = {}
+    span = blk.b - blk.a
+    # full and truncated-at-m_hi sums, both floored at window place b
+    top = full >> (prec + blk.pv - blk.b)
+    cut = [m >> (prec - blk.m_hi) for m in mants]
+    low = _dot(cut, blk.coeffs) >> (blk.m_hi + blk.pv - blk.b)
+    digits = top & ((1 << span) - 1)
+    if digits:
+        failed["membership"] = blk.b + 1 - digits.bit_length()
+    if top != low:
+        # floors that differ at one place differ at every finer place
+        failed["carry"] = blk.b - next(s for s in reversed(range(span))
+                                       if top >> s != low >> s)
+    modulus, lo, width = blk.marker
+    if not lo <= _dot([m >> 1 for m in cut], blk.coeffs) % modulus < lo + width:
+        failed["pattern"] = blk.b + 1  # marker place
+    return failed
 
 
-def _dot_mantissa(point: SamplePoint, f: Functional) -> int:
-    return sum(v.mantissa * m for v, m in zip(point.coords, f.mantissas))
+def _checks(point: SamplePoint, spec: FractalSpec, k: int) -> dict:
+    if not 1 <= k <= len(spec.plan):
+        raise IndexOutOfRange(f"block {k} outside 1..{len(spec.plan)}")
+    return _block_checks([v.mantissa for v in point.coords], point.precision,
+                         spec.plan[k - 1], {})
 
 
 def membership(point: SamplePoint, spec: FractalSpec, k: int) -> bool:
     """All digits of the full dot product vanish on block k's window."""
-    _require_depth(point, spec, k)
-    a, b = spec.schedule.window(k)
-    if a >= b:
-        return True
-    f = spec.norm.functionals[spec.schedule.functional_for_block(k)]
-    scale = point.precision + f.precision
-    # digits on (a, b] all zero <=> residue mod 2^-a below 2^-b
-    res = _dot_mantissa(point, f) % (1 << (scale - a))
-    return res < 1 << (scale - b)
+    return "membership" not in _checks(point, spec, k)
 
 
 def verify_carry(point: SamplePoint, spec: FractalSpec, k: int) -> bool:
     """Truncated and full dot products share floors on block k's window."""
-    _require_depth(point, spec, k)
-    a, b = spec.schedule.window(k)
-    if a >= b:
-        return True
-    f = spec.norm.functionals[spec.schedule.functional_for_block(k)]
-    m_hi = spec.schedule.bound(k + 1)
-    full = _dot_mantissa(point, f)
-    trunc = sum((v.mantissa >> (point.precision - m_hi)) * m
-                for v, m in zip(point.coords, f.mantissas))
-    # agreement at the finest window place implies all coarser places
-    return full >> (point.precision + f.precision - b) == \
-        trunc >> (m_hi + f.precision - b)
+    return "carry" not in _checks(point, spec, k)
 
 
 def pattern_holds(point: SamplePoint, spec: FractalSpec, k: int) -> bool:
     """The marker residue the solver installed during block k."""
-    _require_depth(point, spec, k)
-    a, b = spec.schedule.window(k)
-    if a >= b:
-        return True
-    f = spec.norm.functionals[spec.schedule.functional_for_block(k)]
-    t = spec.schedule.bound(k + 1) - 1
-    scale = t + f.precision
-    s0 = sum((v.mantissa >> (point.precision - t)) * m
-             for v, m in zip(point.coords, f.mantissas))
-    res = s0 % (1 << (scale - a))
-    lo = 1 << (scale - b - 1)
-    return lo <= res < lo + (1 << (scale - b - 2))
+    return "pattern" not in _checks(point, spec, k)
 
 
 @dataclass(frozen=True)
@@ -287,35 +308,13 @@ class PointReport:
         return not self.failures
 
 
-def _first_window_place(point, spec, k, check):
-    """Locate the leftmost offending place for a failed check, for reports."""
-    a, b = spec.schedule.window(k)
-    f = spec.norm.functionals[spec.schedule.functional_for_block(k)]
-    scale = point.precision + f.precision
-    full = _dot_mantissa(point, f)
-    if check == "membership":
-        for j in range(a + 1, b + 1):
-            if (full >> (scale - j)) & 1:
-                return j
-    elif check == "carry":
-        m_hi = spec.schedule.bound(k + 1)
-        trunc = sum((v.mantissa >> (point.precision - m_hi)) * m
-                    for v, m in zip(point.coords, f.mantissas))
-        for j in range(a + 1, b + 1):
-            if full >> (scale - j) != trunc >> (m_hi + f.precision - j):
-                return j
-    return b + 1  # marker place
-
-
 def verify_point(point: SamplePoint, spec: FractalSpec) -> PointReport:
-    failures = []
-    for k in range(1, spec.schedule.n_blocks + 1):
-        for check, fn in (("membership", membership), ("carry", verify_carry),
-                          ("pattern", pattern_holds)):
-            if not fn(point, spec, k):
-                failures.append((k, check, _first_window_place(point, spec,
-                                                              k, check)))
-    return PointReport(tuple(failures))
+    """Every check of every block, in one pass over the blocks."""
+    mants = [v.mantissa for v in point.coords]
+    fulls = {}
+    return PointReport(tuple(
+        (blk.k, check, place) for blk in spec.plan for check, place in
+        _block_checks(mants, point.precision, blk, fulls).items()))
 
 
 # -- points file -----------------------------------------------------------

@@ -13,27 +13,34 @@ import hashlib
 __all__ = ["BitStream"]
 
 
-def _derive_key(seed: int, labels: tuple) -> bytes:
-    h = hashlib.blake2b(digest_size=32)
-    h.update(int(seed).to_bytes(8, "big", signed=False))
-    for lab in labels:
-        h.update(b"/")
-        h.update(str(lab).encode("utf-8"))
-    return h.digest()
-
-
 class BitStream:
-    """Counter-mode deterministic bit source for one labelled stream."""
+    """Counter-mode deterministic bit source for one labelled stream.
 
-    __slots__ = ("_key", "_counter", "_buf", "_nbits")
+    The key is the BLAKE2b digest of the seed and the label path.  A stream
+    keeps its hashed path, so child() extends it without rehashing it.
+    """
+
+    __slots__ = ("_path", "_key", "_counter", "_buf", "_nbits")
 
     def __init__(self, seed: int, *labels):
-        if not 0 <= seed < 1 << 64:
+        if not isinstance(seed, int) or not 0 <= seed < 1 << 64:
             raise ValueError("seed must be an unsigned 64-bit integer")
-        self._key = _derive_key(seed, labels)
-        self._counter = 0
-        self._buf = 0
-        self._nbits = 0
+        self._open(hashlib.blake2b(seed.to_bytes(8, "big"), digest_size=32),
+                   labels)
+
+    def _open(self, path, labels: tuple) -> None:
+        # "/" + str(label) per label; one update hashes the same bytes
+        path.update(("/%s" * len(labels) % labels).encode())
+        self._path = path
+        self._key = path.digest()
+        self._counter = self._buf = self._nbits = 0
+
+    def child(self, *labels) -> "BitStream":
+        """BitStream(seed, *this stream's labels, *labels), whatever this
+        stream has drawn so far."""
+        out = BitStream.__new__(BitStream)
+        out._open(self._path.copy(), labels)
+        return out
 
     def _refill(self) -> None:
         block = hashlib.blake2b(self._counter.to_bytes(8, "big"),

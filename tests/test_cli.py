@@ -231,6 +231,15 @@ def test_seed_override_changes_points(tmp_path):
     {"budget": -1},
     {"scales": [0]},
     {"scales": [97]},
+    {"seed": 7.5},
+    {"seed": True},
+    {"seed": "7"},
+    {"samples": True},
+    {"samples": 6.0},
+    {"budget": 1e8},
+    {"dimension": True},
+    {"dimension": 2.0},
+    {"scales": [True]},
 ])
 def test_config_rejection(tmp_path, overrides, capsys):
     cfg = write_config(tmp_path / "cfg.json", **overrides)
@@ -251,17 +260,6 @@ def test_argparse_errors_return_2(capsys):
     assert main(["bogus"]) == 2
     assert main(["construct"]) == 2  # --config required
     capsys.readouterr()
-
-
-def test_threads_env_validation(tmp_path, monkeypatch, capsys):
-    cfg = write_config(tmp_path / "cfg.json")
-    monkeypatch.setenv("POLYFRAC_THREADS", "0")
-    assert main(["profile", "--config", cfg, "--out", str(tmp_path)]) == 2
-    monkeypatch.setenv("POLYFRAC_THREADS", "soon")
-    assert main(["profile", "--config", cfg, "--out", str(tmp_path)]) == 2
-    assert "POLYFRAC_THREADS" in capsys.readouterr().err
-    monkeypatch.setenv("POLYFRAC_THREADS", "2")
-    assert main(["profile", "--config", cfg, "--out", str(tmp_path)]) == 0
 
 
 def test_out_directory_created(tmp_path):

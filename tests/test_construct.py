@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -175,6 +177,40 @@ def test_mutation_is_detected(desk):
     assert (3, "membership", place) in report.failures
 
 
+def test_failure_places_match_a_digit_scan():
+    # scramble all but the first 20 places of l1 points, where borrows make
+    # every check fail somewhere; each reported place must match a scan of
+    # the exact sums
+    spec = make_spec(2, Fraction(3, 2), preset("l1", 2), seed=5,
+                     m=[1, 16, 32, 96])
+    sched = spec.schedule
+    rng = random.Random(5)
+    seen = set()
+    for index in range(200):
+        pt = build_point(spec, index, "sample")
+        p = pt.precision
+        bad = SamplePoint(tuple(Dyadic(v.mantissa ^ rng.getrandbits(p - 20), p)
+                                for v in pt.coords), "sample", index)
+        for k, check, place in verify_point(bad, spec).failures:
+            seen.add(check)
+            a, b = sched.window(k)
+            f = spec.norm.functionals[sched.functional_for_block(k)]
+            coef = [f.coefficient(i).as_fraction() for i in range(spec.dim)]
+            full = sum(c * v.as_fraction() for c, v in zip(coef, bad.coords))
+            cut = sum(c * v.truncate(sched.bound(k + 1)).as_fraction()
+                      for c, v in zip(coef, bad.coords))
+            if check == "membership":
+                want = next(j for j in range(a + 1, b + 1)
+                            if math.floor(full * 2**j) % 2)
+            elif check == "carry":
+                want = next(j for j in range(a + 1, b + 1)
+                            if math.floor(full * 2**j) != math.floor(cut * 2**j))
+            else:
+                want = b + 1
+            assert place == want, (index, k, check)
+    assert seen == {"membership", "carry", "pattern"}
+
+
 def test_shallow_point_raises(desk):
     pt = pinned_point(desk)
     shallow = SamplePoint(tuple(v.truncate(32) for v in pt.coords), "pinned", 0)
@@ -192,6 +228,8 @@ def test_spec_validation():
         FractalSpec(3, Fraction(3, 2), linf, sched, 0)  # dim mismatch
     with pytest.raises(OutOfRange):
         FractalSpec(2, Fraction(3, 2), linf, sched, 1 << 64)
+    with pytest.raises(OutOfRange):
+        FractalSpec(2, Fraction(3, 2), linf, sched, 7.5)  # would alias 7
     with pytest.raises(OutOfRange):
         FractalSpec(2, Fraction(7, 4), linf, sched, 0)  # alpha mismatch
     with pytest.raises(OutOfRange):

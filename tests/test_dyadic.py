@@ -55,8 +55,10 @@ def test_from_fraction_rejects_non_dyadic():
 
 @given(dyadics, st.integers(min_value=-40, max_value=40))
 @example(Dyadic(-3, 2), 0)
+@example(Dyadic(-18014398509481005, 0), -1)
 def test_floor_scaled_is_exact_floor(a, j):
-    assert a.floor_scaled(j) == math.floor(a.as_fraction() * 2**j)
+    # Fraction(2)**j stays exact for j < 0, where 2**j would be a float
+    assert a.floor_scaled(j) == math.floor(a.as_fraction() * Fraction(2)**j)
 
 
 def test_floor_scaled_negative_rounds_down():

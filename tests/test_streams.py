@@ -32,6 +32,17 @@ def test_stream_layout_frozen():
     assert format(bits, "0175x") == GOLDEN_700
 
 
+def test_child_extends_the_label_path():
+    root = BitStream(7, "point", 3, "coord")
+    root.take_bits(100)  # what the parent drew does not matter
+    for labels in [(1, "block", 2), (0,), ()]:
+        child = root.child(*labels)
+        assert child.take_bits(1500) == \
+            BitStream(7, "point", 3, "coord", *labels).take_bits(1500)
+    grand = BitStream(7, "point").child(3).child("coord", 1, "block", 2)
+    assert format(grand.take_bits(700), "0175x") == GOLDEN_700
+
+
 def test_chunking_does_not_matter():
     whole = BitStream(3, "chunk").take_bits(700)
     s = BitStream(3, "chunk")
@@ -58,10 +69,9 @@ def test_take_bits_zero():
 
 def test_seed_range():
     BitStream((1 << 64) - 1)
-    with pytest.raises(ValueError):
-        BitStream(-1)
-    with pytest.raises(ValueError):
-        BitStream(1 << 64)
+    for bad in (-1, 1 << 64, 7.5):
+        with pytest.raises(ValueError):
+            BitStream(bad)
 
 
 @given(st.integers(min_value=1, max_value=1000))
