@@ -197,7 +197,7 @@ def solve_pivot_offset(partial_sum: Dyadic, pivot_coeff: Dyadic, split: int,
     scale = max(partial_sum.precision, t + pivot_coeff.precision, b + 2)
     marker = _marker(scale, a, b)
     step = pivot_coeff.mantissa << (scale - t - pivot_coeff.precision)
-    if step > marker[2]:
+    if step > marker[2]:  # a step wider than the landing band can skip it
         raise NoSolution("pivot coefficient too large for the margin")
     return _steer(partial_sum.mantissa << (scale - partial_sum.precision),
                   step, marker, 1 << (block_end - split))
