@@ -208,6 +208,32 @@ def test_points_golden_digest(tmp_path):
                       "1d2bfa153b4762ca18334f02e7762d9a")
 
 
+# functionals 0 (x) and 1 (x at precision 1) always tie, so the value a row
+# writes is the first attaining functional's: prec 114 for ell 0, 115 for 2
+TIED_NORM = {"custom": [[[1, 0], [0, 0]], [[2, 1], [0, 0]],
+                        [[0, 0], [3, 1]]]}
+
+
+@pytest.mark.parametrize("flags,digest", [
+    (["--pinned", "--euclid", "24"],
+     "3916b9a012217c93ee80fea87d2537dbd3d12448d3fc9e0ef189f3b0e2f0e83d"),
+    (["--pairwise", "--budget", "500"],
+     "edb62eb556132b4ea67a5a590eb18b94121ec71ef83472bb8b4615f23464749b"),
+])
+def test_distances_golden_digest(tmp_path, flags, digest):
+    # the only distance pin whose norm has tied functionals at different
+    # precisions; preset-norm pins cannot see which tied Dyadic is written
+    cfg = write_config(tmp_path / "cfg.json", norm=TIED_NORM, samples=200,
+                       scales=[8, 12], budget=None)
+    assert main(["distset", "--config", cfg, "--out", str(tmp_path)]
+                + flags) == 0
+    blob = (tmp_path / "distances.csv").read_bytes()
+    assert hashlib.sha256(blob).hexdigest() == digest
+    precs = {row.split(",")[1]: row.split(",")[3]
+             for row in blob.decode().splitlines()[3:]}
+    assert precs == {"0": "114", "2": "115"}
+
+
 def test_seed_override_changes_points(tmp_path):
     cfg = write_config(tmp_path / "cfg.json")
     a, b = tmp_path / "a", tmp_path / "b"
