@@ -192,15 +192,22 @@ def _build_points(run: _Run):
     return x, ys
 
 
-def cmd_construct(run: _Run, args) -> int:
-    x, ys = _build_points(run)
-    for pt in [x] + ys:
-        report = cn.verify_point(pt, run.spec)
+def _all_verified(points, spec) -> bool:
+    """Check each point; name the first failure on stderr."""
+    for pt in points:
+        report = cn.verify_point(pt, spec)
         if not report.ok:
             k, check, place = report.failures[0]
             print(f"point {pt.index}: block {k} {check} fails at place "
                   f"{place}", file=sys.stderr)
-            return 3
+            return False
+    return True
+
+
+def cmd_construct(run: _Run, args) -> int:
+    x, ys = _build_points(run)
+    if not _all_verified([x] + ys, run.spec):
+        return 3
     path = os.path.join(args.out, _POINTS_FILE)
     cn.write_points(path, [x] + ys, run.manifest_hash)
     _write_manifest(run, args.out)
@@ -265,9 +272,7 @@ def cmd_boxdim(run: _Run, args) -> int:
             if points is None:
                 x, ys = _build_points(run)
                 points = [x] + ys
-            c = dm.count_point_cells(points, r)
-            mode = "sampled" if len(points) >= 100 * c else "saturated"
-            entries.append(dm.BoxCount(r, c, mode))
+            entries.append(dm.sampled_point_series(points, [r]).entries[0])
     set_series = dm.BoxCountSeries(tuple(entries))
     _write_lines(os.path.join(args.out, "boxcounts_set.csv"),
                  _boxcount_csv(set_series, run.manifest_hash))
@@ -364,13 +369,8 @@ def cmd_verify(run: _Run, args) -> int:
     if points[0].dim != spec.dim or points[0].precision != spec.schedule.depth:
         print("points file shape does not match the config", file=sys.stderr)
         return 2
-    for pt in points:
-        report = cn.verify_point(pt, spec)
-        if not report.ok:
-            k, check, place = report.failures[0]
-            print(f"point {pt.index}: block {k} {check} fails at place "
-                  f"{place}", file=sys.stderr)
-            return 3
+    if not _all_verified(points, spec):
+        return 3
     pinned = [p for p in points if p.role == "pinned"]
     pairs = 0
     if pinned:

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .dyadic import Dyadic
-from .errors import OutOfRange, PrecisionExceeded, ZeroVector
+from .errors import OutOfRange, PrecisionExceeded
 from .norms import PolyhedralNorm
 from .streams import BitStream
 
@@ -26,7 +26,7 @@ __all__ = ["DistanceRecord", "pinned", "pairwise", "euclid_floor",
 @dataclass(frozen=True)
 class DistanceRecord:
     value: Dyadic
-    achieving: int          # index of a functional attaining the max
+    achieving: int          # smallest index of a functional attaining the max
     source: tuple[int, int]  # point indices (first, second)
 
 
@@ -37,13 +37,8 @@ def _delta(x, y) -> tuple:
 
 
 def _record(x, y, norm: PolyhedralNorm) -> DistanceRecord:
-    d = _delta(x, y)
-    value = norm.evaluate(d)
-    try:
-        achieving = norm.argmax(d)
-    except ZeroVector:
-        achieving = 0  # x == y: every functional attains 0
-    return DistanceRecord(value, achieving, (x.index, y.index))
+    value, ties = norm.measure(_delta(x, y))
+    return DistanceRecord(value, ties[0], (x.index, y.index))
 
 
 def pinned(x, ys, norm: PolyhedralNorm) -> list:
@@ -140,15 +135,8 @@ def collapse_check(x, y, spec) -> CollapseReport:
     sched = spec.schedule
     if x.precision < sched.depth or y.precision < sched.depth:
         raise PrecisionExceeded("points are shallower than the schedule")
-    d = _delta(x, y)
-    try:
-        achieving = spec.norm.argmax(d)
-        ties = tuple(spec.norm.argmax_all(d))
-    except ZeroVector:
-        achieving = 0
-        ties = tuple(range(spec.norm.n_functionals))
-    f = spec.norm.functionals[achieving]
-    value = abs(f.dot(d))
+    value, ties = spec.norm.measure(_delta(x, y))
+    achieving = ties[0]
     blocks = []
     for k in sched.blocks_for_functional(achieving):
         a, b = sched.window(k)

@@ -39,9 +39,6 @@ class Functional:
     def coefficient(self, i: int) -> Dyadic:
         return Dyadic(self.mantissas[i], self.precision)
 
-    def abs_sum(self) -> Dyadic:
-        return Dyadic(sum(abs(m) for m in self.mantissas), self.precision)
-
     def dot(self, x: list[Dyadic] | tuple[Dyadic, ...]) -> Dyadic:
         if len(x) != self.dim:
             raise DimensionMismatch(
@@ -96,33 +93,36 @@ class PolyhedralNorm:
         return NormReport(self.dim, len(self.functionals), rank,
                           tuple(f.pivot for f in self.functionals))
 
-    def evaluate(self, x) -> Dyadic:
-        """||x||, exact."""
-        best = None
-        for f in self.functionals:
-            v = abs(f.dot(x))
-            if best is None or v > best:
-                best = v
-        return best
+    def measure(self, x) -> tuple[Dyadic, tuple[int, ...]]:
+        """(||x||, ascending indices of every functional attaining it).
 
-    def argmax(self, x) -> int:
-        """Smallest functional index attaining the max; x must be nonzero."""
-        if all(v.mantissa == 0 for v in x):
-            raise ZeroVector("argmax undefined for the zero vector")
-        best, best_i = None, -1
+        One dot product per functional.  The value is |x . v| of the first
+        attaining functional, at that functional's precision.  Full rank
+        makes it 0 only for x = 0, which every functional attains.
+        """
+        best, ties = None, []
         for i, f in enumerate(self.functionals):
             v = abs(f.dot(x))
             if best is None or v > best:
-                best, best_i = v, i
-        return best_i
+                best, ties = v, [i]
+            elif v == best:
+                ties.append(i)
+        return best, tuple(ties)
+
+    def evaluate(self, x) -> Dyadic:
+        """||x||, exact."""
+        return self.measure(x)[0]
+
+    def argmax(self, x) -> int:
+        """Smallest functional index attaining the max; x must be nonzero."""
+        return self.argmax_all(x)[0]
 
     def argmax_all(self, x) -> list[int]:
-        """All functional indices tying for the max."""
-        if all(v.mantissa == 0 for v in x):
+        """All functional indices tying for the max; x must be nonzero."""
+        value, ties = self.measure(x)
+        if not value:
             raise ZeroVector("argmax undefined for the zero vector")
-        vals = [abs(f.dot(x)) for f in self.functionals]
-        top = max(vals)
-        return [i for i, v in enumerate(vals) if v == top]
+        return list(ties)
 
 
 def _rank(rows: list[list[Fraction]]) -> int:

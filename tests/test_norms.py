@@ -66,11 +66,24 @@ def test_argmax_ties_and_zero():
     tie = (Dyadic(1, 1), Dyadic(-1, 1))
     assert linf.argmax(tie) == 0
     assert linf.argmax_all(tie) == [0, 1]
+    assert linf.measure(tie) == (Dyadic(1, 1), (0, 1))
     zero = (Dyadic(0, 4), Dyadic(0, 2))
+    assert linf.measure(zero) == (Dyadic(0, 0), (0, 1))
     with pytest.raises(ZeroVector):
         linf.argmax(zero)
     with pytest.raises(ZeroVector):
         linf.argmax_all(zero)
+    # functionals 0 (x) and 1 (x at precision 1) always tie; the value must
+    # be functional 0's Dyadic, which == (by value) cannot tell apart
+    mixed = custom_norm([[[1, 0], [0, 0]], [[2, 1], [0, 0]],
+                         [[0, 0], [3, 1]]])
+    x = (Dyadic(5, 3), Dyadic(1, 3))
+    value, ties = mixed.measure(x)
+    assert ties == (0, 1)
+    assert (value.mantissa, value.precision) == (5, 3)  # functional 1: (10, 4)
+    value, ties = mixed.measure((Dyadic(0, 2), Dyadic(0, 2)))
+    assert ties == (0, 1, 2)
+    assert (value.mantissa, value.precision) == (0, 2)
 
 
 def test_dot_dimension_mismatch():
