@@ -210,6 +210,59 @@ def test_l1_counts_frozen(l1_system):
     assert round(math.log2(deep.count), 4) == 196.0875
 
 
+def _triples(system, scales):
+    return {r: (e.lower, e.upper, e.examined)
+            for r, e in ((r, count_exact(system, r)) for r in scales)}
+
+
+def test_deep_geometric_counts_frozen():
+    # l1 d=3 geometric K=6 ratio 2: windows end at places 1915 and 11515,
+    # far below any level the walk reaches; r=32 and r=96 stay undecided
+    spec = make_spec(3, Fraction(9, 4), preset("l1", 3), seed=0, K=6, ratio=2)
+    system = slab_system(spec)
+    assert system.depth == 11520
+    assert _triples(system, (8, 12, 16, 32, 96)) == {
+        8: (16777216, 16777216, 64),
+        12: (68719476736, 68719476736, 1597),
+        16: (149533581377536, 149533581377536, 1733),
+        32: (10522499778658698075932983296,
+             10522500368954508434638635008, 5442),
+        96: (240291200809860268824094719563482961228940329118137994626611970184348434432,
+             240291200809860268824142610779885838921215486606668819482444494956453167104,
+             17400),
+    }
+
+
+def test_coupled_fine_windows_frozen():
+    # the (40, 44] window starts past the walk's depth cap below r=16
+    planar = SlabSystem(2, 44, (SlabGroup((1, 1), 0, ((1, 3),)),
+                                SlabGroup((1, -1), 0, ((4, 6), (40, 44)))))
+    counts = [4, 16, 32, 96, 320, 576, 1600, 5248, 18688, 70144, 271360,
+              1067008, 4231168, 16850944, 67256320, 268730368]
+    examined = [4, 62, 68, 76, 120, 130, 144, 164, 184, 204, 224, 244, 264,
+                284, 304, 324]
+    assert _triples(planar, range(1, 17)) == {
+        r: (c, c, n) for r, (c, n) in enumerate(zip(counts, examined), 1)}
+    # a group that keeps a window but loses its tail, and a top-attained
+    # group all of whose windows lie past the cap; r >= 8 stays undecided
+    spatial = SlabSystem(3, 64, (
+        SlabGroup((1, 1, 1), 0, ((2, 5),)),
+        SlabGroup((1, -1, 1), 0, ((6, 9), (50, 53))),
+        SlabGroup((-1, -1, -1), 1, ((60, 64),))))
+    assert _triples(spatial, range(1, 17)) == {
+        1: (8, 8, 8), 2: (64, 64, 16), 3: (512, 512, 145),
+        4: (3072, 3072, 161), 5: (12288, 12288, 181),
+        6: (65536, 65536, 205), 7: (393216, 393216, 554),
+        8: (1835008, 1966080, 880), 9: (6815744, 7077888, 956),
+        10: (34603008, 35651584, 1036), 11: (205520896, 207618048, 1137),
+        12: (1358954496, 1363148800, 1273),
+        13: (9730785280, 9739173888, 1409),
+        14: (73282879488, 73299656704, 1545),
+        15: (568009424896, 568042979328, 1681),
+        16: (4471060955136, 4471128064000, 1817),
+    }
+
+
 def test_decoupled_formula_by_hand(desk_system):
     # r=20 sees only the (12, 13] window: 2*20 - 1 free digits
     assert decoupled_count(desk_system, 20) == 1 << 39
