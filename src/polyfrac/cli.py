@@ -296,8 +296,10 @@ def cmd_boxdim(run: _Run, args) -> int:
     _write_manifest(run, args.out)
 
     est_set = dm.dim_lower_estimate(set_series, run.scales)
+    limited = [e.r for e in set_series.entries if e.mode == "saturated"]
     print(f"dim_set lower estimate {est_set:.4f} over scales "
-          f"{list(run.scales)}")
+          f"{list(run.scales)}"
+          + (f"; sample-limited (saturated) at {limited}" if limited else ""))
     sched = spec.schedule
     for ell in range(spec.norm.n_functionals):
         ser, _ = dist_series[ell]

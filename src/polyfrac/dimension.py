@@ -10,6 +10,16 @@ which windows are already satisfied by the whole cell (a bitmask) plus the
 cell image's offset modulo the coarsest unsatisfied window period.  Between
 windows every surviving cell collapses onto the same state, so the state
 table stays small even at depth ~100.
+
+Integers are sized by the walk's depth cap (the deepest level any search
+reaches), not by the deepest window: a group of precision pv counts in
+units of 2^-(pv + max(cap, deepest kept window end)) and drops each window
+(a, b] with a > cap + pv.  At every level q <= cap such a window is inert:
+offsets and image lengths are multiples of 2^-(q + pv), at least twice its
+period, so cell corners, attained tops and the start of any nonempty meet
+with the other slabs all lie in its slab, and no image fits inside it.  The
+interval, attained-top and corner tests all pass it, classify never marks
+it inside, and a group that lost one never counts a whole cell as inside.
 """
 
 from __future__ import annotations
@@ -106,7 +116,9 @@ class ExactCount:
         return self.lower
 
 
-# extra scale bits so the undecided-cell search can refine below level r
+# levels below max(r, deepest window end) the undecided-cell search may
+# refine to; the least of these over the groups is the walk's depth cap,
+# which sizes every group's integers (see the module docstring)
 _DFS_HEADROOM = 24
 
 
@@ -114,13 +126,15 @@ class _Group:
     __slots__ = ("qg", "pv", "wins", "incs", "lenbase", "negabs", "full",
                  "top_attained")
 
-    def __init__(self, g: SlabGroup, r: int, dim: int):
-        maxb = max(b for _, b in g.windows)
+    def __init__(self, g: SlabGroup, cap: int, dim: int):
         self.pv = g.precision
-        self.qg = g.precision + max(r, maxb) + _DFS_HEADROOM
+        kept = [(a, b) for a, b in g.windows if a <= cap + g.precision]
+        self.qg = g.precision + max([cap] + [b for _, b in kept])
         self.wins = tuple((1 << (self.qg - a), 1 << (self.qg - b))
-                          for a, b in g.windows)
-        self.full = (1 << len(self.wins)) - 1
+                          for a, b in kept)
+        # a dropped window is never whole-cell inside, so neither is a
+        # group that lost one
+        self.full = (1 << len(g.windows)) - 1
         incs = []
         for delta in range(1 << dim):
             tot = 0
@@ -140,23 +154,19 @@ class _Group:
 def _intersects(lo: int, length: int, wins: tuple, idx: int = 0) -> bool:
     """Does [lo, lo+length) meet the slab set of wins[idx:]?
 
-    lo is reduced mod wins[idx] period.  A full slab of one window contains
+    Every interval meets an empty tail.  A full slab of one window contains
     a whole period of the next (windows are disjoint and ascending), so an
     image spanning period+slab always intersects everything finer.
     """
+    if idx == len(wins):
+        return True
     period, wd = wins[idx]
+    lo %= period
     if lo + length >= period + wd or (lo == 0 and length >= wd):
         return True
-    last = idx + 1 == len(wins)
-    if lo < wd:
-        if last or _intersects(lo % wins[idx + 1][0],
-                               min(length, wd - lo), wins, idx + 1):
-            return True
-    if lo + length > period:
-        if last or _intersects(0, min(lo + length - period, wd),
-                               wins, idx + 1):
-            return True
-    return False
+    return ((lo < wd and _intersects(lo, min(length, wd - lo), wins, idx + 1))
+            or (lo + length > period and _intersects(
+                0, min(lo + length - period, wd), wins, idx + 1)))
 
 
 _OUT = object()
@@ -178,7 +188,8 @@ def count_exact(system: SlabSystem, r: int, budget: int = 10**8) -> ExactCount:
     if not active:
         n = 1 << (r * dim)
         return ExactCount(r, n, n, 0)
-    gs = [_Group(g, r, dim) for g in active]
+    cap = min(max(r, g.windows[-1][1]) for g in active) + _DFS_HEADROOM
+    gs = [_Group(g, cap, dim) for g in active]
     # every group pinned to its own coordinate: interval reasoning per
     # coordinate is exact, so undecided cells cannot occur
     product_rule = (
@@ -209,7 +220,7 @@ def count_exact(system: SlabSystem, r: int, budget: int = 10**8) -> ExactCount:
             return None  # whole cell inside every slab
         rest = tuple(g.wins[wi] for wi in range(len(g.wins))
                      if not (mask >> wi) & 1)
-        offset %= rest[0][0]
+        offset = offset % rest[0][0] if rest else 0
         if not _intersects(offset, length, rest):
             top = offset + length
             if not (g.top_attained and
@@ -242,7 +253,7 @@ def count_exact(system: SlabSystem, r: int, budget: int = 10**8) -> ExactCount:
 
     root = []
     for gi, g in enumerate(gs):
-        st = classify(gi, 0, (-g.negabs << (g.qg - g.pv)) % g.wins[0][0], 0)
+        st = classify(gi, 0, -g.negabs << (g.qg - g.pv), 0)
         if st is _OUT:
             return ExactCount(r, 0, 0, examined)
         root.append(st)
@@ -264,7 +275,6 @@ def count_exact(system: SlabSystem, r: int, budget: int = 10**8) -> ExactCount:
             break
 
     lower = upper = full
-    depth_cap = min(g.qg - g.pv for g in gs)
     memo: dict = {}
 
     def corner_ok(state, q: int) -> bool:
@@ -286,7 +296,7 @@ def count_exact(system: SlabSystem, r: int, budget: int = 10**8) -> ExactCount:
         if corner_ok(state, q):
             memo[key] = True
             return True
-        if q >= depth_cap:
+        if q >= cap:
             memo[key] = None
             return None
         undecided = False
@@ -456,7 +466,8 @@ def profile_c_aware(schedule, dim: int, base="set") -> ComplexityProfile:
 
 
 def dim_lower_estimate(series: BoxCountSeries, checkpoints) -> float:
-    """min over checkpoints of log2(count)/r; the conservative exponent."""
+    """min over checkpoints of log2(count)/r; the conservative exponent.
+    Accepts saturated (sample-limited) entries, which slope refuses."""
     best = None
     for r in checkpoints:
         if r < 1:

@@ -143,6 +143,7 @@ def test_boxdim_exact(tmp_path, capsys):
     assert main(["boxdim", "--config", cfg, "--out", str(tmp_path)]) == 0
     got = capsys.readouterr().out
     assert "dim_set lower estimate 2.0000" in got  # min(8/4, 16/8)
+    assert "sample-limited" not in got
     assert "dist ell=0 r=13" in got and "bound=9+13" in got
     rows = (tmp_path / "boxcounts_set.csv").read_text().splitlines()
     assert rows[2] == "r,count,log2_count,mode"
@@ -170,6 +171,8 @@ def test_boxdim_budget_starvation(tmp_path, capsys):
                  "--budget", "1"]) == 4
     captured = capsys.readouterr()
     assert "no exact scale completed" in captured.err
+    assert "over scales [4, 8]; sample-limited (saturated) at [4, 8]" \
+        in captured.out
     rows = (tmp_path / "boxcounts_set.csv").read_text().splitlines()
     assert all(r.split(",")[3] == "saturated" for r in rows[3:])
 
