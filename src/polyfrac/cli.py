@@ -5,8 +5,9 @@ it, and stamps the hash into each output file, so artifacts can be matched
 to the exact configuration that produced them.  All outputs are
 byte-deterministic for a fixed config and flags.
 
-Exit codes: 0 success, 2 config or format problem, 3 verification failure,
-4 budget exhausted before any exact count finished.
+Exit codes: 0 success, 2 config or format problem or a missing or
+mismatched points.txt, 3 verification failure, 4 budget exhausted before
+any exact count finished.
 """
 
 from __future__ import annotations
@@ -109,6 +110,9 @@ def _resolve(cfg: dict, seed=None, samples=None, budget=None) -> _Run:
         for r in scales:
             if _whole("scale", r) > sched.depth:
                 raise OutOfRange(f"scale {r!r} outside 1..{sched.depth}")
+        if not scales or len(set(scales)) != len(scales):
+            raise OutOfRange(f"scales must be non-empty and distinct, "
+                             f"not {scales!r}")
     resolved = {
         "dimension": dim,
         "s": f"{s.numerator}/{s.denominator}",
@@ -186,10 +190,23 @@ def _series_svg(series: dm.BoxCountSeries, mhash: str, title: str) -> list:
     ]
 
 
-def _build_points(run: _Run):
-    x = cn.pinned_point(run.spec)
-    ys = cn.sample_points(run.spec, run.samples)
-    return x, ys
+def _load_points(run: _Run, args) -> list:
+    """The points ``construct`` wrote, bound to this config by content.
+
+    Seed, norm and schedule fix the pinned point and ``samples`` the count;
+    budget and scales do not bind the file, so its manifest hash is unread.
+    """
+    points, _ = cn.read_points(os.path.join(args.out, _POINTS_FILE))
+    spec = run.spec
+    if points[0].dim != spec.dim or points[0].precision != spec.schedule.depth:
+        raise FormatError("points file shape does not match the config")
+    if len(points) != run.samples + 1:
+        raise FormatError(f"points file holds {len(points)} points, not "
+                          f"{run.samples + 1}")
+    if points[0] != cn.pinned_point(spec):
+        raise FormatError("manifest mismatch: point 0 of the points file is "
+                          "not this config's pinned point")
+    return points
 
 
 def _all_verified(points, spec) -> bool:
@@ -205,13 +222,14 @@ def _all_verified(points, spec) -> bool:
 
 
 def cmd_construct(run: _Run, args) -> int:
-    x, ys = _build_points(run)
-    if not _all_verified([x] + ys, run.spec):
+    points = [cn.pinned_point(run.spec)]
+    points += cn.sample_points(run.spec, run.samples)
+    if not _all_verified(points, run.spec):
         return 3
     path = os.path.join(args.out, _POINTS_FILE)
-    cn.write_points(path, [x] + ys, run.manifest_hash)
+    cn.write_points(path, points, run.manifest_hash)
     _write_manifest(run, args.out)
-    print(f"wrote {1 + len(ys)} points (d={run.spec.dim}, "
+    print(f"wrote {len(points)} points (d={run.spec.dim}, "
           f"prec={run.spec.schedule.depth}) to {path}")
     return 0
 
@@ -226,13 +244,13 @@ def cmd_sample(run: _Run, args) -> int:
 
 
 def cmd_distset(run: _Run, args) -> int:
-    x, ys = _build_points(run)
+    points = _load_points(run, args)
+    x, ys = points[0], points[1:]
     if args.pairwise:
         recs = ds.pairwise(ys, run.spec.norm, cap=run.budget,
                            seed=run.spec.seed)
     else:
         recs = ds.pinned(x, ys, run.spec.norm)
-    by_index = {p.index: p for p in [x] + ys}
     header = "pair_id,ell,mantissa_hex,prec"
     if args.euclid is not None:
         header += ",euclid_mantissa_hex,euclid_prec"
@@ -245,7 +263,7 @@ def cmd_distset(run: _Run, args) -> int:
                f"{rec.value.precision}")
         if args.euclid is not None:
             delta = [a - b for a, b in
-                     zip(by_index[i].coords, by_index[j].coords)]
+                     zip(points[i].coords, points[j].coords)]
             e = ds.euclid_floor(delta, args.euclid)
             row += f",{cn.mantissa_to_hex(e.mantissa, e.precision)},{e.precision}"
         lines.append(row)
@@ -259,8 +277,8 @@ def cmd_distset(run: _Run, args) -> int:
 
 def cmd_boxdim(run: _Run, args) -> int:
     spec = run.spec
+    points = _load_points(run, args)
     system = dm.slab_system(spec)
-    points = None
     entries = []
     exact_done = 0
     for r in run.scales:
@@ -269,9 +287,6 @@ def cmd_boxdim(run: _Run, args) -> int:
             entries.append(dm.BoxCount(r, ec.count, "exact"))
             exact_done += 1
         except BudgetExceeded:
-            if points is None:
-                x, ys = _build_points(run)
-                points = [x] + ys
             entries.append(dm.sampled_point_series(points, [r]).entries[0])
     set_series = dm.BoxCountSeries(tuple(entries))
     _write_lines(os.path.join(args.out, "boxcounts_set.csv"),
@@ -281,8 +296,7 @@ def cmd_boxdim(run: _Run, args) -> int:
     for e in set_series.entries:
         print(f"r={e.r} count={e.count} mode={e.mode}")
 
-    x, ys = _build_points(run) if points is None else (points[0], points[1:])
-    values = ds.estimation_values(ds.pinned(x, ys, spec.norm))
+    values = ds.estimation_values(ds.pinned(points[0], points[1:], spec.norm))
     dist_series = {}
     for ell in range(spec.norm.n_functionals):
         cps = [r for r, _ in dm.distance_checkpoints(spec, ell)]
@@ -361,36 +375,19 @@ def cmd_profile(run: _Run, args) -> int:
 
 
 def cmd_verify(run: _Run, args) -> int:
-    path = os.path.join(args.out, _POINTS_FILE)
-    points, mhash = cn.read_points(path)
-    if mhash != run.manifest_hash:
-        print(f"manifest mismatch: file {mhash[:12]}.. != "
-              f"config {run.manifest_hash[:12]}..", file=sys.stderr)
-        return 2
-    spec = run.spec
-    if points[0].dim != spec.dim or points[0].precision != spec.schedule.depth:
-        print("points file shape does not match the config", file=sys.stderr)
-        return 2
-    if not _all_verified(points, spec):
+    points = _load_points(run, args)
+    if not _all_verified(points, run.spec):
         return 3
-    pinned = [p for p in points if p.role == "pinned"]
-    pairs = 0
-    if pinned:
-        x = pinned[0]
-        for pt in points:
-            if pt.index == x.index:
-                continue
-            rep = ds.collapse_check(x, pt, spec)
-            if not rep.ok:
-                bad = next(b.block for b in rep.blocks
-                           if not b.constant_trimmed)
-                print(f"pair {x.index}-{pt.index}: collapse fails at block "
-                      f"{bad}", file=sys.stderr)
-                return 3
-            pairs += 1
+    x = points[0]
+    for pt in points[1:]:
+        rep = ds.collapse_check(x, pt, run.spec)
+        if not rep.ok:
+            bad = next(b.block for b in rep.blocks if not b.constant_trimmed)
+            print(f"pair {x.index}-{pt.index}: collapse fails at block "
+                  f"{bad}", file=sys.stderr)
+            return 3
     print(f"verified {len(points)} points")
-    if pairs:
-        print(f"collapse ok on {pairs} pinned pairs")
+    print(f"collapse ok on {len(points) - 1} pinned pairs")
     return 0
 
 

@@ -66,40 +66,80 @@ def test_verify_round_trip(made, capsys):
     assert "collapse ok on 6 pinned pairs" in got
 
 
-def test_verify_missing_file(made, tmp_path):
+READERS = ["verify", "distset", "boxdim"]
+
+
+def construct(cfg, out):
+    assert main(["construct", "--config", cfg, "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("command", READERS)
+def test_verify_missing_file(made, tmp_path, command, capsys):
     cfg, _ = made
-    assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "missing input" in capsys.readouterr().err
 
 
 def test_verify_detects_tampering(made, tmp_path, capsys):
     cfg, out = made
     lines = (out / "points.txt").read_text().splitlines()
-    fields = lines[3].split()  # pinned point row
-    m = hex_to_mantissa(fields[1], 96)
-    place = next(j for j in range(69, 92) if not (m >> (96 - j)) & 1)
-    fields[1] = mantissa_to_hex(m | 1 << (96 - place), 96)
-    lines[3] = " ".join(fields)
-    (tmp_path / "points.txt").write_text("\n".join(lines) + "\n")
+
+    def tamper(row):
+        fields = lines[row].split()
+        m = hex_to_mantissa(fields[1], 96)
+        place = next(j for j in range(69, 92) if not (m >> (96 - j)) & 1)
+        fields[1] = mantissa_to_hex(m | 1 << (96 - place), 96)
+        bad = lines[:row] + [" ".join(fields)] + lines[row + 1:]
+        (tmp_path / "points.txt").write_text("\n".join(bad) + "\n")
+        return place
+
+    place = tamper(4)  # first sample row
     assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 3
     err = capsys.readouterr().err
-    assert f"point 0: block 3 membership fails at place {place}" in err
-
-
-def test_verify_manifest_mismatch(made, tmp_path, capsys):
-    _, out = made
-    other = write_config(tmp_path / "other.json", seed=8)
-    assert main(["verify", "--config", other, "--out", str(out)]) == 2
+    assert f"point 1: block 3 membership fails at place {place}" in err
+    tamper(3)  # pinned row: no longer this config's pinned point
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 2
     assert "manifest mismatch" in capsys.readouterr().err
 
 
-def test_verify_shape_mismatch(made, tmp_path):
+@pytest.mark.parametrize("command", READERS)
+def test_verify_manifest_mismatch(made, tmp_path, command, capsys):
+    _, out = made
+    other = write_config(tmp_path / "other.json", seed=8)
+    assert main([command, "--config", other, "--out", str(out)]) == 2
+    assert "manifest mismatch" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", READERS)
+def test_verify_shape_mismatch(made, tmp_path, command, capsys):
     cfg, out = made
     points, mhash = read_points(out / "points.txt")
     from polyfrac.construct import SamplePoint, write_points
     shallow = [SamplePoint(tuple(c.truncate(32) for c in p.coords),
                            p.role, p.index) for p in points]
     write_points(tmp_path / "points.txt", shallow, mhash)
-    assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+    # well formed, right shape, but short of samples + 1 points
+    write_points(tmp_path / "points.txt", points[:4], mhash)
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "points file holds 4 points, not 7" in capsys.readouterr().err
+
+
+def test_readers_ignore_budget(tmp_path, capsys):
+    # budget is in the manifest hash but does not fix the points, so every
+    # reader takes the file construct wrote at the default budget
+    cfg = write_config(tmp_path / "cfg.json")
+    construct(cfg, tmp_path)
+    for argv in (["verify", "--budget", "5"],
+                 ["distset", "--pairwise", "--budget", "10"],
+                 ["boxdim", "--budget", "1"]):
+        code = main(argv + ["--config", cfg, "--out", str(tmp_path)])
+        assert code == (4 if argv[0] == "boxdim" else 0), argv
+    captured = capsys.readouterr()
+    assert "verified 7 points" in captured.out
+    assert "wrote 10 pairwise distances" in captured.out
+    assert "no exact scale completed" in captured.err
+    assert "manifest mismatch" not in captured.err
 
 
 def test_sample_command(tmp_path, capsys):
@@ -113,6 +153,7 @@ def test_sample_command(tmp_path, capsys):
 
 def test_distset_pinned_with_euclid(tmp_path):
     cfg = write_config(tmp_path / "cfg.json")
+    construct(cfg, tmp_path)
     assert main(["distset", "--config", cfg, "--out", str(tmp_path),
                  "--euclid", "16"]) == 0
     rows = (tmp_path / "distances.csv").read_text().splitlines()
@@ -130,6 +171,7 @@ def test_distset_pinned_with_euclid(tmp_path):
 
 def test_distset_pairwise_cap(tmp_path):
     cfg = write_config(tmp_path / "cfg.json")
+    construct(cfg, tmp_path)
     assert main(["distset", "--config", cfg, "--out", str(tmp_path),
                  "--pairwise", "--budget", "10"]) == 0
     rows = (tmp_path / "distances.csv").read_text().splitlines()
@@ -140,6 +182,7 @@ def test_distset_pairwise_cap(tmp_path):
 
 def test_boxdim_exact(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json")
+    construct(cfg, tmp_path)
     assert main(["boxdim", "--config", cfg, "--out", str(tmp_path)]) == 0
     got = capsys.readouterr().out
     assert "dim_set lower estimate 2.0000" in got  # min(8/4, 16/8)
@@ -160,6 +203,7 @@ def test_boxdim_exact(tmp_path, capsys):
 def test_boxdim_falconer_small_sample_fails_honestly(tmp_path, capsys):
     # 6 samples cannot witness the distance dimension; expect FAIL, exit 3
     cfg = write_config(tmp_path / "cfg.json")
+    construct(cfg, tmp_path)
     assert main(["boxdim", "--config", cfg, "--out", str(tmp_path),
                  "--falconer"]) == 3
     assert "FAIL" in capsys.readouterr().out
@@ -167,6 +211,7 @@ def test_boxdim_falconer_small_sample_fails_honestly(tmp_path, capsys):
 
 def test_boxdim_budget_starvation(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json")
+    construct(cfg, tmp_path)
     assert main(["boxdim", "--config", cfg, "--out", str(tmp_path),
                  "--budget", "1"]) == 4
     captured = capsys.readouterr()
@@ -228,6 +273,7 @@ def test_distances_golden_digest(tmp_path, flags, digest):
     # precisions; preset-norm pins cannot see which tied Dyadic is written
     cfg = write_config(tmp_path / "cfg.json", norm=TIED_NORM, samples=200,
                        scales=[8, 12], budget=None)
+    construct(cfg, tmp_path)
     assert main(["distset", "--config", cfg, "--out", str(tmp_path)]
                 + flags) == 0
     blob = (tmp_path / "distances.csv").read_bytes()
@@ -269,6 +315,8 @@ def test_seed_override_changes_points(tmp_path):
     {"dimension": True},
     {"dimension": 2.0},
     {"scales": [True]},
+    {"scales": []},
+    {"scales": [8, 8, 4]},
 ])
 def test_config_rejection(tmp_path, overrides, capsys):
     cfg = write_config(tmp_path / "cfg.json", **overrides)
