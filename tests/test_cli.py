@@ -234,6 +234,49 @@ def test_profile_outputs(tmp_path):
     assert (tmp_path / "profiles_dist_ell1.csv").exists()
 
 
+PROFILE_GOLDEN = {
+    # README config (d=2, linf) at 10k samples
+    "desk": ({"dimension": 2, "s": "3/2", "norm": {"preset": "linf"},
+              "schedule": {"c": "auto", "m": [1, 16, 32, 96]}},
+             {"set": "f26afaef302c0d1c9703c20ab0b4fe01"
+                     "b8e7d8bb5bd293312ce2e2ddc94cb2fb",
+              "dist_ell0": "ef39ec62d824ea669ef3bf8369c027b3"
+                           "dbb056a2748f745a73b0d8ef8de71c10",
+              "dist_ell1": "0150d131382c3bfb05c6da1313389fac"
+                           "511a8bdc082a9c48710f164410c31fc6"}),
+    # l1 d=3 geometric K=6: 11520 rows per file
+    "deep": ({"dimension": 3, "s": "9/4", "norm": {"preset": "l1"},
+              "schedule": {"c": "auto", "rule": "geometric", "K": 6,
+                           "ratio": 2}},
+             {"set": "6a722a092ec8c42949707c989f1fb00d"
+                     "859665def2da366dbb4b4eeee6cd42fb",
+              "dist_ell0": "6fa2cac7ee4a12d81223086e9e9ad09f"
+                           "3f4495fb4f36050b69659713699be10d",
+              "dist_ell1": "48abcf33ec46c503f52ee696bd341215"
+                           "782800a32ff584266477fd4fe8439b9c",
+              "dist_ell2": "4dbc6c128408f430109c6b2989e9f0a0"
+                           "6abd3fe00c3d5db528a8344e1a11a6d5",
+              "dist_ell3": "fddc61b830c8285bbc1c4698b43c65a7"
+                           "be45043660047dc57aeacd52e28eed20"}),
+}
+
+
+@pytest.mark.parametrize("name", list(PROFILE_GOLDEN))
+def test_profile_golden_digest(tmp_path, name):
+    # every row of every profile file, frozen at seed 7 with 10k/500 samples
+    # and scales [8, 12, 16, 32, 96] (the manifest hash covers all three)
+    base, digests = PROFILE_GOLDEN[name]
+    samples = 10000 if name == "desk" else 500
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(base, samples=samples, seed=7,
+                                   scales=[8, 12, 16, 32, 96])))
+    assert main(["profile", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    got = {tag: hashlib.sha256(
+        (tmp_path / f"profiles_{tag}.csv").read_bytes()).hexdigest()
+        for tag in digests}
+    assert got == digests
+
+
 def test_byte_determinism(tmp_path):
     cfg = write_config(tmp_path / "cfg.json")
     outs = []
