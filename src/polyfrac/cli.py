@@ -89,10 +89,11 @@ def _resolve(cfg: dict, seed=None, samples=None, budget=None) -> _Run:
         raise OutOfRange(f"margin {margin!r} too small for this norm")
     alpha = free_fraction(s, dim)
     if "m" in scfg:
-        sched = generate(alpha, margin, norm.n_functionals, m=scfg["m"],
-                         widen=True)
+        m = [_whole("schedule.m entry", v) for v in scfg["m"]]
+        sched = generate(alpha, margin, norm.n_functionals, m=m, widen=True)
     elif scfg.get("rule") == "geometric":
-        sched = generate(alpha, margin, norm.n_functionals, K=scfg["K"],
+        sched = generate(alpha, margin, norm.n_functionals,
+                         K=_whole("K", scfg["K"], 0),
                          ratio=scfg.get("ratio", 2))
     else:
         raise FormatError("schedule needs block ends or a geometric rule")
@@ -110,9 +111,10 @@ def _resolve(cfg: dict, seed=None, samples=None, budget=None) -> _Run:
         for r in scales:
             if _whole("scale", r) > sched.depth:
                 raise OutOfRange(f"scale {r!r} outside 1..{sched.depth}")
-        if not scales or len(set(scales)) != len(scales):
-            raise OutOfRange(f"scales must be non-empty and distinct, "
-                             f"not {scales!r}")
+    # a zero-block schedule has no checkpoints to resolve to
+    if not scales or len(set(scales)) != len(scales):
+        raise OutOfRange(f"scales must be non-empty and distinct, not "
+                         f"{scales!r}")
     resolved = {
         "dimension": dim,
         "s": f"{s.numerator}/{s.denominator}",
@@ -332,18 +334,23 @@ def cmd_boxdim(run: _Run, args) -> int:
     code = 0
     if args.falconer:
         est_dist = None
+        dist_limited = []
         for ell, (ser, cps) in dist_series.items():
             usable = [r for r in cps if ser.entry(r).count >= 1]
             if not usable:
                 continue
             v = dm.dim_lower_estimate(ser, usable)
             est_dist = v if est_dist is None else min(est_dist, v)
+            dist_limited += [f"ell={ell} r={r}" for r in usable
+                             if ser.entry(r).mode == "saturated"]
         if est_dist is None:
             est_dist = 0.0
         rep = dm.falconer_check(est_set, est_dist, spec.dim)
         word = "PASS" if rep.passed else "FAIL"
         print(f"falconer: dim_set>={est_set:.4f} dim_dist>={est_dist:.4f} "
-              f"threshold={rep.threshold:.4f} {word}")
+              f"threshold={rep.threshold:.4f} {word}"
+              + (f"; sample-limited (saturated) at {', '.join(dist_limited)}"
+                 if dist_limited else ""))
         if not rep.passed:
             code = 3
     if exact_done == 0:
@@ -352,21 +359,26 @@ def cmd_boxdim(run: _Run, args) -> int:
     return code
 
 
+def _ratio_text(v: int, r: int) -> str:
+    """P/r in lowest terms, as Fraction(v, r) prints it (0/1 when v = 0)."""
+    g = math.gcd(v, r)
+    return f"{v // g}/{r // g}"
+
+
 def cmd_profile(run: _Run, args) -> int:
     sched = run.spec.schedule
     bases = [("set", "set")]
     bases += [(f"dist_ell{ell}", ("distance", ell))
               for ell in range(run.spec.norm.n_functionals)]
     for tag, base in bases:
-        ideal = dm.profile_ideal(sched, run.spec.dim, base)
-        aware = dm.profile_c_aware(sched, run.spec.dim, base)
+        ideal = dm.profile_ideal(sched, run.spec.dim, base).values()
+        aware = dm.profile_c_aware(sched, run.spec.dim, base).values()
         lines = ["polyfrac-profiles v1", f"# manifest {run.manifest_hash}",
                  "r,P_ideal,P_c_aware,ratio_ideal,ratio_c_aware"]
         for r in range(1, sched.depth + 1):
-            ri, rc = ideal.ratio(r), aware.ratio(r)
-            lines.append(f"{r},{ideal.value_at(r)},{aware.value_at(r)},"
-                         f"{ri.numerator}/{ri.denominator},"
-                         f"{rc.numerator}/{rc.denominator}")
+            vi, vc = ideal[r], aware[r]
+            lines.append(f"{r},{vi},{vc},{_ratio_text(vi, r)},"
+                         f"{_ratio_text(vc, r)}")
         path = os.path.join(args.out, f"profiles_{tag}.csv")
         _write_lines(path, lines)
         print(f"wrote {path}")

@@ -24,6 +24,7 @@ it inside, and a group that lost one never counts a whole cell as inside.
 
 from __future__ import annotations
 
+import itertools
 import math
 import statistics
 from dataclasses import dataclass
@@ -390,7 +391,12 @@ def sampled_point_series(points, scales) -> BoxCountSeries:
 
 @dataclass(frozen=True)
 class ComplexityProfile:
-    """Piecewise-linear digit-complexity curve with integer breakpoints."""
+    """Piecewise-linear digit-complexity curve with integer breakpoints.
+
+    value_at(r) and ratio(r) = P(r)/r evaluate one place; values() returns
+    the whole curve P(0..depth) in one pass, for callers that walk every
+    place.
+    """
 
     segments: tuple  # ((lo, hi, slope), ...) contiguous from 0
 
@@ -407,6 +413,23 @@ class ComplexityProfile:
                 break
             total += s * (min(r, hi) - lo)
         return total
+
+    def values(self) -> list:
+        """[P(0), ..., P(depth)], equal to value_at at every place.
+
+        value_at stops at the first segment that starts at or past r, so a
+        segment counts only above the largest start up to its own.
+        """
+        depth = self.depth
+        steps = [0] * (depth + 1)  # steps[r] = P(r) - P(r - 1), P(-1) = 0
+        top = -1
+        for lo, hi, s in self.segments:
+            top = max(top, lo)
+            if top < depth:
+                steps[top + 1] += s * (min(top + 1, hi) - lo)
+                for r in range(top + 2, min(hi, depth) + 1):
+                    steps[r] += s
+        return list(itertools.accumulate(steps))
 
     def ratio(self, r: int) -> Fraction:
         if r < 1:

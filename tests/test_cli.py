@@ -206,7 +206,11 @@ def test_boxdim_falconer_small_sample_fails_honestly(tmp_path, capsys):
     construct(cfg, tmp_path)
     assert main(["boxdim", "--config", cfg, "--out", str(tmp_path),
                  "--falconer"]) == 3
-    assert "FAIL" in capsys.readouterr().out
+    line = next(row for row in capsys.readouterr().out.splitlines()
+                if row.startswith("falconer:"))
+    # 6 samples fill at most 6 cells, so every distance entry is saturated
+    assert line.endswith("FAIL; sample-limited (saturated) at "
+                         "ell=0 r=13, ell=0 r=93, ell=1 r=29")
 
 
 def test_boxdim_budget_starvation(tmp_path, capsys):
@@ -360,6 +364,13 @@ def test_seed_override_changes_points(tmp_path):
     {"scales": [True]},
     {"scales": []},
     {"scales": [8, 8, 4]},
+    {"schedule": {"c": "auto", "m": [1, 16.5, 32, 96]}},
+    {"schedule": {"c": "auto", "m": [True, 16, 32, 96]}},
+    {"schedule": {"c": "auto", "rule": "geometric", "K": True},
+     "scales": None},
+    # zero-block schedules resolve "checkpoints" to no scales at all
+    {"schedule": {"c": "auto", "rule": "geometric", "K": 0}, "scales": None},
+    {"schedule": {"c": "auto", "m": [1]}, "scales": None},
 ])
 def test_config_rejection(tmp_path, overrides, capsys):
     cfg = write_config(tmp_path / "cfg.json", **overrides)

@@ -2,11 +2,13 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from polyfrac.cli import _ratio_text
 from polyfrac.construct import SamplePoint, make_spec
-from polyfrac.dimension import (BoxCount, BoxCountSeries, ExactCount,
+from polyfrac.dimension import (BoxCount, BoxCountSeries, ComplexityProfile,
+                                ExactCount,
                                 SlabGroup, SlabSystem, count_exact,
                                 count_point_cells, count_value_cells,
                                 decoupled_count, dim_lower_estimate,
@@ -410,6 +412,50 @@ def test_distance_c_aware_profile():
     prof = profile_c_aware(sched, 2, base=("distance", 0))
     assert prof.value_at(13) == 12
     assert prof.value_at(93) == 66
+
+
+@settings(deadline=None, max_examples=20)
+@given(dim=st.sampled_from([2, 3]), name=st.sampled_from(["linf", "l1"]),
+       alpha=st.fractions(0, 1, max_denominator=8), K=st.integers(0, 6),
+       ratio=st.sampled_from([1, Fraction(3, 2), 2, 3]))
+@example(dim=3, name="l1", alpha=Fraction(0), K=0, ratio=2)
+@example(dim=2, name="linf", alpha=Fraction(0), K=6, ratio=1)
+def test_profile_values_match_value_at(dim, name, alpha, K, ratio):
+    # the one-pass curve and the CLI's reduced ratio text against the
+    # per-place reference, on every base of geometric schedules; depths past
+    # 6000 cost seconds here, and the CLI's profile pins cover the
+    # 11520-place deep schedule byte for byte
+    spec = make_spec(dim, dim - 1 + alpha, preset(name, dim), seed=0, K=K,
+                     ratio=ratio)
+    sched = spec.schedule
+    assume(sched.depth <= 6000)
+    bases = ["set"] + [("distance", ell) for ell in range(sched.n_functionals)]
+    for base in bases:
+        for kind in (profile_ideal, profile_c_aware):
+            prof = kind(sched, dim, base)
+            got = prof.values()
+            assert got == [prof.value_at(r) for r in range(prof.depth + 1)]
+            for r in range(1, prof.depth + 1):
+                q = prof.ratio(r)
+                assert _ratio_text(got[r], r) == \
+                    f"{q.numerator}/{q.denominator}"
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.lists(st.tuples(st.integers(-2, 12), st.integers(-2, 12),
+                          st.integers(-3, 3)), min_size=1, max_size=5))
+def test_profile_values_any_segment_list(segments):
+    # unsorted, overlapping, gapped and reversed segments included
+    prof = ComplexityProfile(tuple(segments))
+    assert prof.values() == [prof.value_at(r)
+                             for r in range(prof.depth + 1)]
+
+
+def test_ratio_text_zero_and_negative():
+    for v, r in ((0, 12), (-6, 4), (143, 96), (48, 16)):
+        q = Fraction(v, r)
+        assert _ratio_text(v, r) == f"{q.numerator}/{q.denominator}"
+    assert _ratio_text(0, 12) == "0/1"
 
 
 def test_distance_slack_frozen():
