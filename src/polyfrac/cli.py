@@ -360,7 +360,7 @@ def cmd_boxdim(run: _Run, args) -> int:
 
 
 def _ratio_text(v: int, r: int) -> str:
-    """P/r in lowest terms, as Fraction(v, r) prints it (0/1 when v = 0)."""
+    """v/r in lowest terms: Fraction(v, r)'s numerator/denominator, 0/1 at 0."""
     g = math.gcd(v, r)
     return f"{v // g}/{r // g}"
 

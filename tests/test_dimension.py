@@ -445,17 +445,14 @@ def test_profile_values_match_value_at(dim, name, alpha, K, ratio):
 @given(st.lists(st.tuples(st.integers(-2, 12), st.integers(-2, 12),
                           st.integers(-3, 3)), min_size=1, max_size=5))
 def test_profile_values_any_segment_list(segments):
-    # unsorted, overlapping, gapped and reversed segments included
+    # unsorted, overlapping, gapped and reversed segments included, and
+    # negative values for the ratio text
     prof = ComplexityProfile(tuple(segments))
-    assert prof.values() == [prof.value_at(r)
-                             for r in range(prof.depth + 1)]
-
-
-def test_ratio_text_zero_and_negative():
-    for v, r in ((0, 12), (-6, 4), (143, 96), (48, 16)):
-        q = Fraction(v, r)
-        assert _ratio_text(v, r) == f"{q.numerator}/{q.denominator}"
-    assert _ratio_text(0, 12) == "0/1"
+    got = prof.values()
+    assert got == [prof.value_at(r) for r in range(prof.depth + 1)]
+    for r in range(1, prof.depth + 1):
+        q = prof.ratio(r)
+        assert _ratio_text(got[r], r) == f"{q.numerator}/{q.denominator}"
 
 
 def test_distance_slack_frozen():
