@@ -26,11 +26,10 @@ from . import construct as cn
 from . import dimension as dm
 from . import distset as ds
 from .errors import (BudgetExceeded, FormatError, OutOfRange, PolyfracError)
-from .norms import PolyhedralNorm, custom_norm, margin_ok, min_margin, preset
+from .norms import custom_norm, min_margin, preset
 from .schedule import free_fraction, generate
 
 _POINTS_FILE = "points.txt"
-_SAMPLES_FILE = "samples.txt"
 
 
 def _canonical_hash(obj) -> str:
@@ -41,8 +40,6 @@ def _canonical_hash(obj) -> str:
 @dataclass
 class _Run:
     spec: "cn.FractalSpec"
-    norm_kind: str
-    norm_name: str | None
     scales: list
     samples: int
     budget: int
@@ -51,11 +48,12 @@ class _Run:
     manifest_hash: str
 
 
-def _parse_s(raw) -> Fraction:
+def _rational(name: str, raw) -> Fraction:
+    # str() first: JSON true reads as "True" and is refused, not taken for 1
     try:
         return Fraction(str(raw))
     except (ValueError, ZeroDivisionError):
-        raise OutOfRange(f"cannot read target dimension {raw!r}") from None
+        raise OutOfRange(f"cannot read {name} {raw!r}") from None
 
 
 def _whole(name: str, value, low: int = 1) -> int:
@@ -69,7 +67,7 @@ def _resolve(cfg: dict, seed=None, samples=None, budget=None) -> _Run:
     if not isinstance(cfg, dict):
         raise FormatError("config must be a JSON object")
     dim = _whole("dimension", cfg["dimension"])
-    s = _parse_s(cfg["s"])
+    s = _rational("target dimension", cfg["s"])
     ncfg = cfg["norm"]
     if "preset" in ncfg:
         kind, name = "preset", ncfg["preset"]
@@ -81,11 +79,11 @@ def _resolve(cfg: dict, seed=None, samples=None, budget=None) -> _Run:
             raise OutOfRange("custom norm dimension != config dimension")
     else:
         raise FormatError("norm needs a preset or custom table")
+    c_min = min_margin(norm)
     scfg = cfg["schedule"]
     margin = scfg.get("c", "auto")
-    if margin == "auto":
-        margin = min_margin(norm)
-    elif not isinstance(margin, int) or not margin_ok(norm, margin):
+    margin = c_min if margin == "auto" else _whole("schedule.c", margin)
+    if margin < c_min:
         raise OutOfRange(f"margin {margin!r} too small for this norm")
     alpha = free_fraction(s, dim)
     if "m" in scfg:
@@ -94,7 +92,7 @@ def _resolve(cfg: dict, seed=None, samples=None, budget=None) -> _Run:
     elif scfg.get("rule") == "geometric":
         sched = generate(alpha, margin, norm.n_functionals,
                          K=_whole("K", scfg["K"], 0),
-                         ratio=scfg.get("ratio", 2))
+                         ratio=_rational("ratio", scfg.get("ratio", 2)))
     else:
         raise FormatError("schedule needs block ends or a geometric rule")
     seed = _whole("seed", cfg.get("seed", 0) if seed is None else seed, 0)
@@ -128,14 +126,14 @@ def _resolve(cfg: dict, seed=None, samples=None, budget=None) -> _Run:
             "name": name,
             "n_functionals": norm.n_functionals,
             "pivots": [f.pivot for f in norm.functionals],
-            "min_margin": min_margin(norm),
+            "min_margin": c_min,
             "functionals": [[[v, f.precision] for v in f.mantissas]
                             for f in norm.functionals],
         },
         "schedule": {"margin": sched.margin, "m": list(sched.bounds),
                      "n": list(sched.splits)},
     }
-    return _Run(spec, kind, name, scales, samples, budget, resolved,
+    return _Run(spec, scales, samples, budget, resolved,
                 _canonical_hash(cfg), _canonical_hash(resolved))
 
 
@@ -236,15 +234,6 @@ def cmd_construct(run: _Run, args) -> int:
     return 0
 
 
-def cmd_sample(run: _Run, args) -> int:
-    ys = cn.sample_points(run.spec, run.samples)
-    path = os.path.join(args.out, _SAMPLES_FILE)
-    cn.write_points(path, ys, run.manifest_hash)
-    _write_manifest(run, args.out)
-    print(f"wrote {len(ys)} sample points to {path}")
-    return 0
-
-
 def cmd_distset(run: _Run, args) -> int:
     points = _load_points(run, args)
     x, ys = points[0], points[1:]
@@ -264,9 +253,7 @@ def cmd_distset(run: _Run, args) -> int:
                f"{cn.mantissa_to_hex(rec.value.mantissa, rec.value.precision)},"
                f"{rec.value.precision}")
         if args.euclid is not None:
-            delta = [a - b for a, b in
-                     zip(points[i].coords, points[j].coords)]
-            e = ds.euclid_floor(delta, args.euclid)
+            e = ds.euclid_floor(ds.delta(points[i], points[j]), args.euclid)
             row += f",{cn.mantissa_to_hex(e.mantissa, e.precision)},{e.precision}"
         lines.append(row)
     path = os.path.join(args.out, "distances.csv")
@@ -282,12 +269,10 @@ def cmd_boxdim(run: _Run, args) -> int:
     points = _load_points(run, args)
     system = dm.slab_system(spec)
     entries = []
-    exact_done = 0
     for r in run.scales:
         try:
             ec = dm.count_exact(system, r, run.budget)
             entries.append(dm.BoxCount(r, ec.count, "exact"))
-            exact_done += 1
         except BudgetExceeded:
             entries.append(dm.sampled_point_series(points, [r]).entries[0])
     set_series = dm.BoxCountSeries(tuple(entries))
@@ -299,11 +284,11 @@ def cmd_boxdim(run: _Run, args) -> int:
         print(f"r={e.r} count={e.count} mode={e.mode}")
 
     values = ds.estimation_values(ds.pinned(points[0], points[1:], spec.norm))
-    dist_series = {}
+    dist_series = []
     for ell in range(spec.norm.n_functionals):
         cps = [r for r, _ in dm.distance_checkpoints(spec, ell)]
         ser = dm.sampled_distance_series(values.get(ell, []), cps)
-        dist_series[ell] = (ser, cps)
+        dist_series.append(ser)
         tag = f"dist_ell{ell}"
         _write_lines(os.path.join(args.out, f"boxcounts_{tag}.csv"),
                      _boxcount_csv(ser, run.manifest_hash))
@@ -317,8 +302,7 @@ def cmd_boxdim(run: _Run, args) -> int:
           f"{list(run.scales)}"
           + (f"; sample-limited (saturated) at {limited}" if limited else ""))
     sched = spec.schedule
-    for ell in range(spec.norm.n_functionals):
-        ser, _ = dist_series[ell]
+    for ell, ser in enumerate(dist_series):
         for (r, bound), k in zip(dm.distance_checkpoints(spec, ell),
                                  sched.blocks_for_functional(ell)):
             slack = dm.distance_slack(sched.margin, sched.bound(k + 1))
@@ -333,18 +317,12 @@ def cmd_boxdim(run: _Run, args) -> int:
 
     code = 0
     if args.falconer:
-        est_dist = None
-        dist_limited = []
-        for ell, (ser, cps) in dist_series.items():
-            usable = [r for r in cps if ser.entry(r).count >= 1]
-            if not usable:
-                continue
-            v = dm.dim_lower_estimate(ser, usable)
-            est_dist = v if est_dist is None else min(est_dist, v)
-            dist_limited += [f"ell={ell} r={r}" for r in usable
-                             if ser.entry(r).mode == "saturated"]
-        if est_dist is None:
-            est_dist = 0.0
+        usable = [[e for e in ser.entries if e.count] for ser in dist_series]
+        est_dist = min((dm.dim_lower_estimate(ser, [e.r for e in es])
+                        for ser, es in zip(dist_series, usable) if es),
+                       default=0.0)
+        dist_limited = [f"ell={ell} r={e.r}" for ell, es in enumerate(usable)
+                        for e in es if e.mode == "saturated"]
         rep = dm.falconer_check(est_set, est_dist, spec.dim)
         word = "PASS" if rep.passed else "FAIL"
         print(f"falconer: dim_set>={est_set:.4f} dim_dist>={est_dist:.4f} "
@@ -353,7 +331,7 @@ def cmd_boxdim(run: _Run, args) -> int:
                  if dist_limited else ""))
         if not rep.passed:
             code = 3
-    if exact_done == 0:
+    if all(e.mode != "exact" for e in set_series.entries):
         print("no exact scale completed within budget", file=sys.stderr)
         return 4
     return code
@@ -405,7 +383,6 @@ def cmd_verify(run: _Run, args) -> int:
 
 _COMMANDS = {
     "construct": cmd_construct,
-    "sample": cmd_sample,
     "distset": cmd_distset,
     "boxdim": cmd_boxdim,
     "profile": cmd_profile,

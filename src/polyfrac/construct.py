@@ -24,7 +24,7 @@ from .dyadic import Dyadic
 from .errors import (FormatError, IndexOutOfRange, InfeasibleSchedule,
                      NoSolution, OutOfRange, PrecisionExceeded)
 from .norms import PolyhedralNorm, min_margin
-from .schedule import BlockSchedule, validate
+from .schedule import BlockSchedule, free_fraction, generate, validate
 from .streams import BitStream
 
 __all__ = ["FractalSpec", "SamplePoint", "PointReport", "make_spec",
@@ -104,14 +104,13 @@ class _Block:
 
 
 def make_spec(dim: int, target, norm: PolyhedralNorm, seed: int, *, m=None,
-              K=None, ratio=None, margin=None, widen: bool = True) -> FractalSpec:
+              K=None, ratio=None, margin=None) -> FractalSpec:
     """Assemble a spec, deriving margin and schedule from the norm."""
-    from .schedule import free_fraction, generate
     target = Fraction(target)
     alpha = free_fraction(target, dim)
     c = min_margin(norm) if margin is None else margin
     sched = generate(alpha, c, norm.n_functionals, m=m, K=K, ratio=ratio,
-                     widen=widen)
+                     widen=True)
     return FractalSpec(dim, target, norm, sched, seed)
 
 
@@ -228,15 +227,14 @@ def pinned_point(spec: FractalSpec) -> SamplePoint:
     return build_point(spec, 0, "pinned")
 
 
-def sample_points(spec: FractalSpec, count: int,
-                  start_index: int = 1) -> list[SamplePoint]:
-    """count independent sample points with stream indices start_index.."""
+def sample_points(spec: FractalSpec, count: int) -> list[SamplePoint]:
+    """count independent sample points with stream indices 1..count."""
     if count < 1:
         raise OutOfRange("sample count must be >= 1")
     points = []
     seen = {}
-    for t in range(count):
-        pt = build_point(spec, start_index + t, "sample")
+    for index in range(1, count + 1):
+        pt = build_point(spec, index, "sample")
         key = tuple(v.mantissa for v in pt.coords)
         if key in seen:
             log.warning("points %d and %d are identical", seen[key], pt.index)
@@ -319,6 +317,9 @@ def verify_point(point: SamplePoint, spec: FractalSpec) -> PointReport:
 
 # -- points file -----------------------------------------------------------
 
+_HEX_DIGITS = b"0123456789abcdef"
+
+
 def _hex_width(prec: int) -> int:
     return (prec + 3) // 4
 
@@ -332,10 +333,11 @@ def hex_to_mantissa(s: str, prec: int) -> int:
     w = _hex_width(prec)
     if len(s) != w:
         raise FormatError(f"expected {w} hex digits, got {len(s)}")
-    try:
-        v = int(s, 16)
-    except ValueError:
-        raise FormatError(f"bad hex field {s!r}") from None
+    # a field is w lowercase hex digits and nothing else; int(s, 16) alone
+    # also takes "0x1f", "f_ff", "-fff", "FFFF" and non-ASCII digits
+    if not s or s.encode("ascii", "replace").translate(None, _HEX_DIGITS):
+        raise FormatError(f"bad hex field {s!r}")
+    v = int(s, 16)
     pad = 4 * w - prec
     if v & ((1 << pad) - 1):
         raise FormatError("nonzero padding bits in mantissa field")

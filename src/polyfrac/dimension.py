@@ -191,12 +191,7 @@ def count_exact(system: SlabSystem, r: int, budget: int = 10**8) -> ExactCount:
         return ExactCount(r, n, n, 0)
     cap = min(max(r, g.windows[-1][1]) for g in active) + _DFS_HEADROOM
     gs = [_Group(g, cap, dim) for g in active]
-    # every group pinned to its own coordinate: interval reasoning per
-    # coordinate is exact, so undecided cells cannot occur
-    product_rule = (
-        all(len(g.support) == 1 and
-            g.mantissas[g.support[0]] == 1 << g.precision for g in active)
-        and len({g.support[0] for g in active}) == len(active))
+    product_rule = _product_form(active)
 
     examined = 0
 
@@ -321,6 +316,16 @@ def count_exact(system: SlabSystem, r: int, budget: int = 10**8) -> ExactCount:
     return ExactCount(r, lower, upper, examined)
 
 
+def _product_form(groups) -> bool:
+    """Does every group pin its own coordinate with coefficient exactly 1?
+
+    Interval reasoning per coordinate is then exact, so count_exact leaves
+    no cell undecided, and decoupled_count's product formula holds."""
+    return (all(len(g.support) == 1 and
+                g.mantissas[g.support[0]] == 1 << g.precision for g in groups)
+            and len({g.support[0] for g in groups}) == len(groups))
+
+
 def decoupled_count(system: SlabSystem, r: int) -> int:
     """Closed-form count for systems whose groups each pin one coordinate.
 
@@ -329,14 +334,10 @@ def decoupled_count(system: SlabSystem, r: int) -> int:
     """
     if not 0 <= r <= system.depth:
         raise OutOfRange(f"scale {r} outside [0, {system.depth}]")
+    if not _product_form(system.groups):
+        raise OutOfRange("system is not in product form")
     exponent = r * system.dim
-    seen = set()
     for g in system.groups:
-        if len(g.support) != 1 or g.mantissas[g.support[0]] != 1 << g.precision:
-            raise OutOfRange("system is not in product form")
-        if g.support[0] in seen:
-            raise OutOfRange("two groups share a coordinate")
-        seen.add(g.support[0])
         exponent -= sum(min(b, r) - a for a, b in g.windows if a < r)
     return 1 << exponent
 

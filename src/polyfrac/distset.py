@@ -18,9 +18,9 @@ from .errors import OutOfRange, PrecisionExceeded
 from .norms import PolyhedralNorm
 from .streams import BitStream
 
-__all__ = ["DistanceRecord", "pinned", "pairwise", "euclid_floor",
-           "euclid_pinned", "BlockCollapse", "CollapseReport",
-           "collapse_check", "group_by_functional", "estimation_values"]
+__all__ = ["DistanceRecord", "delta", "pinned", "pairwise", "euclid_floor",
+           "BlockCollapse", "CollapseReport", "collapse_check",
+           "estimation_values"]
 
 
 @dataclass(frozen=True)
@@ -30,14 +30,15 @@ class DistanceRecord:
     source: tuple[int, int]  # point indices (first, second)
 
 
-def _delta(x, y) -> tuple:
+def delta(x, y) -> tuple:
+    """Coordinate difference x - y of two points of one shape."""
     if x.dim != y.dim or x.precision != y.precision:
         raise OutOfRange("points must share dimension and precision")
     return tuple(a - b for a, b in zip(x.coords, y.coords))
 
 
 def _record(x, y, norm: PolyhedralNorm) -> DistanceRecord:
-    value, ties = norm.measure(_delta(x, y))
+    value, ties = norm.measure(delta(x, y))
     return DistanceRecord(value, ties[0], (x.index, y.index))
 
 
@@ -94,10 +95,6 @@ def euclid_floor(delta, r: int) -> Dyadic:
     return Dyadic(math.isqrt(sq >> (2 * (prec - r))), r)
 
 
-def euclid_pinned(x, ys, r: int) -> list:
-    return [euclid_floor(_delta(x, y), r) for y in ys]
-
-
 @dataclass(frozen=True)
 class BlockCollapse:
     block: int
@@ -135,7 +132,7 @@ def collapse_check(x, y, spec) -> CollapseReport:
     sched = spec.schedule
     if x.precision < sched.depth or y.precision < sched.depth:
         raise PrecisionExceeded("points are shallower than the schedule")
-    value, ties = spec.norm.measure(_delta(x, y))
+    value, ties = spec.norm.measure(delta(x, y))
     achieving = ties[0]
     blocks = []
     for k in sched.blocks_for_functional(achieving):
@@ -150,19 +147,11 @@ def collapse_check(x, y, spec) -> CollapseReport:
     return CollapseReport(achieving, ties, tuple(blocks))
 
 
-def group_by_functional(records) -> dict:
-    groups: dict = {}
-    for rec in records:
-        groups.setdefault(rec.achieving, []).append(rec)
-    return groups
-
-
 def estimation_values(records) -> dict:
     """Nonzero distance values per achieving functional.
 
     Zero distances (coincident points) carry no box-counting information and
-    would pin a spurious cell at the origin, so they are dropped here rather
-    than inside group_by_functional.
+    would pin a spurious cell at the origin, so they are dropped.
     """
     out: dict = {}
     for rec in records:

@@ -15,7 +15,7 @@ from .dyadic import Dyadic
 from .errors import (BadPivot, DegenerateNorm, DimensionMismatch,
                      NonDyadicCoefficient, ZeroVector)
 
-__all__ = ["Functional", "PolyhedralNorm", "NormReport", "preset",
+__all__ = ["Functional", "PolyhedralNorm", "preset",
            "custom_norm", "min_margin", "margin_ok",
            "euclid_comparison_bounds"]
 
@@ -50,33 +50,19 @@ class Functional:
         return Dyadic(total, px + self.precision)
 
 
-@dataclass(frozen=True)
-class NormReport:
-    """Result of validating a functional family."""
-
-    dim: int
-    n_functionals: int
-    rank: int
-    pivots: tuple[int, ...]
-
-    @property
-    def ok(self) -> bool:
-        return self.rank == self.dim
-
-
 class PolyhedralNorm:
     """max_l |x . v^l| over a full-rank family of dyadic functionals."""
 
     def __init__(self, dim: int, functionals: list[Functional]):
         self.dim = dim
         self.functionals = tuple(functionals)
-        self.report = self.validate()
+        self.validate()
 
     @property
     def n_functionals(self) -> int:
         return len(self.functionals)
 
-    def validate(self) -> NormReport:
+    def validate(self) -> None:
         """Check pivots and full rank; raises on failure."""
         if self.dim < 1 or not self.functionals:
             raise DegenerateNorm("need dim >= 1 and at least one functional")
@@ -90,8 +76,6 @@ class PolyhedralNorm:
                       for f in self.functionals])
         if rank < self.dim:
             raise DegenerateNorm(f"functional family has rank {rank} < {self.dim}")
-        return NormReport(self.dim, len(self.functionals), rank,
-                          tuple(f.pivot for f in self.functionals))
 
     def measure(self, x) -> tuple[Dyadic, tuple[int, ...]]:
         """(||x||, ascending indices of every functional attaining it).
@@ -195,7 +179,8 @@ def custom_norm(coeff_table) -> PolyhedralNorm:
                 m, p = entry
             except (TypeError, ValueError):
                 raise NonDyadicCoefficient(f"bad entry {entry!r}") from None
-            if not isinstance(m, int) or not isinstance(p, int) or p < 0:
+            # type, not isinstance: JSON true would pass for 1
+            if type(m) is not int or type(p) is not int or p < 0:
                 raise NonDyadicCoefficient(f"bad entry {entry!r}")
             pairs.append((m, p))
         prec = max((p for _, p in pairs), default=0)

@@ -74,10 +74,6 @@ class BlockSchedule:
         """Constrained places of block k as (lo, hi] after margin trimming."""
         return (self.split(k) + self.margin, self.bound(k + 1) - self.margin)
 
-    def ideal_window(self, k: int) -> tuple[int, int]:
-        """The untrimmed (n_k, m_{k+1}] interval."""
-        return (self.split(k), self.bound(k + 1))
-
     def functional_for_block(self, k: int) -> int:
         if k < 1:
             raise IndexOutOfRange("block numbers start at 1")

@@ -2,11 +2,14 @@ import hashlib
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from polyfrac.cli import main
 from polyfrac.construct import hex_to_mantissa, mantissa_to_hex, read_points
+from polyfrac.norms import min_margin, preset
+from polyfrac.schedule import free_fraction, generate
 
 CONFIG = {
     "dimension": 2,
@@ -140,15 +143,6 @@ def test_readers_ignore_budget(tmp_path, capsys):
     assert "wrote 10 pairwise distances" in captured.out
     assert "no exact scale completed" in captured.err
     assert "manifest mismatch" not in captured.err
-
-
-def test_sample_command(tmp_path, capsys):
-    cfg = write_config(tmp_path / "cfg.json")
-    assert main(["sample", "--config", cfg, "--out", str(tmp_path),
-                 "--samples", "3"]) == 0
-    points, _ = read_points(tmp_path / "samples.txt")
-    assert [p.role for p in points] == ["sample"] * 3
-    assert "wrote 3 sample points" in capsys.readouterr().out
 
 
 def test_distset_pinned_with_euclid(tmp_path):
@@ -371,11 +365,40 @@ def test_seed_override_changes_points(tmp_path):
     # zero-block schedules resolve "checkpoints" to no scales at all
     {"schedule": {"c": "auto", "rule": "geometric", "K": 0}, "scales": None},
     {"schedule": {"c": "auto", "m": [1]}, "scales": None},
+    {"schedule": {"c": 4.0, "m": [1, 16, 32, 96]}},
+    {"schedule": {"c": True, "m": [1, 16, 32, 96]}},
+    {"schedule": {"c": "auto", "rule": "geometric", "K": 3, "ratio": True},
+     "scales": None},
+    {"norm": {"custom": [[[True, 0], [0, 0]], [[0, 0], [1, 0]]]}},
 ])
 def test_config_rejection(tmp_path, overrides, capsys):
     cfg = write_config(tmp_path / "cfg.json", **overrides)
     assert main(["profile", "--config", cfg, "--out", str(tmp_path)]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_margin_error_names_integer_rule(tmp_path, capsys):
+    # 4 is above the linf minimum of 3: the fault is the float, not the size
+    cfg = write_config(tmp_path / "cfg.json",
+                       schedule={"c": 4.0, "m": [1, 16, 32, 96]})
+    assert main(["profile", "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "schedule.c must be an integer" in err
+    assert "too small" not in err
+
+
+@pytest.mark.parametrize("ratio", ["3/2", "9/2"])
+def test_ratio_reads_like_s(tmp_path, ratio):
+    # 3/2 never beats the k * m_k growth; 9/2 does past the first block
+    cfg = write_config(tmp_path / "cfg.json", scales="checkpoints",
+                       schedule={"c": "auto", "rule": "geometric", "K": 4,
+                                 "ratio": ratio})
+    assert main(["profile", "--config", cfg, "--out", str(tmp_path)]) == 0
+    got = json.loads((tmp_path / "manifest.json").read_text())
+    norm = preset("linf", 2)
+    want = generate(free_fraction(Fraction(3, 2), 2), min_margin(norm),
+                    norm.n_functionals, K=4, ratio=Fraction(ratio))
+    assert got["resolved"]["schedule"]["m"] == list(want.bounds)
 
 
 def test_bad_json_and_missing_config(tmp_path, capsys):
@@ -390,6 +413,7 @@ def test_argparse_errors_return_2(capsys):
     assert main([]) == 2
     assert main(["bogus"]) == 2
     assert main(["construct"]) == 2  # --config required
+    assert main(["sample", "--config", "cfg.json"]) == 2  # no such command
     capsys.readouterr()
 
 

@@ -273,6 +273,16 @@ def test_hex_frozen():
         hex_to_mantissa("zz", 7)
 
 
+@pytest.mark.parametrize("field", ["0x1f", "f_ff", "+fff", "-fff", "FFFF",
+                                   "Ffff", " fff", "fff\n", "٣fff"])
+def test_hex_rejects_noncanonical(field):
+    # exactly four lowercase hex digits at precision 16; int(s, 16) takes
+    # every field above
+    assert hex_to_mantissa("0fff", 16) == 0xfff
+    with pytest.raises(FormatError):
+        hex_to_mantissa(field, 16)
+
+
 def test_points_file_round_trip(tmp_path, desk):
     pts = [pinned_point(desk)] + sample_points(desk, 3)
     path = tmp_path / "points.txt"

@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 from polyfrac.construct import (SamplePoint, make_spec, pinned_point,
                                 sample_points)
 from polyfrac.distset import (CollapseReport, DistanceRecord, _unrank_pair,
-                              collapse_check, estimation_values, euclid_floor,
-                              euclid_pinned, group_by_functional, pairwise,
-                              pinned)
+                              collapse_check, delta, estimation_values,
+                              euclid_floor, pairwise, pinned)
 from polyfrac.dyadic import Dyadic
 from polyfrac.errors import OutOfRange, PrecisionExceeded
 from polyfrac.norms import preset
@@ -118,14 +117,13 @@ def test_euclid_floor_is_floor(delta, r):
     assert got.precision == r
 
 
-def test_euclid_pinned_matches_norm_bounds(desk, desk_points):
+def test_euclid_floor_matches_norm_bounds(desk, desk_points):
     # ||.||_inf <= ||.||_2 <= sqrt(2)||.||_inf, checked through the floors
     x, ys = desk_points
     r = 24
-    eus = euclid_pinned(x, ys, r)
-    for rec, eu in zip(pinned(x, ys, desk.norm), eus):
+    for rec, y in zip(pinned(x, ys, desk.norm), ys):
         v = rec.value.as_fraction()
-        e = eu.as_fraction()
+        e = euclid_floor(delta(x, y), r).as_fraction()
         assert e + Fraction(1, 1 << r) > v
         assert e * e <= 2 * v * v
 
@@ -184,9 +182,7 @@ def test_grouping_and_estimation_values():
     mk = lambda v, ell, src: DistanceRecord(v, ell, src)
     recs = [mk(Dyadic(1, 1), 0, (0, 1)), mk(Dyadic(0, 4), 0, (0, 2)),
             mk(Dyadic(3, 2), 1, (0, 3))]
-    groups = group_by_functional(recs)
-    assert sorted(groups) == [0, 1]
-    assert len(groups[0]) == 2  # zero kept here
     vals = estimation_values(recs)
-    assert vals[0] == [Dyadic(1, 1)]  # zero dropped here
+    assert sorted(vals) == [0, 1]
+    assert vals[0] == [Dyadic(1, 1)]  # the zero distance is dropped
     assert vals[1] == [Dyadic(3, 2)]

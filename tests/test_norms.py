@@ -21,15 +21,14 @@ def test_linf_preset_shape():
     n = preset("linf", 3)
     assert n.n_functionals == 3
     assert [f.mantissas for f in n.functionals] == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    assert n.report.pivots == (0, 1, 2)
-    assert n.report.ok
+    assert [f.pivot for f in n.functionals] == [0, 1, 2]
 
 
 def test_l1_preset_shape():
     n = preset("l1", 3)
     assert [f.mantissas for f in n.functionals] == [
         (1, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1)]
-    assert n.report.pivots == (0, 0, 0, 0)
+    assert [f.pivot for f in n.functionals] == [0, 0, 0, 0]
     assert preset("l1", 1).n_functionals == 1
 
 
@@ -114,7 +113,8 @@ def test_custom_norm_normalization():
     assert (f1.mantissas, f1.precision, f1.pivot) == ((0, 1), 2, 1)
 
 
-@pytest.mark.parametrize("entry", [[1, -1], [Fraction(1, 2), 0], "x", [1.5, 0], [1]])
+@pytest.mark.parametrize("entry", [[1, -1], [Fraction(1, 2), 0], "x", [1.5, 0], [1],
+                                   [True, 0], [1, True]])
 def test_custom_norm_bad_entries(entry):
     with pytest.raises(NonDyadicCoefficient):
         custom_norm([[entry, [1, 0]]])

@@ -29,7 +29,6 @@ def test_desk_schedule_frozen():
     assert s.window(1) == (12, 13)
     assert s.window(2) == (27, 29)
     assert s.window(3) == (67, 93)
-    assert s.ideal_window(2) == (24, 32)
     assert validate(s).ok
 
 
