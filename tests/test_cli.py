@@ -308,7 +308,11 @@ TIED_NORM = {"custom": [[[1, 0], [0, 0]], [[2, 1], [0, 0]],
      "3916b9a012217c93ee80fea87d2537dbd3d12448d3fc9e0ef189f3b0e2f0e83d"),
     (["--pairwise", "--budget", "500"],
      "edb62eb556132b4ea67a5a590eb18b94121ec71ef83472bb8b4615f23464749b"),
-], ids=["pinned", "pairwise"])
+    (["--pairwise", "--budget", "500", "--euclid", "24"],
+     "785385835241a0dd24606d6714eaf0d319c81611dcfd9e13697cde9fac4a4fe2"),
+    (["--pinned", "--euclid", "0"],
+     "93410383fd73e25b41e330a31c5ce81856a8d79e72bd7051ec7681d76971805a"),
+], ids=["pinned", "pairwise", "pairwise-euclid", "pinned-euclid0"])
 def test_distances_golden_digest(tmp_path, flags, digest):
     # the only distance pin whose norm has tied functionals at different
     # precisions; preset-norm pins cannot see which tied Dyadic is written
