@@ -242,22 +242,28 @@ def cmd_distset(run: _Run, args) -> int:
                            seed=run.spec.seed)
     else:
         recs = ds.pinned(x, ys, run.spec.norm)
+    r = args.euclid
     header = "pair_id,ell,mantissa_hex,prec"
-    if args.euclid is not None:
+    if r is not None:
         header += ",euclid_mantissa_hex,euclid_prec"
-    lines = ["polyfrac-distances v1", f"# manifest {run.manifest_hash}",
-             header]
-    for rec in recs:
+    prec = points[0].precision
+
+    def row(rec) -> str:
         i, j = rec.source
-        row = (f"{i}-{j},{rec.achieving},"
-               f"{cn.mantissa_to_hex(rec.value.mantissa, rec.value.precision)},"
-               f"{rec.value.precision}")
-        if args.euclid is not None:
-            e = ds.euclid_floor(ds.delta(points[i], points[j]), args.euclid)
-            row += f",{cn.mantissa_to_hex(e.mantissa, e.precision)},{e.precision}"
-        lines.append(row)
+        v = rec.value
+        text = (f"{i}-{j},{rec.achieving},"
+                f"{cn.mantissa_to_hex(v.mantissa, v.precision)},{v.precision}")
+        if r is None:
+            return text + "\n"
+        e = ds.euclid_floor_mantissa(
+            ds.delta_mantissas(points[i], points[j]), prec, r)
+        return f"{text},{cn.mantissa_to_hex(e, r)},{r}\n"
+
     path = os.path.join(args.out, "distances.csv")
-    _write_lines(path, lines)
+    with open(path, "w", newline="\n") as fh:
+        fh.write(f"polyfrac-distances v1\n# manifest {run.manifest_hash}\n"
+                 f"{header}\n")
+        fh.writelines(map(row, recs))
     _write_manifest(run, args.out)
     kind = "pairwise" if args.pairwise else "pinned"
     print(f"wrote {len(recs)} {kind} distances to {path}")
@@ -390,6 +396,18 @@ _COMMANDS = {
 }
 
 
+def _places(text: str) -> int:
+    """--euclid: a count of binary places, so an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer >= 0, not {text!r}")
+    return value
+
+
 def _parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="polyfrac")
     sub = top.add_subparsers(dest="command", required=True)
@@ -404,7 +422,7 @@ def _parser() -> argparse.ArgumentParser:
             mode = p.add_mutually_exclusive_group()
             mode.add_argument("--pinned", action="store_true")
             mode.add_argument("--pairwise", action="store_true")
-            p.add_argument("--euclid", type=int)
+            p.add_argument("--euclid", type=_places)
         if name == "boxdim":
             p.add_argument("--falconer", action="store_true")
     return top

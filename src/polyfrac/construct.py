@@ -18,12 +18,11 @@ import logging
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
 
 from .dyadic import Dyadic
 from .errors import (FormatError, IndexOutOfRange, InfeasibleSchedule,
                      NoSolution, OutOfRange, PrecisionExceeded)
-from .norms import PolyhedralNorm, min_margin
+from .norms import PolyhedralNorm, int_dot, min_margin
 from .schedule import BlockSchedule, free_fraction, generate, validate
 from .streams import BitStream
 
@@ -146,10 +145,6 @@ class SamplePoint:
 
 # -- pivot digit solver ----------------------------------------------------
 
-def _dot(mants, coeffs) -> int:
-    return sum(map(mul, mants, coeffs))
-
-
 def _marker(scale: int, a: int, b: int) -> tuple[int, int, int]:
     """(modulus, lo, width) at scale: a sum s * 2**-scale sits on the marker
     residue when s mod modulus lies in [lo, lo + width), i.e. its digits are
@@ -214,7 +209,7 @@ def build_point(spec: FractalSpec, index: int = 0,
             mants[i] |= coords.child(i, "block", blk.k).take_bits(nbits) << shift
         if blk.marker:
             # the pivot's unsolved places are still zero
-            s0 = _dot([m >> blk.shift for m in mants], blk.coeffs)
+            s0 = int_dot([m >> blk.shift for m in mants], blk.coeffs)
             u = _steer(s0, blk.coeffs[blk.pivot], blk.marker, blk.cap)
             mants[blk.pivot] |= u << blk.shift
     tail = spec.schedule.n_blocks + 1
@@ -255,13 +250,13 @@ def _block_checks(mants: list, prec: int, blk: _Block, fulls: dict) -> dict:
         return {}
     full = fulls.get(blk.coeffs)
     if full is None:
-        full = fulls[blk.coeffs] = _dot(mants, blk.coeffs)
+        full = fulls[blk.coeffs] = int_dot(mants, blk.coeffs)
     failed = {}
     span = blk.b - blk.a
     # full and truncated-at-m_hi sums, both floored at window place b
     top = full >> (prec + blk.pv - blk.b)
     cut = [m >> (prec - blk.m_hi) for m in mants]
-    low = _dot(cut, blk.coeffs) >> (blk.m_hi + blk.pv - blk.b)
+    low = int_dot(cut, blk.coeffs) >> (blk.m_hi + blk.pv - blk.b)
     digits = top & ((1 << span) - 1)
     if digits:
         failed["membership"] = blk.b + 1 - digits.bit_length()
@@ -270,7 +265,8 @@ def _block_checks(mants: list, prec: int, blk: _Block, fulls: dict) -> dict:
         failed["carry"] = blk.b - next(s for s in reversed(range(span))
                                        if top >> s != low >> s)
     modulus, lo, width = blk.marker
-    if not lo <= _dot([m >> 1 for m in cut], blk.coeffs) % modulus < lo + width:
+    marked = int_dot([m >> 1 for m in cut], blk.coeffs) % modulus
+    if not lo <= marked < lo + width:
         failed["pattern"] = blk.b + 1  # marker place
     return failed
 

@@ -1,7 +1,9 @@
 """Distance sets of constructed point families.
 
 Distances are exact dyadics: the norm of a coordinate difference is a max of
-dot products, each computed on integer mantissas.  The collapse report
+dot products.  Points of one call share dimension and precision, so each
+difference is a list of integer mantissas at that precision, and the norm
+and the Euclidean floor are taken on those integers.  The collapse report
 explains why pinned distances cluster: whichever functional achieves the
 norm, the digits of the achieved value are constant across that functional's
 scheduled windows, so each distance is determined by far fewer digits than
@@ -15,12 +17,12 @@ from dataclasses import dataclass
 
 from .dyadic import Dyadic
 from .errors import OutOfRange, PrecisionExceeded
-from .norms import PolyhedralNorm
+from .norms import PolyhedralNorm, int_dot
 from .streams import BitStream
 
-__all__ = ["DistanceRecord", "delta", "pinned", "pairwise", "euclid_floor",
-           "BlockCollapse", "CollapseReport", "collapse_check",
-           "estimation_values"]
+__all__ = ["DistanceRecord", "delta", "delta_mantissas", "pinned", "pairwise",
+           "euclid_floor", "euclid_floor_mantissa", "BlockCollapse",
+           "CollapseReport", "collapse_check", "estimation_values"]
 
 
 @dataclass(frozen=True)
@@ -30,21 +32,41 @@ class DistanceRecord:
     source: tuple[int, int]  # point indices (first, second)
 
 
+def _shared_precision(points) -> int:
+    """The precision every point has, once their dimensions agree too."""
+    dim, prec = points[0].dim, points[0].precision
+    for pt in points:
+        if pt.dim != dim or pt.precision != prec:
+            raise OutOfRange("points must share dimension and precision")
+    return prec
+
+
+def delta_mantissas(x, y) -> list:
+    """Mantissas of delta(x, y) at the points' shared precision; the caller
+    has checked that x and y share dimension and precision."""
+    return [a.mantissa - b.mantissa for a, b in zip(x.coords, y.coords)]
+
+
 def delta(x, y) -> tuple:
     """Coordinate difference x - y of two points of one shape."""
-    if x.dim != y.dim or x.precision != y.precision:
-        raise OutOfRange("points must share dimension and precision")
+    _shared_precision((x, y))
     return tuple(a - b for a, b in zip(x.coords, y.coords))
 
 
-def _record(x, y, norm: PolyhedralNorm) -> DistanceRecord:
-    value, ties = norm.measure(delta(x, y))
-    return DistanceRecord(value, ties[0], (x.index, y.index))
+def _records(pairs, prec: int, norm: PolyhedralNorm) -> list:
+    """One record per (x, y) pair of points at precision prec."""
+    measure = norm.measure_mantissas
+    out = []
+    for x, y in pairs:
+        value, ties = measure(delta_mantissas(x, y), prec)
+        out.append(DistanceRecord(value, ties[0], (x.index, y.index)))
+    return out
 
 
 def pinned(x, ys, norm: PolyhedralNorm) -> list:
     """Distances from the pinned point to each sample."""
-    return [_record(x, y, norm) for y in ys]
+    prec = _shared_precision([x, *ys])
+    return _records(((x, y) for y in ys), prec, norm)
 
 
 def _unrank_pair(rank: int, n: int) -> tuple[int, int]:
@@ -63,6 +85,7 @@ def pairwise(ys, norm: PolyhedralNorm, cap: int | None = None,
     """
     n = len(ys)
     total = n * (n - 1) // 2
+    prec = _shared_precision(ys) if ys else 0
     if cap is None or total <= cap:
         ranks = range(total)
     else:
@@ -72,11 +95,17 @@ def pairwise(ys, norm: PolyhedralNorm, cap: int | None = None,
             r = stream.randrange(t + 1)
             chosen.add(t if r in chosen else r)
         ranks = sorted(chosen)
-    out = []
-    for rank in ranks:
-        i, j = _unrank_pair(rank, n)
-        out.append(_record(ys[i], ys[j], norm))
-    return out
+    pairs = (_unrank_pair(rank, n) for rank in ranks)
+    return _records(((ys[i], ys[j]) for i, j in pairs), prec, norm)
+
+
+def euclid_floor_mantissa(mants, prec: int, r: int) -> int:
+    """Mantissa at precision r >= 0 of euclid_floor of mants * 2**-prec."""
+    sq = int_dot(mants, mants)
+    # floor(sqrt(floor(t))) == floor(sqrt(t)) for t >= 0
+    if r >= prec:
+        return math.isqrt(sq << (2 * (r - prec)))
+    return math.isqrt(sq >> (2 * (prec - r)))
 
 
 def euclid_floor(delta, r: int) -> Dyadic:
@@ -84,15 +113,10 @@ def euclid_floor(delta, r: int) -> Dyadic:
     if r < 0:
         raise OutOfRange("r must be >= 0")
     prec = delta[0].precision
-    sq = 0
-    for v in delta:
-        if v.precision != prec:
-            raise OutOfRange("delta coordinates must share one precision")
-        sq += v.mantissa * v.mantissa
-    # floor(sqrt(floor(t))) == floor(sqrt(t)) for t >= 0
-    if r >= prec:
-        return Dyadic(math.isqrt(sq << (2 * (r - prec))), r)
-    return Dyadic(math.isqrt(sq >> (2 * (prec - r))), r)
+    if any(v.precision != prec for v in delta):
+        raise OutOfRange("delta coordinates must share one precision")
+    return Dyadic(euclid_floor_mantissa([v.mantissa for v in delta], prec, r),
+                  r)
 
 
 @dataclass(frozen=True)
@@ -132,7 +156,8 @@ def collapse_check(x, y, spec) -> CollapseReport:
     sched = spec.schedule
     if x.precision < sched.depth or y.precision < sched.depth:
         raise PrecisionExceeded("points are shallower than the schedule")
-    value, ties = spec.norm.measure(delta(x, y))
+    prec = _shared_precision((x, y))
+    value, ties = spec.norm.measure_mantissas(delta_mantissas(x, y), prec)
     achieving = ties[0]
     blocks = []
     for k in sched.blocks_for_functional(achieving):

@@ -10,14 +10,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .dyadic import Dyadic
 from .errors import (BadPivot, DegenerateNorm, DimensionMismatch,
                      NonDyadicCoefficient, ZeroVector)
 
-__all__ = ["Functional", "PolyhedralNorm", "preset",
+__all__ = ["Functional", "PolyhedralNorm", "int_dot", "preset",
            "custom_norm", "min_margin", "margin_ok",
            "euclid_comparison_bounds"]
+
+
+def int_dot(mants, coeffs) -> int:
+    """Dot product of two integer sequences: the one integer kernel that
+    the construction and the norm both evaluate functionals with."""
+    return sum(map(mul, mants, coeffs))
 
 
 @dataclass(frozen=True)
@@ -44,10 +51,8 @@ class Functional:
             raise DimensionMismatch(
                 f"vector length {len(x)} != dimension {self.dim}")
         px = max(v.precision for v in x)
-        total = 0
-        for v, m in zip(x, self.mantissas):
-            total += (v.mantissa << (px - v.precision)) * m
-        return Dyadic(total, px + self.precision)
+        return Dyadic(int_dot([v.mantissa << (px - v.precision) for v in x],
+                              self.mantissas), px + self.precision)
 
 
 class PolyhedralNorm:
@@ -57,6 +62,11 @@ class PolyhedralNorm:
         self.dim = dim
         self.functionals = tuple(functionals)
         self.validate()
+        # (mantissas, precision, shift to the top precision) per functional:
+        # |x . v| << shift compares functionals of any precision as integers
+        top = max(f.precision for f in self.functionals)
+        self._faces = tuple((f.mantissas, f.precision, top - f.precision)
+                            for f in self.functionals)
 
     @property
     def n_functionals(self) -> int:
@@ -80,18 +90,34 @@ class PolyhedralNorm:
     def measure(self, x) -> tuple[Dyadic, tuple[int, ...]]:
         """(||x||, ascending indices of every functional attaining it).
 
-        One dot product per functional.  The value is |x . v| of the first
-        attaining functional, at that functional's precision.  Full rank
-        makes it 0 only for x = 0, which every functional attains.
+        The Dyadic form of measure_mantissas: x is aligned to its finest
+        coordinate precision first.
         """
-        best, ties = None, []
-        for i, f in enumerate(self.functionals):
-            v = abs(f.dot(x))
-            if best is None or v > best:
-                best, ties = v, [i]
-            elif v == best:
-                ties.append(i)
-        return best, tuple(ties)
+        if len(x) != self.dim:
+            raise DimensionMismatch(
+                f"vector length {len(x)} != dimension {self.dim}")
+        px = max(v.precision for v in x)
+        return self.measure_mantissas(
+            [v.mantissa << (px - v.precision) for v in x], px)
+
+    def measure_mantissas(self, mants, prec: int
+                          ) -> tuple[Dyadic, tuple[int, ...]]:
+        """measure of the vector mants * 2**-prec, from integers alone.
+
+        One int_dot per functional.  The value is |x . v| of the first
+        attaining functional, at precision prec + that functional's
+        precision.  Full rank makes it 0 only for x = 0, which every
+        functional attains.  mants must have length dim.
+        """
+        keys = [abs(int_dot(mants, c)) << shift for c, _, shift in self._faces]
+        best = max(keys)
+        first = keys.index(best)
+        if keys.count(best) == 1:
+            ties = (first,)
+        else:
+            ties = tuple(i for i, k in enumerate(keys) if k == best)
+        _, pv, shift = self._faces[first]
+        return Dyadic(best >> shift, prec + pv), ties
 
     def evaluate(self, x) -> Dyadic:
         """||x||, exact."""

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import subprocess
 import sys
 from fractions import Fraction
@@ -8,7 +9,7 @@ import pytest
 
 from polyfrac.cli import main
 from polyfrac.construct import hex_to_mantissa, mantissa_to_hex, read_points
-from polyfrac.norms import min_margin, preset
+from polyfrac.norms import custom_norm, min_margin, preset
 from polyfrac.schedule import free_fraction, generate
 
 CONFIG = {
@@ -326,6 +327,55 @@ def test_distances_golden_digest(tmp_path, flags, digest):
     precs = {row.split(",")[1]: row.split(",")[3]
              for row in blob.decode().splitlines()[3:]}
     assert precs == {"0": "114", "2": "115"}
+
+
+def test_distances_fields_decode(tmp_path):
+    # README rule: a field at precision p is the mantissa << pad in lowercase
+    # hex, pad = 4 * ceil(p / 4) - p, one digit wider when the value is >= 1;
+    # at --euclid 0 (pad 0) it is the integer part.  hex_to_mantissa, the
+    # points-file reader, is not the reader here.
+    cfg = write_config(tmp_path / "cfg.json", norm=TIED_NORM, samples=200,
+                       scales=[8, 12], budget=None)
+    construct(cfg, tmp_path)
+    assert main(["distset", "--config", cfg, "--out", str(tmp_path),
+                 "--euclid", "0"]) == 0
+    points, _ = read_points(tmp_path / "points.txt")
+    rows = (tmp_path / "distances.csv").read_text().splitlines()[3:]
+    faces = [[Fraction(m, 1 << f.precision) for m in f.mantissas]
+             for f in custom_norm(TIED_NORM["custom"]).functionals]
+
+    def decode(field, prec):
+        assert field == field.lower()
+        pad = 4 * ((prec + 3) // 4) - prec
+        v = int(field, 16)
+        assert v & ((1 << pad) - 1) == 0
+        return Fraction(v >> pad, 1 << prec)
+
+    widths, euclid = set(), set()
+    for row in rows:
+        pair, _, dist, prec, e, eprec = row.split(",")
+        i, j = map(int, pair.split("-"))
+        diff = [a.as_fraction() - b.as_fraction()
+                for a, b in zip(points[i].coords, points[j].coords)]
+        assert decode(dist, int(prec)) == max(
+            abs(sum(c * t for c, t in zip(v, diff))) for v in faces)
+        assert eprec == "0"
+        sq = sum(t * t for t in diff)
+        assert decode(e, 0) == math.isqrt(sq.numerator // sq.denominator)
+        widths.add(len(dist) - (int(prec) + 3) // 4)
+        euclid.add(e)
+    assert widths == {0, 1} and euclid == {"0", "1"}
+
+
+def test_negative_euclid_is_a_usage_error(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.json")
+    construct(cfg, tmp_path)
+    capsys.readouterr()
+    assert main(["distset", "--config", cfg, "--out", str(tmp_path),
+                 "--euclid", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert "argument --euclid: must be an integer >= 0" in err
+    assert not (tmp_path / "distances.csv").exists()
 
 
 def test_seed_override_changes_points(tmp_path):

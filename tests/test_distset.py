@@ -65,6 +65,25 @@ def test_mixed_precision_rejected(desk, desk_points):
         pinned(x, [shallow], desk.norm)
 
 
+def test_mismatched_last_point_rejected(desk, desk_points):
+    # the shape check covers every point of a call, not just the first pair
+    x, ys = desk_points
+    y = ys[-1]
+    deeper = SamplePoint(tuple(Dyadic(v.mantissa << 4, v.precision + 4)
+                               for v in y.coords), "sample", 13)
+    wider = SamplePoint(y.coords + y.coords[:1], "sample", 13)
+    for bad in (deeper, wider):
+        with pytest.raises(OutOfRange):
+            pinned(x, [*ys, bad], desk.norm)
+        with pytest.raises(OutOfRange):
+            pairwise([*ys, bad], desk.norm)
+        with pytest.raises(OutOfRange):
+            # a one-pair sample need not draw the bad point at all
+            pairwise([*ys, bad], desk.norm, cap=1, seed=5)
+        with pytest.raises(OutOfRange):
+            collapse_check(x, bad, desk)
+
+
 @given(st.integers(min_value=2, max_value=40))
 def test_unrank_pair_is_lexicographic(n):
     pairs = [_unrank_pair(r, n) for r in range(n * (n - 1) // 2)]

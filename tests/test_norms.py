@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from polyfrac.dyadic import Dyadic
@@ -89,6 +89,46 @@ def test_dot_dimension_mismatch():
     f = preset("linf", 2).functionals[0]
     with pytest.raises(DimensionMismatch):
         f.dot((Dyadic(1, 1),))
+    with pytest.raises(DimensionMismatch):
+        preset("l1", 3).measure((Dyadic(1, 1), Dyadic(0, 0)))
+
+
+@st.composite
+def norm_and_vector(draw):
+    """A random custom norm (d = 1..4; rows at their own precisions, signed
+    coefficients) and a vector of mixed-precision coordinates, or zero."""
+    d = draw(st.integers(min_value=1, max_value=4))
+    entry = st.tuples(st.integers(min_value=-6, max_value=6),
+                      st.integers(min_value=0, max_value=3))
+    rows = draw(st.lists(st.lists(entry, min_size=d, max_size=d),
+                         min_size=d, max_size=d + 3))
+    try:
+        norm = custom_norm(rows)
+    except (BadPivot, DegenerateNorm):
+        assume(False)
+    mantissa = (st.just(0) if draw(st.booleans())
+                else st.integers(min_value=-300, max_value=300))
+    x = draw(st.lists(st.builds(Dyadic, mantissa,
+                                st.integers(min_value=0, max_value=6)),
+                      min_size=d, max_size=d))
+    return norm, tuple(x)
+
+
+@given(norm_and_vector())
+def test_measure_matches_dot_oracle(case):
+    # the integer kernel against the max of |Functional.dot| per functional:
+    # value with its precision (Dyadic == cannot see precision) and ties
+    norm, x = case
+    dots = [abs(f.dot(x)) for f in norm.functionals]
+    top = max(d.as_fraction() for d in dots)
+    ties = tuple(i for i, d in enumerate(dots) if d.as_fraction() == top)
+    value, got_ties = norm.measure(x)
+    expect = dots[ties[0]]
+    assert (value.mantissa, value.precision) == (expect.mantissa,
+                                                 expect.precision)
+    assert got_ties == ties
+    if not any(v.mantissa for v in x):
+        assert ties == tuple(range(norm.n_functionals))
 
 
 def test_bad_pivot_rejected():
