@@ -246,7 +246,7 @@ def cmd_distset(run: _Run, args) -> int:
     header = "pair_id,ell,mantissa_hex,prec"
     if r is not None:
         header += ",euclid_mantissa_hex,euclid_prec"
-    prec = points[0].precision
+    prec = x.precision
 
     def row(rec) -> str:
         i, j = rec.source

@@ -33,7 +33,8 @@ class DistanceRecord:
 
 
 def _shared_precision(points) -> int:
-    """The precision every point has, once their dimensions agree too."""
+    """The one precision of points that share it and their dimension;
+    OutOfRange otherwise."""
     dim, prec = points[0].dim, points[0].precision
     for pt in points:
         if pt.dim != dim or pt.precision != prec:
@@ -115,8 +116,8 @@ def euclid_floor(delta, r: int) -> Dyadic:
     prec = delta[0].precision
     if any(v.precision != prec for v in delta):
         raise OutOfRange("delta coordinates must share one precision")
-    return Dyadic(euclid_floor_mantissa([v.mantissa for v in delta], prec, r),
-                  r)
+    mants = [v.mantissa for v in delta]
+    return Dyadic(euclid_floor_mantissa(mants, prec, r), r)
 
 
 @dataclass(frozen=True)
