@@ -329,6 +329,30 @@ def test_distances_golden_digest(tmp_path, flags, digest):
     assert precs == {"0": "114", "2": "115"}
 
 
+DEEP_CONFIG = {"dimension": 3, "s": "9/4", "norm": {"preset": "l1"},
+               "schedule": {"c": "auto", "rule": "geometric", "K": 6,
+                            "ratio": 2},
+               "seed": 7, "samples": 20, "scales": [8, 12, 16]}
+
+
+@pytest.mark.parametrize("flags,digest", [
+    (["--pinned", "--euclid", "24"], "6906e7292e738dcb975857dee75e949c"
+     "dd1b067314c36adde61ee2facca0199b"),
+    (["--pairwise", "--budget", "100", "--euclid", "0"], "d8291c9b930a1c3e4741bc9cf9dc9b93"
+     "9e2a0a5ba2dba1961518f6853bbe3e10"),
+], ids=["pinned-euclid24", "pairwise-euclid0"])
+def test_deep_distances_golden_digest(tmp_path, flags, digest):
+    # depth-11520 mantissas: the Euclidean column of these rows is the only
+    # one in the tier-1 suite whose discarded places run into the thousands
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(DEEP_CONFIG))
+    construct(str(cfg), tmp_path)
+    assert main(["distset", "--config", str(cfg), "--out", str(tmp_path)]
+                + flags) == 0
+    blob = (tmp_path / "distances.csv").read_bytes()
+    assert hashlib.sha256(blob).hexdigest() == digest
+
+
 def test_distances_fields_decode(tmp_path):
     # README rule: a field at precision p is the mantissa << pad in lowercase
     # hex, pad = 4 * ceil(p / 4) - p, one digit wider when the value is >= 1;
