@@ -63,12 +63,17 @@ def _whole(name: str, value, low: int = 1) -> int:
     return value
 
 
+def _object(name: str, value) -> dict:
+    if not isinstance(value, dict):
+        raise FormatError(f"{name} must be a JSON object")
+    return value
+
+
 def _resolve(cfg: dict, seed=None, samples=None, budget=None) -> _Run:
-    if not isinstance(cfg, dict):
-        raise FormatError("config must be a JSON object")
+    _object("config", cfg)
     dim = _whole("dimension", cfg["dimension"])
     s = _rational("target dimension", cfg["s"])
-    ncfg = cfg["norm"]
+    ncfg = _object("norm", cfg["norm"])
     if "preset" in ncfg:
         kind, name = "preset", ncfg["preset"]
         norm = preset(name, dim)
@@ -80,7 +85,7 @@ def _resolve(cfg: dict, seed=None, samples=None, budget=None) -> _Run:
     else:
         raise FormatError("norm needs a preset or custom table")
     c_min = min_margin(norm)
-    scfg = cfg["schedule"]
+    scfg = _object("schedule", cfg["schedule"])
     margin = scfg.get("c", "auto")
     margin = c_min if margin == "auto" else _whole("schedule.c", margin)
     if margin < c_min:

@@ -100,19 +100,56 @@ def pairwise(ys, norm: PolyhedralNorm, cap: int | None = None,
     return _records(((ys[i], ys[j]) for i, j in pairs), prec, norm)
 
 
+# Leading-digit Euclidean floors.  Squaring full mantissas costs more than
+# linearly in prec, yet the floor keeps only ~r + 2 bits of the sum.  Per row
+# (3 random signed coordinates, r = 24, best of 5, CPython 3.11 on x86-64):
+# full squares 2.2 us at prec 512, 3.2 us at 768, 4.9 us at 1024 and 184 us
+# at 11520; leading digits 2.1-2.9 us at every one of those precisions, and
+# 2.2 us against 0.9 us at prec 96.  So the leading digits are read only
+# once at least _LEADING_MIN_DISCARD places are discarded.  _GUARD_BITS
+# extra bits per head make the bracket below miss (and fall back to the full
+# sum) on roughly one row in 2**_GUARD_BITS.
+_LEADING_MIN_DISCARD = 512
+_GUARD_BITS = 32
+
+
 def euclid_floor_mantissa(mants, prec: int, r: int) -> int:
-    """Mantissa at precision r >= 0 of euclid_floor of mants * 2**-prec."""
-    sq = int_dot(mants, mants)
-    # floor(sqrt(floor(t))) == floor(sqrt(t)) for t >= 0
-    if r >= prec:
-        return math.isqrt(sq << (2 * (r - prec)))
-    return math.isqrt(sq >> (2 * (prec - r)))
+    """Mantissa at precision r >= 0 of euclid_floor of mants * 2**-prec.
+
+    The answer is isqrt(S >> 2k) for S = sum m_i**2 and k = prec - r
+    discarded places (floor(sqrt(floor(t))) == floor(sqrt(t)) for t >= 0).
+    When k >= _LEADING_MIN_DISCARD and mants is not empty, it is first
+    bracketed from the heads h_i = |m_i| >> t, t = k - g, g = _GUARD_BITS.
+    From h_i * 2**t <= |m_i| <= (h_i + 1) * 2**t - 1 follow
+    L * 4**t <= S < H * 4**t with L = sum h_i**2 and H = sum (h_i + 1)**2, so
+
+        isqrt(L >> 2g) <= isqrt(S >> 2k) <= isqrt((H - 1) >> 2g),
+
+    using floor((H * 4**t - 1) / 4**k) == floor((H - 1) / 4**g).  When the
+    two ends agree they are the answer; otherwise the full sum decides.
+    """
+    k = prec - r
+    if k <= 0:
+        return math.isqrt(int_dot(mants, mants) << (-2 * k))
+    if k >= _LEADING_MIN_DISCARD and mants:
+        t = k - _GUARD_BITS
+        heads = [abs(m) >> t for m in mants]
+        low = int_dot(heads, heads)
+        lo = math.isqrt(low >> (2 * _GUARD_BITS))
+        # H - 1 == L + 2 * sum h_i + d - 1
+        hi = math.isqrt((low + 2 * sum(heads) + len(heads) - 1)
+                        >> (2 * _GUARD_BITS))
+        if lo == hi:
+            return lo
+    return math.isqrt(int_dot(mants, mants) >> (2 * k))
 
 
 def euclid_floor(delta, r: int) -> Dyadic:
     """Euclidean length of delta, rounded down to r binary places."""
     if r < 0:
         raise OutOfRange("r must be >= 0")
+    if not delta:
+        raise OutOfRange("delta must have at least one coordinate")
     prec = delta[0].precision
     if any(v.precision != prec for v in delta):
         raise OutOfRange("delta coordinates must share one precision")

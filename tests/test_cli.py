@@ -448,6 +448,9 @@ def test_seed_override_changes_points(tmp_path):
     {"schedule": {"c": "auto", "rule": "geometric", "K": 3, "ratio": True},
      "scales": None},
     {"norm": {"custom": [[[True, 0], [0, 0]], [[0, 0], [1, 0]]]}},
+    {"schedule": 5},
+    {"schedule": [1, 2]},
+    {"schedule": "x"},
 ])
 def test_config_rejection(tmp_path, overrides, capsys):
     cfg = write_config(tmp_path / "cfg.json", **overrides)

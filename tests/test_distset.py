@@ -3,14 +3,15 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polyfrac.construct import (SamplePoint, make_spec, pinned_point,
                                 sample_points)
 from polyfrac.distset import (CollapseReport, DistanceRecord, _unrank_pair,
                               collapse_check, delta, estimation_values,
-                              euclid_floor, pairwise, pinned)
+                              euclid_floor, euclid_floor_mantissa, pairwise,
+                              pinned)
 from polyfrac.dyadic import Dyadic
 from polyfrac.errors import OutOfRange, PrecisionExceeded
 from polyfrac.norms import preset
@@ -120,6 +121,8 @@ def test_euclid_floor_frozen():
         euclid_floor((Dyadic(1, 1),), -1)
     with pytest.raises(OutOfRange):
         euclid_floor((Dyadic(1, 1), Dyadic(1, 2)), 4)
+    with pytest.raises(OutOfRange):
+        euclid_floor((), 4)
 
 
 @settings(deadline=None)
@@ -134,6 +137,49 @@ def test_euclid_floor_is_floor(delta, r):
     hi = lo + Fraction(1, 1 << r)
     assert hi * hi > true_sq
     assert got.precision == r
+
+
+def _euclid_reference(mants, prec, r):
+    # the floor from the full sum of squares, with no leading-digit bracket
+    sq = sum(m * m for m in mants)
+    if r >= prec:
+        return math.isqrt(sq << 2 * (r - prec))
+    return math.isqrt(sq >> 2 * (prec - r))
+
+
+@st.composite
+def euclid_cases(draw):
+    prec = draw(st.integers(min_value=0, max_value=12000))
+    r = draw(st.integers(min_value=0, max_value=prec + 8))
+    d = draw(st.integers(min_value=0, max_value=4))
+    bound = 1 << (prec + 2)
+    mants = [draw(st.integers(min_value=-bound, max_value=bound))
+             for _ in range(d)]
+    k = prec - r
+    if d and k > 0 and draw(st.booleans()):
+        # put the sum of squares within a few units of q**2 * 4**k, where
+        # the floor steps from q - 1 to q
+        rest = sum(m * m for m in mants[1:])
+        q = math.isqrt(rest >> 2 * k) + draw(st.integers(1, 3))
+        head = math.isqrt((q * q << 2 * k) - rest)
+        head = max(0, head + draw(st.integers(-2, 2)))
+        mants[0] = head if draw(st.booleans()) else -head
+    return mants, prec, r
+
+
+K_FALLBACK = 2048 - 24
+
+
+@settings(deadline=None)
+@given(euclid_cases())
+# sum of squares just below 25 * 4**k: the leading-digit bracket is [4, 5]
+@example(([3 * (1 << K_FALLBACK) - 1, 4 << K_FALLBACK], 2048, 24))
+# just above 25 * 4**k: the same bracket, but the floor is 5
+@example(([3 * (1 << K_FALLBACK) - 1, (4 << K_FALLBACK) + 1], 2048, 24))
+def test_euclid_floor_mantissa_matches_full_sum(case):
+    mants, prec, r = case
+    assert euclid_floor_mantissa(mants, prec, r) == _euclid_reference(
+        mants, prec, r)
 
 
 def test_euclid_floor_matches_norm_bounds(desk, desk_points):
