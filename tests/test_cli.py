@@ -353,6 +353,28 @@ def test_deep_distances_golden_digest(tmp_path, flags, digest):
     assert hashlib.sha256(blob).hexdigest() == digest
 
 
+# the pairwise benchmark workload's shape at 200 samples
+PAIRWISE_CONFIG = {"dimension": 3, "s": "9/4", "norm": {"preset": "l1"},
+                   "schedule": {"c": "auto", "m": [1, 16, 32, 96]},
+                   "seed": 7, "samples": 200, "scales": [8, 12, 16]}
+
+
+@pytest.mark.parametrize("config,digest", [
+    (DEEP_CONFIG, "f3889977e4a9c383498cb0f6a0fb3629"
+     "bf20bf588662f294ae45c512867b61fd"),
+    (PAIRWISE_CONFIG, "95aabb64a4377af1f1c59d0db4574192"
+     "aaabffe76da4caf414a8e3fc7fd8a3d5"),
+], ids=["deep", "pairwise"])
+def test_deep_points_golden_digest(tmp_path, config, digest):
+    # test_points_golden_digest draws at most 64 bits per run in d=2; these
+    # draw across several 512-bit blocks (up to 9600 bits) and in d=3
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    construct(str(cfg), tmp_path)
+    blob = (tmp_path / "points.txt").read_bytes()
+    assert hashlib.sha256(blob).hexdigest() == digest
+
+
 def test_distances_fields_decode(tmp_path):
     # README rule: a field at precision p is the mantissa << pad in lowercase
     # hex, pad = 4 * ceil(p / 4) - p, one digit wider when the value is >= 1;
