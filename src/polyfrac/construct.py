@@ -24,7 +24,7 @@ from .errors import (FormatError, IndexOutOfRange, InfeasibleSchedule,
                      NoSolution, OutOfRange, PrecisionExceeded)
 from .norms import PolyhedralNorm, int_dot, min_margin
 from .schedule import BlockSchedule, free_fraction, generate, validate
-from .streams import BitStream
+from .streams import BitStream, label_path
 
 __all__ = ["FractalSpec", "SamplePoint", "PointReport", "make_spec",
            "build_point", "pinned_point", "sample_points",
@@ -50,7 +50,8 @@ class FractalSpec:
     def __post_init__(self):
         if self.norm.dim != self.dim:
             raise OutOfRange("norm dimension does not match spec dimension")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 1 << 64:
+        if (isinstance(self.seed, bool) or not isinstance(self.seed, int)
+                or not 0 <= self.seed < 1 << 64):
             raise OutOfRange("seed must be an unsigned 64-bit integer")
         if self.schedule.free_fraction != self.target - (self.dim - 1):
             raise OutOfRange("schedule free fraction inconsistent with target")
@@ -73,7 +74,8 @@ class FractalSpec:
             f = self.norm.functionals[sched.functional_for_block(k)]
             m_lo, m_hi, n = sched.bound(k), sched.bound(k + 1), sched.split(k)
             ends = [n if i == f.pivot else m_hi for i in range(self.dim)]
-            draws = tuple((i, hi - m_lo, depth - hi + 1)
+            draws = tuple((i, hi - m_lo, depth - hi + 1,
+                           label_path(i, "block", k))
                           for i, hi in enumerate(ends) if hi > m_lo)
             # validation leaves a < b exactly when the pivot has places to
             # solve (n < m_hi); otherwise the window is empty and unchecked
@@ -83,6 +85,13 @@ class FractalSpec:
                                b, draws, depth - m_hi + 1, marker,
                                1 << (m_hi - n)))
         return tuple(plan)
+
+    @cached_property
+    def tail_paths(self) -> tuple[bytes, ...]:
+        """Per coordinate, the stream path of its last digit (place depth),
+        which no block constrains."""
+        tail = self.schedule.n_blocks + 1
+        return tuple(label_path(i, "block", tail) for i in range(self.dim))
 
 
 @dataclass(frozen=True, slots=True)
@@ -96,7 +105,8 @@ class _Block:
     m_hi: int       # block end
     a: int          # constrained window (a, b]
     b: int
-    draws: tuple    # (coordinate, bit count, shift) of each random digit run
+    draws: tuple    # (coordinate, bit count, shift, stream path) of each
+                    # random digit run
     shift: int      # shift of place m_hi - 1 in a depth-place mantissa
     marker: tuple | None  # of the sum truncated there; None: empty window
     cap: int        # bound on the pivot offset
@@ -205,16 +215,15 @@ def build_point(spec: FractalSpec, index: int = 0,
     mants = [0] * spec.dim
     coords = BitStream(spec.seed, "point", index, "coord")
     for blk in spec.plan:
-        for i, nbits, shift in blk.draws:
-            mants[i] |= coords.child(i, "block", blk.k).take_bits(nbits) << shift
+        for i, nbits, shift, path in blk.draws:
+            mants[i] |= coords.draw(nbits, path) << shift
         if blk.marker:
             # the pivot's unsolved places are still zero
             s0 = int_dot([m >> blk.shift for m in mants], blk.coeffs)
             u = _steer(s0, blk.coeffs[blk.pivot], blk.marker, blk.cap)
             mants[blk.pivot] |= u << blk.shift
-    tail = spec.schedule.n_blocks + 1
-    for i in range(spec.dim):
-        mants[i] |= coords.child(i, "block", tail).take_bit()
+    for i, path in enumerate(spec.tail_paths):
+        mants[i] |= coords.draw(1, path)
     return SamplePoint(tuple(Dyadic(m, depth) for m in mants), role, index)
 
 

@@ -10,41 +10,67 @@ from __future__ import annotations
 
 import hashlib
 
-__all__ = ["BitStream"]
+__all__ = ["BitStream", "label_path"]
+
+
+def label_path(*labels) -> bytes:
+    """The bytes a label path hashes: "/" + str(label) per label.
+
+    1 and "1" encode alike by design; telling them apart would change every
+    stream.  A label holding "/" would read as two labels, so it is refused.
+    """
+    path = ("/%s" * len(labels) % labels).encode()
+    if path.count(b"/") != len(labels):
+        raise ValueError(f"a stream label may not contain '/': {labels!r}")
+    return path
+
+
+def _block(key: bytes, counter: int) -> bytes:
+    """Block counter of the stream keyed by key: 512 bits, big-endian."""
+    return hashlib.blake2b(counter.to_bytes(8, "big"), key=key,
+                           digest_size=64).digest()
 
 
 class BitStream:
     """Counter-mode deterministic bit source for one labelled stream.
 
-    The key is the BLAKE2b digest of the seed and the label path.  A stream
-    keeps its hashed path, so child() extends it without rehashing it.
+    The key is the BLAKE2b digest of the seed and the label path, taken at
+    the first refill.  A stream keeps its hashed path, so draw() extends it
+    without rehashing it.
     """
 
     __slots__ = ("_path", "_key", "_counter", "_buf", "_nbits")
 
     def __init__(self, seed: int, *labels):
-        if not isinstance(seed, int) or not 0 <= seed < 1 << 64:
+        if (isinstance(seed, bool) or not isinstance(seed, int)
+                or not 0 <= seed < 1 << 64):
             raise ValueError("seed must be an unsigned 64-bit integer")
-        self._open(hashlib.blake2b(seed.to_bytes(8, "big"), digest_size=32),
-                   labels)
-
-    def _open(self, path, labels: tuple) -> None:
-        # "/" + str(label) per label; one update hashes the same bytes
-        path.update(("/%s" * len(labels) % labels).encode())
-        self._path = path
-        self._key = path.digest()
+        self._path = hashlib.blake2b(seed.to_bytes(8, "big"), digest_size=32)
+        self._path.update(label_path(*labels))
+        self._key = None
         self._counter = self._buf = self._nbits = 0
 
-    def child(self, *labels) -> "BitStream":
-        """BitStream(seed, *this stream's labels, *labels), whatever this
-        stream has drawn so far."""
-        out = BitStream.__new__(BitStream)
-        out._open(self._path.copy(), labels)
-        return out
+    def draw(self, n: int, path: bytes) -> int:
+        """First n bits of the child stream at path, a label_path(*labels):
+        BitStream(seed, *this stream's labels, *labels).take_bits(n),
+        whatever this stream has drawn so far."""
+        if n <= 0:
+            if n < 0:
+                raise ValueError("bit count must be >= 0")
+            return 0
+        child = self._path.copy()
+        child.update(path)
+        key = child.digest()
+        if n <= 512:
+            return int.from_bytes(_block(key, 0), "big") >> (512 - n)
+        count = (n + 511) >> 9
+        blocks = b"".join([_block(key, c) for c in range(count)])
+        return int.from_bytes(blocks, "big") >> (512 * count - n)
 
     def _refill(self) -> None:
-        block = hashlib.blake2b(self._counter.to_bytes(8, "big"),
-                                key=self._key, digest_size=64).digest()
+        if self._key is None:
+            self._key = self._path.digest()
+        block = _block(self._key, self._counter)
         self._counter += 1
         self._buf = (self._buf << 512) | int.from_bytes(block, "big")
         self._nbits += 512

@@ -231,6 +231,10 @@ def test_spec_validation():
     with pytest.raises(OutOfRange):
         FractalSpec(2, Fraction(3, 2), linf, sched, 7.5)  # would alias 7
     with pytest.raises(OutOfRange):
+        FractalSpec(2, Fraction(3, 2), linf, sched, True)  # would alias 1
+    with pytest.raises(OutOfRange):
+        make_spec(2, Fraction(3, 2), linf, True, m=[1, 16, 32, 96])
+    with pytest.raises(OutOfRange):
         FractalSpec(2, Fraction(7, 4), linf, sched, 0)  # alpha mismatch
     with pytest.raises(OutOfRange):
         make_spec(2, Fraction(3, 2), linf, 0, m=[1, 16, 32, 96], margin=2)

@@ -1,8 +1,8 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from polyfrac.streams import BitStream
+from polyfrac.streams import BitStream, label_path
 
 
 def test_deterministic_across_instances():
@@ -19,6 +19,17 @@ def test_labels_change_the_stream():
     assert BitStream(0, "ab", "c").take_bits(64) != BitStream(0, "a", "bc").take_bits(64)
 
 
+def test_slash_in_a_label_is_refused():
+    # "a/b" would hash like the two labels "a", "b"
+    for labels in [("a/b",), ("point", "/"), (1, "x/")]:
+        with pytest.raises(ValueError):
+            label_path(*labels)
+        with pytest.raises(ValueError):
+            BitStream(0, *labels)
+    assert label_path("a", "b") == b"/a/b"
+    assert label_path() == b""
+
+
 # 700 bits of the stream for coordinate 1, block 2 of point 3 at seed 7,
 # frozen so that any change to the key or counter layout fails loudly
 GOLDEN_700 = (
@@ -32,15 +43,43 @@ def test_stream_layout_frozen():
     assert format(bits, "0175x") == GOLDEN_700
 
 
-def test_child_extends_the_label_path():
+def test_draw_extends_the_label_path():
     root = BitStream(7, "point", 3, "coord")
     root.take_bits(100)  # what the parent drew does not matter
     for labels in [(1, "block", 2), (0,), ()]:
-        child = root.child(*labels)
-        assert child.take_bits(1500) == \
+        assert root.draw(1500, label_path(*labels)) == \
             BitStream(7, "point", 3, "coord", *labels).take_bits(1500)
-    grand = BitStream(7, "point").child(3).child("coord", 1, "block", 2)
-    assert format(grand.take_bits(700), "0175x") == GOLDEN_700
+    grand = BitStream(7, "point").draw(700, label_path(3, "coord", 1,
+                                                       "block", 2))
+    assert format(grand, "0175x") == GOLDEN_700
+
+
+_LABEL = st.one_of(st.integers(min_value=-10**6, max_value=10**6),
+                   st.text(alphabet="abcxyz019_ -", max_size=6))
+
+
+@given(n=st.integers(min_value=0, max_value=2100),
+       prefix=st.lists(_LABEL, max_size=3),
+       labels=st.lists(_LABEL, max_size=3),
+       drawn=st.integers(min_value=0, max_value=1100))
+@example(n=511, prefix=[], labels=[1, "block", 2], drawn=0)
+@example(n=512, prefix=["coord"], labels=[0], drawn=3)
+@example(n=513, prefix=["point", 3], labels=["coord", 1], drawn=512)
+@example(n=1024, prefix=[], labels=[], drawn=0)
+@example(n=1025, prefix=["x"], labels=["7", 7], drawn=1)
+def test_draw_is_the_child_prefix(n, prefix, labels, drawn):
+    parent = BitStream(11, *prefix)
+    parent.take_bits(drawn)  # a draw ignores the parent's own position
+    want = BitStream(11, *prefix, *labels).take_bits(n)
+    assert parent.draw(n, label_path(*labels)) == want
+    assert parent.draw(n, label_path(*labels)) == want  # and keeps none
+
+
+def test_draw_rejects_negative_count():
+    s = BitStream(0, "x")
+    assert s.draw(0, label_path("y")) == 0
+    with pytest.raises(ValueError):
+        s.draw(-1, label_path("y"))
 
 
 def test_chunking_does_not_matter():
@@ -69,7 +108,7 @@ def test_take_bits_zero():
 
 def test_seed_range():
     BitStream((1 << 64) - 1)
-    for bad in (-1, 1 << 64, 7.5):
+    for bad in (-1, 1 << 64, 7.5, True):
         with pytest.raises(ValueError):
             BitStream(bad)
 
