@@ -63,29 +63,38 @@ def _whole(name: str, value, low: int = 1) -> int:
     return value
 
 
-def _object(name: str, value) -> dict:
+def _object(name: str, value, keys: tuple) -> dict:
+    """value as a JSON object whose keys all lie in keys: a misspelt key
+    would otherwise be dropped, and its default resolved in its place."""
     if not isinstance(value, dict):
         raise FormatError(f"{name} must be a JSON object")
+    unknown = sorted(set(value) - set(keys))
+    if unknown:
+        raise FormatError(f"unknown key {unknown[0]!r} in {name}")
     return value
 
 
 def _resolve(cfg: dict, seed=None, samples=None, budget=None) -> _Run:
-    _object("config", cfg)
+    _object("config", cfg, ("dimension", "s", "norm", "schedule", "seed",
+                             "samples", "budget", "scales"))
     dim = _whole("dimension", cfg["dimension"])
     s = _rational("target dimension", cfg["s"])
-    ncfg = _object("norm", cfg["norm"])
+    ncfg = _object("norm", cfg["norm"], ("preset", "custom"))
+    if len(ncfg) != 1:
+        raise FormatError("norm needs a preset or a custom table, not both")
     if "preset" in ncfg:
         kind, name = "preset", ncfg["preset"]
         norm = preset(name, dim)
-    elif "custom" in ncfg:
+    else:
         kind, name = "custom", None
         norm = custom_norm(ncfg["custom"])
         if norm.dim != dim:
             raise OutOfRange("custom norm dimension != config dimension")
-    else:
-        raise FormatError("norm needs a preset or custom table")
     c_min = min_margin(norm)
-    scfg = _object("schedule", cfg["schedule"])
+    scfg = _object("schedule", cfg["schedule"], ("c", "m", "rule", "K",
+                                                 "ratio"))
+    if "m" in scfg and scfg.keys() & {"rule", "K", "ratio"}:
+        raise FormatError("schedule gives block ends and a geometric rule")
     margin = scfg.get("c", "auto")
     margin = c_min if margin == "auto" else _whole("schedule.c", margin)
     if margin < c_min:

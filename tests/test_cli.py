@@ -473,6 +473,16 @@ def test_seed_override_changes_points(tmp_path):
     {"schedule": 5},
     {"schedule": [1, 2]},
     {"schedule": "x"},
+    # two schedule forms, two norm forms, unknown keys: each was resolved
+    # by dropping what it could not read
+    {"schedule": {"c": "auto", "m": [1, 16, 32, 96], "rule": "geometric",
+                  "K": 9}},
+    {"schedule": {"c": "auto", "m": [1, 16, 32, 96], "ratio": 3}},
+    {"norm": {"preset": "linf",
+              "custom": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}},
+    {"sampels": 9},
+    {"norm": {"preset": "linf", "precison": 3}},
+    {"schedule": {"c": "auto", "m": [1, 16, 32, 96], "margin": 3}},
 ])
 def test_config_rejection(tmp_path, overrides, capsys):
     cfg = write_config(tmp_path / "cfg.json", **overrides)
