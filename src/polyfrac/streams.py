@@ -45,8 +45,8 @@ class BitStream:
         if (isinstance(seed, bool) or not isinstance(seed, int)
                 or not 0 <= seed < 1 << 64):
             raise ValueError("seed must be an unsigned 64-bit integer")
-        self._path = hashlib.blake2b(seed.to_bytes(8, "big"), digest_size=32)
-        self._path.update(label_path(*labels))
+        self._path = hashlib.blake2b(
+            seed.to_bytes(8, "big") + label_path(*labels), digest_size=32)
         self._key = None
         self._counter = self._buf = self._nbits = 0
 
@@ -54,10 +54,8 @@ class BitStream:
         """First n bits of the child stream at path, a label_path(*labels):
         BitStream(seed, *this stream's labels, *labels).take_bits(n),
         whatever this stream has drawn so far."""
-        if n <= 0:
-            if n < 0:
-                raise ValueError("bit count must be >= 0")
-            return 0
+        if n < 0:
+            raise ValueError("bit count must be >= 0")
         child = self._path.copy()
         child.update(path)
         key = child.digest()
