@@ -67,12 +67,12 @@ _LABEL = st.one_of(st.integers(min_value=-10**6, max_value=10**6),
 @example(n=513, prefix=["point", 3], labels=["coord", 1], drawn=512)
 @example(n=1024, prefix=[], labels=[], drawn=0)
 @example(n=1025, prefix=["x"], labels=["7", 7], drawn=1)
-def test_draw_is_the_child_prefix(n, prefix, labels, drawn):
+def test_draw_matches_the_full_path(n, prefix, labels, drawn):
     parent = BitStream(11, *prefix)
     parent.take_bits(drawn)  # a draw ignores the parent's own position
     want = BitStream(11, *prefix, *labels).take_bits(n)
     assert parent.draw(n, label_path(*labels)) == want
-    assert parent.draw(n, label_path(*labels)) == want  # and keeps none
+    assert parent.draw(n, label_path(*labels)) == want  # parent unchanged
 
 
 def test_draw_rejects_negative_count():
