@@ -102,7 +102,7 @@ def _resolve(cfg: dict, seed=None, samples=None, budget=None) -> _Run:
     alpha = free_fraction(s, dim)
     if "m" in scfg:
         m = [_whole("schedule.m entry", v) for v in scfg["m"]]
-        sched = generate(alpha, margin, norm.n_functionals, m=m, widen=True)
+        sched = generate(alpha, margin, norm.n_functionals, m=m)
     elif scfg.get("rule") == "geometric":
         sched = generate(alpha, margin, norm.n_functionals,
                          K=_whole("K", scfg["K"], 0),

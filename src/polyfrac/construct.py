@@ -118,39 +118,31 @@ def make_spec(dim: int, target, norm: PolyhedralNorm, seed: int, *, m=None,
     target = Fraction(target)
     alpha = free_fraction(target, dim)
     c = min_margin(norm) if margin is None else margin
-    sched = generate(alpha, c, norm.n_functionals, m=m, K=K, ratio=ratio,
-                     widen=True)
+    sched = generate(alpha, c, norm.n_functionals, m=m, K=K, ratio=ratio)
     return FractalSpec(dim, target, norm, sched, seed)
 
 
 @dataclass(frozen=True)
 class SamplePoint:
-    coords: tuple[Dyadic, ...]
+    """Coordinate i is mantissas[i] * 2**-precision, a point of [0, 1)**d."""
+
+    mantissas: tuple[int, ...]
+    precision: int
     role: str
     index: int
 
     def __post_init__(self):
         if self.role not in ROLE_TAGS:
             raise OutOfRange(f"unknown role {self.role!r}")
-        if not self.coords:
+        if not self.mantissas:
             raise OutOfRange("point needs at least one coordinate")
-        p = self.coords[0].precision
-        for v in self.coords:
-            if v.precision != p:
-                raise OutOfRange("coordinates must share one precision")
-            if not 0 <= v.mantissa < 1 << p:
-                raise OutOfRange("coordinates must lie in [0, 1)")
+        top = 1 << self.precision
+        if not all(0 <= m < top for m in self.mantissas):
+            raise OutOfRange("coordinates must lie in [0, 1)")
 
     @property
     def dim(self) -> int:
-        return len(self.coords)
-
-    @property
-    def precision(self) -> int:
-        return self.coords[0].precision
-
-    def bit(self, i: int, j: int) -> int:
-        return self.coords[i].bit(j)
+        return len(self.mantissas)
 
 
 # -- pivot digit solver ----------------------------------------------------
@@ -211,20 +203,19 @@ def solve_pivot_offset(partial_sum: Dyadic, pivot_coeff: Dyadic, split: int,
 
 def build_point(spec: FractalSpec, index: int = 0,
                 role: str = "pinned") -> SamplePoint:
-    depth = spec.schedule.depth
     mants = [0] * spec.dim
-    coords = BitStream(spec.seed, "point", index, "coord")
+    stream = BitStream(spec.seed, "point", index, "coord")
     for blk in spec.plan:
         for i, nbits, shift, path in blk.draws:
-            mants[i] |= coords.draw(nbits, path) << shift
+            mants[i] |= stream.draw(nbits, path) << shift
         if blk.marker:
             # the pivot's unsolved places are still zero
             s0 = int_dot([m >> blk.shift for m in mants], blk.coeffs)
             u = _steer(s0, blk.coeffs[blk.pivot], blk.marker, blk.cap)
             mants[blk.pivot] |= u << blk.shift
     for i, path in enumerate(spec.tail_paths):
-        mants[i] |= coords.draw(1, path)
-    return SamplePoint(tuple(Dyadic(m, depth) for m in mants), role, index)
+        mants[i] |= stream.draw(1, path)
+    return SamplePoint(tuple(mants), spec.schedule.depth, role, index)
 
 
 def pinned_point(spec: FractalSpec) -> SamplePoint:
@@ -239,17 +230,17 @@ def sample_points(spec: FractalSpec, count: int) -> list[SamplePoint]:
     seen = {}
     for index in range(1, count + 1):
         pt = build_point(spec, index, "sample")
-        key = tuple(v.mantissa for v in pt.coords)
-        if key in seen:
-            log.warning("points %d and %d are identical", seen[key], pt.index)
-        seen[key] = pt.index
+        if pt.mantissas in seen:
+            log.warning("points %d and %d are identical", seen[pt.mantissas],
+                        pt.index)
+        seen[pt.mantissas] = pt.index
         points.append(pt)
     return points
 
 
 # -- per-block verification ------------------------------------------------
 
-def _block_checks(mants: list, prec: int, blk: _Block, fulls: dict) -> dict:
+def _block_checks(mants: tuple, prec: int, blk: _Block, fulls: dict) -> dict:
     """{check: leftmost offending place} for each check block blk fails;
     fulls caches the point's full dot product per functional."""
     if prec < blk.m_hi:
@@ -283,8 +274,8 @@ def _block_checks(mants: list, prec: int, blk: _Block, fulls: dict) -> dict:
 def _checks(point: SamplePoint, spec: FractalSpec, k: int) -> dict:
     if not 1 <= k <= len(spec.plan):
         raise IndexOutOfRange(f"block {k} outside 1..{len(spec.plan)}")
-    return _block_checks([v.mantissa for v in point.coords], point.precision,
-                         spec.plan[k - 1], {})
+    return _block_checks(point.mantissas, point.precision, spec.plan[k - 1],
+                         {})
 
 
 def membership(point: SamplePoint, spec: FractalSpec, k: int) -> bool:
@@ -313,11 +304,10 @@ class PointReport:
 
 def verify_point(point: SamplePoint, spec: FractalSpec) -> PointReport:
     """Every check of every block, in one pass over the blocks."""
-    mants = [v.mantissa for v in point.coords]
     fulls = {}
     return PointReport(tuple(
         (blk.k, check, place) for blk in spec.plan for check, place in
-        _block_checks(mants, point.precision, blk, fulls).items()))
+        _block_checks(point.mantissas, point.precision, blk, fulls).items()))
 
 
 # -- points file -----------------------------------------------------------
@@ -355,8 +345,7 @@ def write_points(path, points: list, manifest_hash: str) -> None:
              f"d={pt0.dim} prec={pt0.precision} count={len(points)}"]
     for pt in points:
         fields = [ROLE_TAGS[pt.role]]
-        fields += [mantissa_to_hex(v.mantissa, pt.precision)
-                   for v in pt.coords]
+        fields += [mantissa_to_hex(m, pt.precision) for m in pt.mantissas]
         lines.append(" ".join(fields))
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -376,6 +365,8 @@ def read_points(path) -> tuple[list, str]:
         dim, prec, count = (int(head[k]) for k in ("d", "prec", "count"))
     except (ValueError, KeyError):
         raise FormatError("malformed header line") from None
+    if dim < 1 or prec < 1:
+        raise FormatError("header needs d >= 1 and prec >= 1")
     if count < 1:
         raise FormatError("points file is empty")
     body = lines[3:]
@@ -386,7 +377,6 @@ def read_points(path) -> tuple[list, str]:
         fields = line.split()
         if len(fields) != dim + 1 or fields[0] not in TAG_ROLES:
             raise FormatError(f"malformed point line {pos + 1}")
-        coords = tuple(Dyadic(hex_to_mantissa(s, prec), prec)
-                       for s in fields[1:])
-        points.append(SamplePoint(coords, TAG_ROLES[fields[0]], pos))
+        mants = tuple(hex_to_mantissa(s, prec) for s in fields[1:])
+        points.append(SamplePoint(mants, prec, TAG_ROLES[fields[0]], pos))
     return points, mhash

@@ -347,7 +347,9 @@ def count_value_cells(values, r: int) -> int:
 
 
 def count_point_cells(points, r: int) -> int:
-    return len({tuple(c.floor_scaled(r) for c in p.coords) for p in points})
+    """Distinct level-r cells: floor(2**r * x) per coordinate, r >= 0."""
+    return len({tuple(m << r >> p.precision for m in p.mantissas)
+                for p in points})
 
 
 @dataclass(frozen=True)

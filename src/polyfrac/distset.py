@@ -20,7 +20,7 @@ from .errors import OutOfRange, PrecisionExceeded
 from .norms import PolyhedralNorm, int_dot
 from .streams import BitStream
 
-__all__ = ["DistanceRecord", "delta", "delta_mantissas", "pinned", "pairwise",
+__all__ = ["DistanceRecord", "delta_mantissas", "pinned", "pairwise",
            "euclid_floor", "euclid_floor_mantissa", "BlockCollapse",
            "CollapseReport", "collapse_check", "estimation_values"]
 
@@ -43,15 +43,10 @@ def _shared_precision(points) -> int:
 
 
 def delta_mantissas(x, y) -> list:
-    """Mantissas of delta(x, y) at the points' shared precision; the caller
-    has checked that x and y share dimension and precision."""
-    return [a.mantissa - b.mantissa for a, b in zip(x.coords, y.coords)]
-
-
-def delta(x, y) -> tuple:
-    """Coordinate difference x - y of two points of one shape."""
-    _shared_precision((x, y))
-    return tuple(a - b for a, b in zip(x.coords, y.coords))
+    """Mantissas of the coordinate difference x - y at the points' shared
+    precision; the caller has checked that x and y share dimension and
+    precision."""
+    return [a - b for a, b in zip(x.mantissas, y.mantissas)]
 
 
 def _records(pairs, prec: int, norm: PolyhedralNorm) -> list:

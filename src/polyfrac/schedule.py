@@ -144,12 +144,11 @@ def _min_block_length(alpha: Fraction, margin: int) -> int:
 
 
 def generate(alpha, margin: int, n_functionals: int, *, m=None, K=None,
-             ratio=None, widen: bool = False) -> BlockSchedule:
+             ratio=None) -> BlockSchedule:
     """Build a schedule from an explicit bound list or a geometric rule.
 
-    With an explicit list and widen=False the bounds are taken literally and
-    an infeasible schedule raises.  widen=True pushes each bound up just far
-    enough to restore the growth and window constraints, which is how target
+    An explicit list is widened: each bound is pushed up just far enough to
+    restore the growth and window constraints, which is how target
     dimensions close to d-1 get workable windows.  The geometric rule grows
     each bound by max(k*m_k, ceil(ratio*m_k)) and window feasibility.
     """
@@ -167,7 +166,10 @@ def generate(alpha, margin: int, n_functionals: int, *, m=None, K=None,
             raise InfeasibleSchedule("bound list must start at m_1 = 1")
         if any(a >= b for a, b in zip(base, base[1:])):
             raise InfeasibleSchedule("bound list must be strictly increasing")
-        bounds = _widen(base, alpha, margin) if widen else base
+        bounds = [1]
+        for k in range(1, len(base)):
+            bounds.append(max(base[k], k * bounds[-1],
+                              _floor_for_block(bounds[-1], k, alpha, margin)))
     else:
         if K is None or K < 0:
             raise OutOfRange("geometric rule needs a block count K >= 0")
@@ -196,12 +198,3 @@ def _floor_for_block(m_k: int, k: int, alpha: Fraction, margin: int) -> int:
     if alpha < 1:
         lo = max(lo, m_k + _min_block_length(alpha, margin))
     return lo
-
-
-def _widen(base: list, alpha: Fraction, margin: int) -> list:
-    bounds = [1]
-    for k in range(1, len(base)):
-        nxt = max(base[k], k * bounds[-1],
-                  _floor_for_block(bounds[-1], k, alpha, margin))
-        bounds.append(nxt)
-    return bounds

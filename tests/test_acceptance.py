@@ -248,18 +248,16 @@ def test_07_property_suites(desk_spec, tmp_path):
     for alpha in (0, Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), 1):
         for margin in (3, 4):
             assert sch.validate(sch.generate(alpha, margin, 2,
-                                             m=[1, 16, 32, 96],
-                                             widen=True)).ok
+                                             m=[1, 16, 32, 96])).ok
     assert sch.validate(sch.generate(Fraction(1, 2), 3, 2, K=4)).ok
 
     spec = desk_spec
     point = build_point(spec, 5, "sample")
     a, b = spec.schedule.window(3)
-    coord = point.coords[0]
+    coord = Dyadic(point.mantissas[0], point.precision)
     place = next(j for j in range(a + 1, b + 1) if not coord.bit(j))
-    mutated = SamplePoint((Dyadic(coord.mantissa | 1 << (coord.precision -
-                                                         place),
-                                  coord.precision), point.coords[1]),
+    mutated = SamplePoint((coord.mantissa | 1 << (coord.precision - place),
+                           point.mantissas[1]), point.precision,
                           point.role, point.index)
     assert membership(point, spec, 3) and not membership(mutated, spec, 3)
 
@@ -267,14 +265,14 @@ def test_07_property_suites(desk_spec, tmp_path):
            for i in range(20)]
     again = [build_point(spec, i, "sample" if i else "pinned")
              for i in range(20)]
-    assert [p.coords for p in pts] == [p.coords for p in again]
+    assert [p.mantissas for p in pts] == [p.mantissas for p in again]
     write_points(tmp_path / "a.txt", pts, "f" * 64)
     write_points(tmp_path / "b.txt", pts, "f" * 64)
     assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
     back, mhash = read_points(tmp_path / "a.txt")
     assert mhash == "f" * 64
-    assert [(p.coords, p.role, p.index) for p in back] == \
-        [(p.coords, p.role, p.index) for p in pts]
+    assert [(p.mantissas, p.precision, p.role, p.index) for p in back] == \
+        [(p.mantissas, p.precision, p.role, p.index) for p in pts]
     print(f"OK property suites: {vectors} norm vectors, 2000 round-trips, "
           f"margin minimality, schedule validation, mutation kill, "
           f"deterministic rerun, file round-trip")

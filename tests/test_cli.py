@@ -106,6 +106,16 @@ def test_verify_detects_tampering(made, tmp_path, capsys):
     assert "manifest mismatch" in capsys.readouterr().err
 
 
+def test_verify_refuses_header_below_one(made, tmp_path, capsys):
+    # a bare role tag is a well-formed row for d=0; the header itself is bad
+    cfg, out = made
+    lines = (out / "points.txt").read_text().splitlines()
+    (tmp_path / "points.txt").write_text(
+        "\n".join(lines[:2] + ["d=0 prec=96 count=1", "x"]) + "\n")
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "header needs d >= 1 and prec >= 1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", READERS)
 def test_verify_manifest_mismatch(made, tmp_path, command, capsys):
     _, out = made
@@ -119,8 +129,8 @@ def test_verify_shape_mismatch(made, tmp_path, command, capsys):
     cfg, out = made
     points, mhash = read_points(out / "points.txt")
     from polyfrac.construct import SamplePoint, write_points
-    shallow = [SamplePoint(tuple(c.truncate(32) for c in p.coords),
-                           p.role, p.index) for p in points]
+    shallow = [SamplePoint(tuple(m >> (p.precision - 32) for m in p.mantissas),
+                           32, p.role, p.index) for p in points]
     write_points(tmp_path / "points.txt", shallow, mhash)
     assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
     # well formed, right shape, but short of samples + 1 points
@@ -401,8 +411,8 @@ def test_distances_fields_decode(tmp_path):
     for row in rows:
         pair, _, dist, prec, e, eprec = row.split(",")
         i, j = map(int, pair.split("-"))
-        diff = [a.as_fraction() - b.as_fraction()
-                for a, b in zip(points[i].coords, points[j].coords)]
+        diff = [Fraction(a - b, 1 << points[i].precision)
+                for a, b in zip(points[i].mantissas, points[j].mantissas)]
         assert decode(dist, int(prec)) == max(
             abs(sum(c * t for c, t in zip(v, diff))) for v in faces)
         assert eprec == "0"

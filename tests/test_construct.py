@@ -79,7 +79,7 @@ def _installed_offset(point, spec, k):
     n, m_hi = sched.split(k), sched.bound(k + 1)
     w = m_hi - n
     shift = point.precision - m_hi + 1
-    return (point.coords[f.pivot].mantissa >> shift) & ((1 << w) - 1), f, n, m_hi
+    return (point.mantissas[f.pivot] >> shift) & ((1 << w) - 1), f, n, m_hi
 
 
 def test_installed_offsets_are_minimal(desk):
@@ -92,7 +92,7 @@ def test_installed_offsets_are_minimal(desk):
         t = m_hi - 1
         w = m_hi - n
         shift = depth - m_hi + 1
-        mants = [v.mantissa for v in pt.coords]
+        mants = list(pt.mantissas)
         mants[f.pivot] &= ~(((1 << w) - 1) << shift)
         found = None
         for u in range(1 << w):
@@ -143,13 +143,13 @@ def test_full_dimension_needs_no_solver():
 def test_build_is_deterministic(desk):
     a = build_point(desk, 4, "sample")
     b = build_point(desk, 4, "sample")
-    assert a.coords == b.coords
+    assert a.mantissas == b.mantissas
 
 
 def test_role_does_not_change_coordinates(desk):
     a = build_point(desk, 5, "pinned")
     b = build_point(desk, 5, "sample")
-    assert a.coords == b.coords
+    assert a.mantissas == b.mantissas
     assert (a.role, b.role) == ("pinned", "sample")
 
 
@@ -157,8 +157,8 @@ def test_points_differ_by_index_and_seed(desk):
     other = make_spec(2, Fraction(3, 2), preset("linf", 2), seed=8,
                       m=[1, 16, 32, 96])
     p0 = build_point(desk, 0)
-    assert build_point(desk, 1).coords != p0.coords
-    assert build_point(other, 0).coords != p0.coords
+    assert build_point(desk, 1).mantissas != p0.mantissas
+    assert build_point(other, 0).mantissas != p0.mantissas
 
 
 def test_mutation_is_detected(desk):
@@ -167,11 +167,10 @@ def test_mutation_is_detected(desk):
     # set a zero digit inside the block-3 window of the pivot coordinate
     f = desk.norm.functionals[desk.schedule.functional_for_block(3)]
     place = next(j for j in range(a + 1, b + 1)
-                 if pt.coords[f.pivot].bit(j) == 0)
-    mants = [v.mantissa for v in pt.coords]
+                 if Dyadic(pt.mantissas[f.pivot], pt.precision).bit(j) == 0)
+    mants = list(pt.mantissas)
     mants[f.pivot] |= 1 << (pt.precision - place)
-    bad = SamplePoint(tuple(Dyadic(m, pt.precision) for m in mants),
-                      "pinned", 0)
+    bad = SamplePoint(tuple(mants), pt.precision, "pinned", 0)
     report = verify_point(bad, desk)
     assert not report.ok
     assert (3, "membership", place) in report.failures
@@ -189,16 +188,17 @@ def test_failure_places_match_a_digit_scan():
     for index in range(200):
         pt = build_point(spec, index, "sample")
         p = pt.precision
-        bad = SamplePoint(tuple(Dyadic(v.mantissa ^ rng.getrandbits(p - 20), p)
-                                for v in pt.coords), "sample", index)
+        bad = SamplePoint(tuple(m ^ rng.getrandbits(p - 20)
+                                for m in pt.mantissas), p, "sample", index)
+        coords = [Dyadic(m, p) for m in bad.mantissas]
         for k, check, place in verify_point(bad, spec).failures:
             seen.add(check)
             a, b = sched.window(k)
             f = spec.norm.functionals[sched.functional_for_block(k)]
             coef = [f.coefficient(i).as_fraction() for i in range(spec.dim)]
-            full = sum(c * v.as_fraction() for c, v in zip(coef, bad.coords))
+            full = sum(c * v.as_fraction() for c, v in zip(coef, coords))
             cut = sum(c * v.truncate(sched.bound(k + 1)).as_fraction()
-                      for c, v in zip(coef, bad.coords))
+                      for c, v in zip(coef, coords))
             if check == "membership":
                 want = next(j for j in range(a + 1, b + 1)
                             if math.floor(full * 2**j) % 2)
@@ -213,7 +213,8 @@ def test_failure_places_match_a_digit_scan():
 
 def test_shallow_point_raises(desk):
     pt = pinned_point(desk)
-    shallow = SamplePoint(tuple(v.truncate(32) for v in pt.coords), "pinned", 0)
+    shallow = SamplePoint(tuple(m >> (pt.precision - 32) for m in pt.mantissas),
+                          32, "pinned", 0)
     assert membership(shallow, desk, 1)
     with pytest.raises(PrecisionExceeded):
         membership(shallow, desk, 3)
@@ -245,13 +246,13 @@ def test_spec_validation():
 
 def test_sample_point_validation():
     with pytest.raises(OutOfRange):
-        SamplePoint((Dyadic(1, 1), Dyadic(1, 2)), "pinned", 0)  # mixed prec
+        SamplePoint((4,), 2, "pinned", 0)  # 1.0 not in [0, 1)
     with pytest.raises(OutOfRange):
-        SamplePoint((Dyadic(4, 2),), "pinned", 0)  # 1.0 not in [0, 1)
+        SamplePoint((1, -1), 2, "pinned", 0)  # -1/4 not in [0, 1)
     with pytest.raises(OutOfRange):
-        SamplePoint((Dyadic(1, 1),), "probe", 0)
+        SamplePoint((1,), 1, "probe", 0)
     with pytest.raises(OutOfRange):
-        SamplePoint((), "pinned", 0)
+        SamplePoint((), 2, "pinned", 0)
 
 
 def test_sample_count_validation(desk):
@@ -293,7 +294,8 @@ def test_points_file_round_trip(tmp_path, desk):
     write_points(path, pts, "ab12")
     back, mhash = read_points(path)
     assert mhash == "ab12"
-    assert [p.coords for p in back] == [p.coords for p in pts]
+    assert [(p.mantissas, p.precision) for p in back] == \
+        [(p.mantissas, p.precision) for p in pts]
     assert [p.role for p in back] == ["pinned", "sample", "sample", "sample"]
     assert [p.index for p in back] == [0, 1, 2, 3]  # positional on read
 
@@ -313,6 +315,10 @@ def test_points_file_rejects_malformed(tmp_path, desk):
     reject(good[:2] + ["d=2 prec=96 count=2"] + good[3:])  # count mismatch
     reject(good[:2] + ["d=2 prec=96"] + good[3:])
     reject(good[:2] + ["d=2 prec=96 count=0"])
+    reject(good[:2] + ["d=-1 prec=96 count=1", ""])
+    reject(good[:2] + ["d=0 prec=96 count=1", "x"])
+    reject(good[:2] + ["d=2 prec=0 count=1"] + good[3:])
+    reject(good[:2] + ["d=2 prec=-4 count=1"] + good[3:])
     reject(good[:3] + ["z " + good[3].split(" ", 1)[1]])  # unknown role tag
     reject(good[:3] + [good[3] + " ff"])  # extra column
     reject(good[:3] + [good[3][:-1] + "g"])  # invalid hex digit

@@ -305,10 +305,18 @@ def test_count_value_cells():
 
 
 def test_count_point_cells():
-    pts = [SamplePoint((Dyadic(4, 4), Dyadic(12, 4)), "sample", 0),
-           SamplePoint((Dyadic(5, 4), Dyadic(12, 4)), "sample", 1)]
+    pts = [SamplePoint((4, 12), 4, "sample", 0),
+           SamplePoint((5, 12), 4, "sample", 1)]
+    assert count_point_cells(pts, 0) == 1  # all of [0, 1)**2
     assert count_point_cells(pts, 2) == 1
     assert count_point_cells(pts, 4) == 2
+    assert count_point_cells(pts, 7) == 2  # finer than the points: no split
+    # the same point (1/4, 3/4) at precision 2 shares pts[0]'s cell
+    mixed = pts + [SamplePoint((1, 3), 2, "sample", 2)]
+    for r in range(10):
+        want = len({tuple(Dyadic(m, p.precision).floor_scaled(r)
+                          for m in p.mantissas) for p in mixed})
+        assert count_point_cells(mixed, r) == want
 
 
 def test_sampled_series_mode_rule():
@@ -323,7 +331,7 @@ def test_sampled_series_mode_rule():
 
 
 def test_sampled_point_series_modes():
-    pts = [SamplePoint((Dyadic(i % 2, 1),), "sample", i) for i in range(300)]
+    pts = [SamplePoint((i % 2,), 1, "sample", i) for i in range(300)]
     series = sampled_point_series(pts, [1])
     assert series.entry(1).count == 2
     assert series.entry(1).mode == "sampled"

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from polyfrac.construct import (SamplePoint, make_spec, pinned_point,
                                 sample_points)
 from polyfrac.distset import (CollapseReport, DistanceRecord, _unrank_pair,
-                              collapse_check, delta, estimation_values,
-                              euclid_floor, euclid_floor_mantissa, pairwise,
-                              pinned)
+                              collapse_check, delta_mantissas,
+                              estimation_values, euclid_floor,
+                              euclid_floor_mantissa, pairwise, pinned)
 from polyfrac.dyadic import Dyadic
 from polyfrac.errors import OutOfRange, PrecisionExceeded
 from polyfrac.norms import preset
@@ -34,7 +34,8 @@ def test_pinned_records(desk, desk_points):
     assert len(recs) == 12
     for rec, y in zip(recs, ys):
         assert rec.source == (0, y.index)
-        d = tuple(a - b for a, b in zip(x.coords, y.coords))
+        d = tuple(Dyadic(a - b, x.precision)
+                  for a, b in zip(x.mantissas, y.mantissas))
         assert rec.value == desk.norm.evaluate(d)
         assert rec.achieving == desk.norm.argmax(d)
 
@@ -61,7 +62,8 @@ def test_zero_distance_convention(desk, desk_points):
 
 def test_mixed_precision_rejected(desk, desk_points):
     x, ys = desk_points
-    shallow = SamplePoint(tuple(v.truncate(32) for v in x.coords), "sample", 1)
+    shallow = SamplePoint(tuple(m >> (x.precision - 32) for m in x.mantissas),
+                          32, "sample", 1)
     with pytest.raises(OutOfRange):
         pinned(x, [shallow], desk.norm)
 
@@ -70,9 +72,10 @@ def test_mismatched_last_point_rejected(desk, desk_points):
     # the shape check covers every point of a call, not just the first pair
     x, ys = desk_points
     y = ys[-1]
-    deeper = SamplePoint(tuple(Dyadic(v.mantissa << 4, v.precision + 4)
-                               for v in y.coords), "sample", 13)
-    wider = SamplePoint(y.coords + y.coords[:1], "sample", 13)
+    deeper = SamplePoint(tuple(m << 4 for m in y.mantissas), y.precision + 4,
+                         "sample", 13)
+    wider = SamplePoint(y.mantissas + y.mantissas[:1], y.precision, "sample",
+                        13)
     for bad in (deeper, wider):
         with pytest.raises(OutOfRange):
             pinned(x, [*ys, bad], desk.norm)
@@ -188,7 +191,8 @@ def test_euclid_floor_matches_norm_bounds(desk, desk_points):
     r = 24
     for rec, y in zip(pinned(x, ys, desk.norm), ys):
         v = rec.value.as_fraction()
-        e = euclid_floor(delta(x, y), r).as_fraction()
+        e = Fraction(euclid_floor_mantissa(delta_mantissas(x, y),
+                                           x.precision, r), 1 << r)
         assert e + Fraction(1, 1 << r) > v
         assert e * e <= 2 * v * v
 
@@ -212,7 +216,7 @@ def test_collapse_window_digit_rule(desk):
     a, b = desk.schedule.window(3)
 
     def point(m0):
-        return SamplePoint((Dyadic(m0, depth), Dyadic(0, depth)), "sample", 0)
+        return SamplePoint((m0, 0), depth, "sample", 0)
 
     base = 1 << (depth - 1)  # difference 0.1...: functional 0 achieves
     y = point(0)
@@ -238,7 +242,8 @@ def test_collapse_window_digit_rule(desk):
 
 def test_collapse_requires_depth(desk):
     pt = pinned_point(desk)
-    shallow = type(pt)(tuple(v.truncate(40) for v in pt.coords), "pinned", 0)
+    shallow = type(pt)(tuple(m >> (pt.precision - 40) for m in pt.mantissas),
+                       40, "pinned", 0)
     with pytest.raises(PrecisionExceeded):
         collapse_check(shallow, shallow, desk)
 

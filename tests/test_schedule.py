@@ -32,25 +32,20 @@ def test_desk_schedule_frozen():
     assert validate(s).ok
 
 
-def test_explicit_bounds_can_be_infeasible():
-    with pytest.raises(InfeasibleSchedule):
-        generate(Fraction(1, 2), 3, 2, m=[1, 8, 24])
-
-
 @pytest.mark.parametrize("alpha,margin,expect_m,expect_n", [
     (Fraction(3, 4), 3, (1, 29, 58, 174), (22, 51, 145)),
     (Fraction(1, 2), 4, (1, 19, 38, 114), (10, 29, 76)),
     (Fraction(3, 4), 4, (1, 37, 74, 222), (28, 65, 185)),
 ])
 def test_widening_frozen(alpha, margin, expect_m, expect_n):
-    s = generate(alpha, margin, 2, m=[1, 16, 32, 96], widen=True)
+    s = generate(alpha, margin, 2, m=[1, 16, 32, 96])
     assert s.bounds == expect_m
     assert s.splits == expect_n
     assert validate(s).ok
 
 
 def test_widening_keeps_feasible_bounds():
-    s = generate(Fraction(1, 2), 3, 2, m=[1, 16, 32, 96], widen=True)
+    s = generate(Fraction(1, 2), 3, 2, m=[1, 16, 32, 96])
     assert s.bounds == (1, 16, 32, 96)
 
 
