@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -461,6 +462,56 @@ def test_profile_values_any_segment_list(segments):
     for r in range(1, prof.depth + 1):
         q = prof.ratio(r)
         assert _ratio_text(got[r], r) == f"{q.numerator}/{q.denominator}"
+
+
+def _curve_digest(prof) -> str:
+    text = ",".join(map(str, prof.values()))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+# (ideal, c-aware) digests of P(0..depth) per base, geometric K=6 ratio 2
+# schedules; alpha = 1 leaves every window empty, so the two builders agree
+@pytest.mark.parametrize("name,dim,alpha,pins", [
+    ("linf", 2, Fraction(0), {
+        "set": ("db2de3c399e2834d", "77fbd5fa0700efc9"),
+        0: ("e4517ad90c4800f8", "d84891fa032b765c"),
+        1: ("1be9cf9ac65e3d55", "8c471ca6afe5c4b5")}),
+    ("linf", 2, Fraction(1, 2), {
+        "set": ("564077ac909ea7df", "fc3e3a7478fd1867"),
+        0: ("80966cd466ddc6b7", "f93e1e7043d6fd3b"),
+        1: ("f21e86aed557c05b", "e277baf07df17195")}),
+    ("linf", 2, Fraction(1), {
+        "set": ("eb7b84aa670a630f", "eb7b84aa670a630f"),
+        0: ("f76925dc6c0d39c5", "f76925dc6c0d39c5"),
+        1: ("f76925dc6c0d39c5", "f76925dc6c0d39c5")}),
+    ("l1", 3, Fraction(0), {
+        "set": ("8aa6968c801667f5", "e7e761ea8c3cb345"),
+        0: ("a8159c4e661e01db", "c8aae97bc08dee21"),
+        1: ("eed362c890b831fd", "cca9a43e0999571f"),
+        2: ("752ddc5e281a6e45", "834590535e2ad342"),
+        3: ("17081147c0c21eb6", "02d40eac6892ff51")}),
+    ("l1", 3, Fraction(1, 2), {
+        "set": ("b131703d8fc743a1", "272b57dc5a9df019"),
+        0: ("500c369697fc7f0d", "e061be30fd03d649"),
+        1: ("6ede6186070ab535", "6bbc87d8237bf382"),
+        2: ("938be88ba3a3d517", "449212760da10957"),
+        3: ("45f179447ac03e7e", "f06dbfc36d16ac4b")}),
+    ("l1", 3, Fraction(1), {
+        "set": ("7d1188837112186a", "7d1188837112186a"),
+        0: ("0feb958f8d540548", "0feb958f8d540548"),
+        1: ("0feb958f8d540548", "0feb958f8d540548"),
+        2: ("0feb958f8d540548", "0feb958f8d540548"),
+        3: ("0feb958f8d540548", "0feb958f8d540548")}),
+])
+def test_profile_curves_frozen(name, dim, alpha, pins):
+    sched = make_spec(dim, dim - 1 + alpha, preset(name, dim), seed=0, K=6,
+                      ratio=2).schedule
+    assert len(pins) == 1 + sched.n_functionals
+    for key, want in pins.items():
+        base = "set" if key == "set" else ("distance", key)
+        got = tuple(_curve_digest(kind(sched, dim, base))
+                    for kind in (profile_ideal, profile_c_aware))
+        assert got == want, key
 
 
 def test_distance_slack_frozen():
