@@ -304,11 +304,13 @@ def cmd_boxdim(run: _Run, args) -> int:
         print(f"r={e.r} count={e.count} mode={e.mode}")
 
     values = ds.estimation_values(ds.pinned(points[0], points[1:], spec.norm))
-    dist_series = []
+    dist_series, dist_cps = [], []
     for ell in range(spec.norm.n_functionals):
-        cps = [r for r, _ in dm.distance_checkpoints(spec, ell)]
-        ser = dm.sampled_distance_series(values.get(ell, []), cps)
+        cps = dm.distance_checkpoints(spec, ell)
+        ser = dm.sampled_distance_series(values.get(ell, []),
+                                         [r for r, _ in cps])
         dist_series.append(ser)
+        dist_cps.append(cps)
         tag = f"dist_ell{ell}"
         _write_lines(os.path.join(args.out, f"boxcounts_{tag}.csv"),
                      _boxcount_csv(ser, run.manifest_hash))
@@ -321,11 +323,11 @@ def cmd_boxdim(run: _Run, args) -> int:
     print(f"dim_set lower estimate {est_set:.4f} over scales "
           f"{list(run.scales)}"
           + (f"; sample-limited (saturated) at {limited}" if limited else ""))
-    sched = spec.schedule
-    for ell, ser in enumerate(dist_series):
-        for (r, bound), k in zip(dm.distance_checkpoints(spec, ell),
-                                 sched.blocks_for_functional(ell)):
-            slack = dm.distance_slack(sched.margin, sched.bound(k + 1))
+    margin = spec.schedule.margin
+    for ell, (ser, cps) in enumerate(zip(dist_series, dist_cps)):
+        for r, bound in cps:
+            # a checkpoint sits margin places below its block's end
+            slack = dm.distance_slack(margin, r + margin)
             e = ser.entry(r)
             if e.count:
                 lg = math.log2(e.count)
@@ -365,12 +367,12 @@ def _ratio_text(v: int, r: int) -> str:
 
 def cmd_profile(run: _Run, args) -> int:
     sched = run.spec.schedule
-    bases = [("set", "set")]
-    bases += [(f"dist_ell{ell}", ("distance", ell))
+    bases = [("set", None)]
+    bases += [(f"dist_ell{ell}", ell)
               for ell in range(run.spec.norm.n_functionals)]
-    for tag, base in bases:
-        ideal = dm.profile_ideal(sched, run.spec.dim, base).values()
-        aware = dm.profile_c_aware(sched, run.spec.dim, base).values()
+    for tag, ell in bases:
+        ideal = dm.profile_ideal(sched, run.spec.dim, ell).values()
+        aware = dm.profile_c_aware(sched, run.spec.dim, ell).values()
         lines = ["polyfrac-profiles v1", f"# manifest {run.manifest_hash}",
                  "r,P_ideal,P_c_aware,ratio_ideal,ratio_c_aware"]
         for r in range(1, sched.depth + 1):
@@ -456,11 +458,15 @@ def main(argv=None) -> int:
             PolyfracError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    os.makedirs(args.out, exist_ok=True)
     try:
+        os.makedirs(args.out, exist_ok=True)
         return _COMMANDS[args.command](run, args)
     except FileNotFoundError as exc:
         print(f"missing input: {exc}", file=sys.stderr)
+        return 2
+    except (FileExistsError, IsADirectoryError, NotADirectoryError) as exc:
+        # --out names a file or lies under one, or points.txt is a directory
+        print(f"path error: {exc}", file=sys.stderr)
         return 2
     except FormatError as exc:
         print(f"format error: {exc}", file=sys.stderr)

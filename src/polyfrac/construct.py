@@ -353,8 +353,11 @@ def write_points(path, points: list, manifest_hash: str) -> None:
 
 def read_points(path) -> tuple[list, str]:
     """Points plus the manifest hash they were written under."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, encoding="ascii") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError:
+        raise FormatError(f"{path} is not an ASCII points file") from None
     if not lines or lines[0] != "polyfrac-points v1":
         raise FormatError("not a polyfrac points file")
     if len(lines) < 3 or not lines[1].startswith("# manifest "):

@@ -26,12 +26,11 @@ from __future__ import annotations
 
 import itertools
 import math
-import statistics
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (BudgetExceeded, InsufficientData, MissingCheckpoint,
-                     OutOfRange, SaturatedData)
+                     OutOfRange)
 
 __all__ = ["SlabGroup", "SlabSystem", "slab_system", "ExactCount",
            "count_exact", "decoupled_count", "count_value_cells",
@@ -39,7 +38,7 @@ __all__ = ["SlabGroup", "SlabSystem", "slab_system", "ExactCount",
            "sampled_distance_series", "sampled_point_series",
            "ComplexityProfile", "profile_ideal", "profile_c_aware",
            "dim_lower_estimate", "distance_checkpoints", "distance_slack",
-           "slope", "FalconerReport", "falconer_check"]
+           "FalconerReport", "falconer_check"]
 
 
 @dataclass(frozen=True)
@@ -369,10 +368,6 @@ class BoxCountSeries:
                 return e
         raise MissingCheckpoint(f"no box count at scale {r}")
 
-    @property
-    def scales(self) -> tuple:
-        return tuple(e.r for e in self.entries)
-
 
 def _sampled(counts, n_samples, scales) -> BoxCountSeries:
     entries = []
@@ -440,60 +435,44 @@ class ComplexityProfile:
         return Fraction(self.value_at(r), r)
 
 
-def _segs(parts) -> tuple:
-    out = []
-    for lo, hi, s in parts:
-        if hi > lo:
-            out.append((lo, hi, s))
-    return tuple(out)
+def _profile(schedule, dim: int, ell: int | None,
+             margin: int) -> ComplexityProfile:
+    """Digit complexity with each block's places (n_k + margin,
+    m_{k+1} - margin] constrained and the rest random.
 
-
-def profile_ideal(schedule, dim: int, base="set") -> ComplexityProfile:
-    parts = []
-    if base == "set":
-        parts.append((0, schedule.bound(1), 0))
-        for k in range(1, schedule.n_blocks + 1):
-            parts.append((schedule.bound(k), schedule.split(k), dim))
-            parts.append((schedule.split(k), schedule.bound(k + 1), dim - 1))
+    The set base (ell None) walks every block from m_1, free places adding
+    dim digits and constrained ones dim - 1.  The distance base for
+    functional ell walks ell's blocks only, from place 0, adding 1 and 0.
+    """
+    if ell is None:
+        blocks, free, fixed = range(1, schedule.n_blocks + 1), dim, dim - 1
+        pos = schedule.bound(1)
+        parts = [(0, pos, 0)]
     else:
-        _, ell = base
-        pos = 0
-        for k in schedule.blocks_for_functional(ell):
-            parts.append((pos, schedule.split(k), 1))
-            parts.append((schedule.split(k), schedule.bound(k + 1), 0))
-            pos = schedule.bound(k + 1)
-        parts.append((pos, schedule.depth, 1))
-    return ComplexityProfile(_segs(parts))
+        blocks, free, fixed = schedule.blocks_for_functional(ell), 1, 0
+        parts, pos = [], 0
+    for k in blocks:
+        a, b = schedule.split(k) + margin, schedule.bound(k + 1) - margin
+        if a < b:
+            parts += [(pos, a, free), (a, b, fixed)]
+            pos = b
+    parts.append((pos, schedule.depth, free))
+    return ComplexityProfile(tuple(p for p in parts if p[0] < p[1]))
 
 
-def profile_c_aware(schedule, dim: int, base="set") -> ComplexityProfile:
-    parts = []
-    if base == "set":
-        parts.append((0, schedule.bound(1), 0))
-        for k in range(1, schedule.n_blocks + 1):
-            a, b = schedule.window(k)
-            if a < b:
-                parts.append((schedule.bound(k), a, dim))
-                parts.append((a, b, dim - 1))
-                parts.append((b, schedule.bound(k + 1), dim))
-            else:
-                parts.append((schedule.bound(k), schedule.bound(k + 1), dim))
-    else:
-        _, ell = base
-        pos = 0
-        for k in schedule.blocks_for_functional(ell):
-            a, b = schedule.window(k)
-            if a < b:
-                parts.append((pos, a, 1))
-                parts.append((a, b, 0))
-                pos = b
-        parts.append((pos, schedule.depth, 1))
-    return ComplexityProfile(_segs(parts))
+def profile_ideal(schedule, dim: int, ell: int | None = None) -> ComplexityProfile:
+    """Profile with each block random up to its split: margin 0."""
+    return _profile(schedule, dim, ell, 0)
+
+
+def profile_c_aware(schedule, dim: int, ell: int | None = None) -> ComplexityProfile:
+    """Profile with the schedule's margin trimmed off each window."""
+    return _profile(schedule, dim, ell, schedule.margin)
 
 
 def dim_lower_estimate(series: BoxCountSeries, checkpoints) -> float:
     """min over checkpoints of log2(count)/r; the conservative exponent.
-    Accepts saturated (sample-limited) entries, which slope refuses."""
+    Saturated (sample-limited) entries count too; callers name them."""
     best = None
     for r in checkpoints:
         if r < 1:
@@ -519,20 +498,6 @@ def distance_checkpoints(spec, ell: int) -> list:
 def distance_slack(margin: int, block_end: int) -> int:
     """Digits the margin model may add on top of the ideal distance bound."""
     return 2 * margin + (block_end - 1).bit_length() + 3
-
-
-def slope(series: BoxCountSeries, r_lo: int, r_hi: int) -> float:
-    """Least-squares slope of log2(count) against r on [r_lo, r_hi]."""
-    picked = [e for e in series.entries
-              if r_lo <= e.r <= r_hi and e.count >= 1]
-    if len(picked) < 2:
-        raise InsufficientData("need two scales for a slope")
-    for e in picked:
-        if e.mode == "saturated":
-            raise SaturatedData(f"scale {e.r} is sample-limited")
-    reg = statistics.linear_regression([e.r for e in picked],
-                                       [math.log2(e.count) for e in picked])
-    return reg.slope
 
 
 @dataclass(frozen=True)

@@ -50,11 +50,7 @@ class MissingCheckpoint(PolyfracError):
 
 
 class InsufficientData(PolyfracError):
-    """Not enough series entries for a slope fit."""
-
-
-class SaturatedData(PolyfracError):
-    """Slope fit requested over saturated sampled counts."""
+    """A checkpoint's box count is empty, so it gives no exponent."""
 
 
 class BudgetExceeded(PolyfracError):

@@ -43,9 +43,6 @@ class Functional:
     def dim(self) -> int:
         return len(self.mantissas)
 
-    def coefficient(self, i: int) -> Dyadic:
-        return Dyadic(self.mantissas[i], self.precision)
-
     def dot(self, x: list[Dyadic] | tuple[Dyadic, ...]) -> Dyadic:
         if len(x) != self.dim:
             raise DimensionMismatch(

@@ -84,9 +84,6 @@ class BitStream:
         self._buf &= (1 << self._nbits) - 1
         return out
 
-    def take_bit(self) -> int:
-        return self.take_bits(1)
-
     def randrange(self, n: int) -> int:
         """Uniform integer in [0, n) by rejection sampling."""
         if n <= 0:

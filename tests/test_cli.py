@@ -547,6 +547,19 @@ def test_out_directory_created(tmp_path):
     assert (nested / "profiles_set.csv").exists()
 
 
+@pytest.mark.parametrize("command,out,named", [
+    ("profile", "file", "file"),  # --out is a file
+    ("profile", "file/sub", "file/sub"),  # --out lies under a file
+    ("verify", "dir", "dir/points.txt"),  # points.txt is a directory
+])
+def test_unusable_paths_are_exit_2(tmp_path, capsys, command, out, named):
+    cfg = write_config(tmp_path / "cfg.json")
+    (tmp_path / "file").write_text("")
+    (tmp_path / "dir" / "points.txt").mkdir(parents=True)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / out)]) == 2
+    assert str(tmp_path / named) in capsys.readouterr().err
+
+
 def test_module_entry_point(tmp_path):
     cfg = write_config(tmp_path / "cfg.json")
     proc = subprocess.run(

@@ -108,7 +108,8 @@ def test_installed_offsets_are_minimal(desk):
         # and the public solver agrees when fed the pre-solve state
         ps = Dyadic(sum((m >> (depth - t)) * v
                         for m, v in zip(mants, f.mantissas)), t + f.precision)
-        assert solve_pivot_offset(ps, f.coefficient(f.pivot), n, m_hi, c) == u_inst
+        assert solve_pivot_offset(
+            ps, Dyadic(f.mantissas[f.pivot], f.precision), n, m_hi, c) == u_inst
 
 
 def test_pinned_point_verifies(desk):
@@ -195,7 +196,7 @@ def test_failure_places_match_a_digit_scan():
             seen.add(check)
             a, b = sched.window(k)
             f = spec.norm.functionals[sched.functional_for_block(k)]
-            coef = [f.coefficient(i).as_fraction() for i in range(spec.dim)]
+            coef = [Fraction(v, 1 << f.precision) for v in f.mantissas]
             full = sum(c * v.as_fraction() for c, v in zip(coef, coords))
             cut = sum(c * v.truncate(sched.bound(k + 1)).as_fraction()
                       for c, v in zip(coef, coords))
@@ -322,3 +323,6 @@ def test_points_file_rejects_malformed(tmp_path, desk):
     reject(good[:3] + ["z " + good[3].split(" ", 1)[1]])  # unknown role tag
     reject(good[:3] + [good[3] + " ff"])  # extra column
     reject(good[:3] + [good[3][:-1] + "g"])  # invalid hex digit
+    path.write_bytes(b"\xff\xfe\n")  # not ASCII, nor text in most codecs
+    with pytest.raises(FormatError):
+        read_points(path)

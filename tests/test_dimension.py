@@ -16,10 +16,10 @@ from polyfrac.dimension import (BoxCount, BoxCountSeries, ComplexityProfile,
                                 distance_checkpoints, distance_slack,
                                 falconer_check, profile_c_aware, profile_ideal,
                                 sampled_distance_series, sampled_point_series,
-                                slab_system, slope)
+                                slab_system)
 from polyfrac.dyadic import Dyadic
 from polyfrac.errors import (BudgetExceeded, InsufficientData,
-                             MissingCheckpoint, OutOfRange, SaturatedData)
+                             MissingCheckpoint, OutOfRange)
 from polyfrac.norms import preset
 
 
@@ -336,7 +336,7 @@ def test_sampled_point_series_modes():
     series = sampled_point_series(pts, [1])
     assert series.entry(1).count == 2
     assert series.entry(1).mode == "sampled"
-    assert series.scales == (1,)
+    assert [e.r for e in series.entries] == [1]
 
 
 # -- profiles --------------------------------------------------------------
@@ -395,7 +395,7 @@ def test_widened_set_profiles_frozen():
 ])
 def test_distance_profile_frozen(name, s, ell, points):
     sched = spec_for(name, s).schedule
-    prof = profile_ideal(sched, 2, base=("distance", ell))
+    prof = profile_ideal(sched, 2, ell=ell)
     for r, expect in points:
         assert prof.value_at(r) == expect
 
@@ -411,14 +411,14 @@ def test_checkpoint_scales_match_profile_plateaus():
     for name, s in (("linf", "3/2"), ("l1", "7/4")):
         spec = spec_for(name, s)
         for ell in range(2):
-            prof = profile_ideal(spec.schedule, 2, base=("distance", ell))
+            prof = profile_ideal(spec.schedule, 2, ell=ell)
             for r, _ in distance_checkpoints(spec, ell):
                 assert prof.value_at(r) == prof.value_at(r - 1)  # slope 0
 
 
 def test_distance_c_aware_profile():
     sched = spec_for("linf", "3/2").schedule
-    prof = profile_c_aware(sched, 2, base=("distance", 0))
+    prof = profile_c_aware(sched, 2, ell=0)
     assert prof.value_at(13) == 12
     assert prof.value_at(93) == 66
 
@@ -438,10 +438,9 @@ def test_profile_values_match_value_at(dim, name, alpha, K, ratio):
                      ratio=ratio)
     sched = spec.schedule
     assume(sched.depth <= 6000)
-    bases = ["set"] + [("distance", ell) for ell in range(sched.n_functionals)]
-    for base in bases:
+    for ell in [None, *range(sched.n_functionals)]:
         for kind in (profile_ideal, profile_c_aware):
-            prof = kind(sched, dim, base)
+            prof = kind(sched, dim, ell)
             got = prof.values()
             assert got == [prof.value_at(r) for r in range(prof.depth + 1)]
             for r in range(1, prof.depth + 1):
@@ -469,35 +468,36 @@ def _curve_digest(prof) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-# (ideal, c-aware) digests of P(0..depth) per base, geometric K=6 ratio 2
-# schedules; alpha = 1 leaves every window empty, so the two builders agree
+# (ideal, c-aware) digests of P(0..depth) per base (None for the set) on
+# geometric K=6 ratio 2 schedules; alpha = 1 leaves every window empty, so
+# the two builders agree
 @pytest.mark.parametrize("name,dim,alpha,pins", [
     ("linf", 2, Fraction(0), {
-        "set": ("db2de3c399e2834d", "77fbd5fa0700efc9"),
+        None: ("db2de3c399e2834d", "77fbd5fa0700efc9"),
         0: ("e4517ad90c4800f8", "d84891fa032b765c"),
         1: ("1be9cf9ac65e3d55", "8c471ca6afe5c4b5")}),
     ("linf", 2, Fraction(1, 2), {
-        "set": ("564077ac909ea7df", "fc3e3a7478fd1867"),
+        None: ("564077ac909ea7df", "fc3e3a7478fd1867"),
         0: ("80966cd466ddc6b7", "f93e1e7043d6fd3b"),
         1: ("f21e86aed557c05b", "e277baf07df17195")}),
     ("linf", 2, Fraction(1), {
-        "set": ("eb7b84aa670a630f", "eb7b84aa670a630f"),
+        None: ("eb7b84aa670a630f", "eb7b84aa670a630f"),
         0: ("f76925dc6c0d39c5", "f76925dc6c0d39c5"),
         1: ("f76925dc6c0d39c5", "f76925dc6c0d39c5")}),
     ("l1", 3, Fraction(0), {
-        "set": ("8aa6968c801667f5", "e7e761ea8c3cb345"),
+        None: ("8aa6968c801667f5", "e7e761ea8c3cb345"),
         0: ("a8159c4e661e01db", "c8aae97bc08dee21"),
         1: ("eed362c890b831fd", "cca9a43e0999571f"),
         2: ("752ddc5e281a6e45", "834590535e2ad342"),
         3: ("17081147c0c21eb6", "02d40eac6892ff51")}),
     ("l1", 3, Fraction(1, 2), {
-        "set": ("b131703d8fc743a1", "272b57dc5a9df019"),
+        None: ("b131703d8fc743a1", "272b57dc5a9df019"),
         0: ("500c369697fc7f0d", "e061be30fd03d649"),
         1: ("6ede6186070ab535", "6bbc87d8237bf382"),
         2: ("938be88ba3a3d517", "449212760da10957"),
         3: ("45f179447ac03e7e", "f06dbfc36d16ac4b")}),
     ("l1", 3, Fraction(1), {
-        "set": ("7d1188837112186a", "7d1188837112186a"),
+        None: ("7d1188837112186a", "7d1188837112186a"),
         0: ("0feb958f8d540548", "0feb958f8d540548"),
         1: ("0feb958f8d540548", "0feb958f8d540548"),
         2: ("0feb958f8d540548", "0feb958f8d540548"),
@@ -507,11 +507,10 @@ def test_profile_curves_frozen(name, dim, alpha, pins):
     sched = make_spec(dim, dim - 1 + alpha, preset(name, dim), seed=0, K=6,
                       ratio=2).schedule
     assert len(pins) == 1 + sched.n_functionals
-    for key, want in pins.items():
-        base = "set" if key == "set" else ("distance", key)
-        got = tuple(_curve_digest(kind(sched, dim, base))
+    for ell, want in pins.items():
+        got = tuple(_curve_digest(kind(sched, dim, ell))
                     for kind in (profile_ideal, profile_c_aware))
-        assert got == want, key
+        assert got == want, ell
 
 
 def test_distance_slack_frozen():
@@ -542,24 +541,6 @@ def test_dim_lower_estimate_errors():
         dim_lower_estimate(series, [20])
     with pytest.raises(OutOfRange):
         dim_lower_estimate(series, [0])
-
-
-def test_slope_fit():
-    series = series_of((4, 1 << 4), (8, 1 << 8), (12, 1 << 12))
-    assert math.isclose(slope(series, 4, 12), 1.0)
-    assert math.isclose(slope(series, 4, 8), 1.0)
-    with pytest.raises(InsufficientData):
-        slope(series, 9, 12)
-
-
-def test_slope_refuses_saturated_points():
-    entries = (BoxCount(4, 16, "exact"), BoxCount(8, 256, "saturated"),
-               BoxCount(12, 4096, "sampled"))
-    series = BoxCountSeries(entries)
-    with pytest.raises(SaturatedData):
-        slope(series, 4, 12)
-    assert math.isclose(slope(BoxCountSeries((entries[0], entries[2])), 4, 12),
-                        1.0)
 
 
 @pytest.mark.parametrize("dim_set,dim_dist,ambient,tol,expect", [

@@ -127,6 +127,6 @@ def test_randrange_rejects_nonpositive():
 
 def test_take_bit_is_single():
     s = BitStream(2, "bits")
-    seen = {s.take_bit() for _ in range(64)}
+    seen = {s.take_bits(1) for _ in range(64)}
     assert seen <= {0, 1}
     assert len(seen) == 2  # 64 fair coin flips collapsing to one value: 2**-63
