@@ -1,24 +1,43 @@
-"""Exact-arithmetic fractal constructions with polyhedral-norm distance sets."""
+"""Exact-arithmetic fractal constructions with polyhedral-norm distance sets.
+
+Names are re-exported lazily (PEP 562): ``polyfrac.count_exact`` imports
+``polyfrac.dimension`` on first use, so ``import polyfrac`` and each CLI
+command load only the submodules they run.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .dyadic import Dyadic
-from .errors import PolyfracError
-from .norms import Functional, PolyhedralNorm, custom_norm, min_margin, preset
-from .schedule import BlockSchedule, free_fraction, generate
-from .construct import (FractalSpec, SamplePoint, build_point, make_spec,
-                        pinned_point, sample_points, verify_point)
-from .distset import DistanceRecord, collapse_check, euclid_floor, pairwise, pinned
-from .dimension import (BoxCountSeries, ComplexityProfile, count_exact,
-                        decoupled_count, falconer_check, profile_c_aware,
-                        profile_ideal, slab_system)
+# exported name -> submodule defining it
+_HOME = {
+    "Dyadic": "dyadic", "PolyfracError": "errors",
+    "Functional": "norms", "PolyhedralNorm": "norms", "custom_norm": "norms",
+    "min_margin": "norms", "preset": "norms",
+    "BlockSchedule": "schedule", "free_fraction": "schedule",
+    "generate": "schedule",
+    "FractalSpec": "construct", "SamplePoint": "construct",
+    "build_point": "construct", "make_spec": "construct",
+    "pinned_point": "construct", "sample_points": "construct",
+    "verify_point": "construct",
+    "DistanceRecord": "distset", "collapse_check": "distset",
+    "euclid_floor": "distset", "pairwise": "distset", "pinned": "distset",
+    "BoxCountSeries": "dimension", "ComplexityProfile": "dimension",
+    "count_exact": "dimension", "decoupled_count": "dimension",
+    "falconer_check": "dimension", "profile_c_aware": "dimension",
+    "profile_ideal": "dimension", "slab_system": "dimension",
+}
+_SUBMODULES = ("cli", "construct", "dimension", "distset", "dyadic",
+               "errors", "norms", "schedule", "streams")
 
-__all__ = [
-    "Dyadic", "PolyfracError", "Functional", "PolyhedralNorm", "custom_norm",
-    "min_margin", "preset", "BlockSchedule", "free_fraction", "generate",
-    "FractalSpec", "SamplePoint", "build_point", "make_spec", "pinned_point",
-    "sample_points", "verify_point", "DistanceRecord", "collapse_check",
-    "euclid_floor", "pairwise", "pinned", "BoxCountSeries",
-    "ComplexityProfile", "count_exact", "decoupled_count", "falconer_check",
-    "profile_c_aware", "profile_ideal", "slab_system", "__version__",
-]
+__all__ = [*_HOME, "__version__"]
+
+
+def __getattr__(name):
+    home = _HOME.get(name)
+    if home is None and name not in _SUBMODULES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__name__}.{home or name}")
+    value = module if home is None else getattr(module, name)
+    globals()[name] = value
+    return value

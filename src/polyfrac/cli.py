@@ -8,6 +8,9 @@ byte-deterministic for a fixed config and flags.
 Exit codes: 0 success, 2 config or format problem or a missing or
 mismatched points.txt, 3 verification failure, 4 budget exhausted before
 any exact count finished.
+
+Each command imports the modules only it runs (distset, dimension) when it
+starts, before reading any input, so start-up pays for what it uses.
 """
 
 from __future__ import annotations
@@ -18,13 +21,11 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import __version__
 from . import construct as cn
-from . import dimension as dm
-from . import distset as ds
 from .errors import (BudgetExceeded, FormatError, OutOfRange, PolyfracError)
 from .norms import custom_norm, min_margin, preset
 from .schedule import free_fraction, generate
@@ -37,9 +38,8 @@ def _canonical_hash(obj) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-@dataclass
-class _Run:
-    spec: "cn.FractalSpec"
+class _Run(NamedTuple):
+    spec: cn.FractalSpec
     scales: list
     samples: int
     budget: int
@@ -170,7 +170,7 @@ def _write_lines(path: str, lines: list) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _boxcount_csv(series: dm.BoxCountSeries, mhash: str) -> list:
+def _boxcount_csv(series, mhash: str) -> list:
     lines = ["polyfrac-boxcounts v1", f"# manifest {mhash}",
              "r,count,log2_count,mode"]
     for e in series.entries:
@@ -179,7 +179,7 @@ def _boxcount_csv(series: dm.BoxCountSeries, mhash: str) -> list:
     return lines
 
 
-def _series_svg(series: dm.BoxCountSeries, mhash: str, title: str) -> list:
+def _series_svg(series, mhash: str, title: str) -> list:
     pts = [(e.r, math.log2(e.count)) for e in series.entries if e.count]
     w, h, ml, mb = 400, 300, 45, 40
     if pts:
@@ -249,35 +249,36 @@ def cmd_construct(run: _Run, args) -> int:
 
 
 def cmd_distset(run: _Run, args) -> int:
+    from . import distset as ds
     points = _load_points(run, args)
     x, ys = points[0], points[1:]
+    r = args.euclid
+    floors = []  # filled only when r is set
+    euclid = None if r is None else (r, floors)
     if args.pairwise:
         recs = ds.pairwise(ys, run.spec.norm, cap=run.budget,
-                           seed=run.spec.seed)
+                           seed=run.spec.seed, euclid=euclid)
     else:
-        recs = ds.pinned(x, ys, run.spec.norm)
-    r = args.euclid
+        recs = ds.pinned(x, ys, run.spec.norm, euclid=euclid)
     header = "pair_id,ell,mantissa_hex,prec"
     if r is not None:
         header += ",euclid_mantissa_hex,euclid_prec"
-    prec = x.precision
 
     def row(rec) -> str:
         i, j = rec.source
         v = rec.value
-        text = (f"{i}-{j},{rec.achieving},"
+        return (f"{i}-{j},{rec.achieving},"
                 f"{cn.mantissa_to_hex(v.mantissa, v.precision)},{v.precision}")
-        if r is None:
-            return text + "\n"
-        e = ds.euclid_floor_mantissa(
-            ds.delta_mantissas(points[i], points[j]), prec, r)
-        return f"{text},{cn.mantissa_to_hex(e, r)},{r}\n"
 
     path = os.path.join(args.out, "distances.csv")
     with open(path, "w", newline="\n") as fh:
         fh.write(f"polyfrac-distances v1\n# manifest {run.manifest_hash}\n"
                  f"{header}\n")
-        fh.writelines(map(row, recs))
+        if r is None:
+            fh.writelines(row(rec) + "\n" for rec in recs)
+        else:
+            fh.writelines(f"{row(rec)},{cn.mantissa_to_hex(e, r)},{r}\n"
+                          for rec, e in zip(recs, floors))
     _write_manifest(run, args.out)
     kind = "pairwise" if args.pairwise else "pinned"
     print(f"wrote {len(recs)} {kind} distances to {path}")
@@ -285,6 +286,8 @@ def cmd_distset(run: _Run, args) -> int:
 
 
 def cmd_boxdim(run: _Run, args) -> int:
+    from . import dimension as dm
+    from . import distset as ds
     spec = run.spec
     points = _load_points(run, args)
     system = dm.slab_system(spec)
@@ -366,6 +369,7 @@ def _ratio_text(v: int, r: int) -> str:
 
 
 def cmd_profile(run: _Run, args) -> int:
+    from . import dimension as dm
     sched = run.spec.schedule
     bases = [("set", None)]
     bases += [(f"dist_ell{ell}", ell)
@@ -387,6 +391,7 @@ def cmd_profile(run: _Run, args) -> int:
 
 
 def cmd_verify(run: _Run, args) -> int:
+    from . import distset as ds
     points = _load_points(run, args)
     if not _all_verified(points, run.spec):
         return 3
@@ -460,12 +465,17 @@ def main(argv=None) -> int:
         return 2
     try:
         os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        # --out is empty, names a file, lies under one or cannot be made
+        print(f"path error: {exc}", file=sys.stderr)
+        return 2
+    try:
         return _COMMANDS[args.command](run, args)
     except FileNotFoundError as exc:
         print(f"missing input: {exc}", file=sys.stderr)
         return 2
-    except (FileExistsError, IsADirectoryError, NotADirectoryError) as exc:
-        # --out names a file or lies under one, or points.txt is a directory
+    except (IsADirectoryError, NotADirectoryError) as exc:
+        # points.txt is a directory
         print(f"path error: {exc}", file=sys.stderr)
         return 2
     except FormatError as exc:

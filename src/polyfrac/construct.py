@@ -14,10 +14,9 @@ depth; place j of coordinate i is bit (depth - j) of mantissa i.
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 from .dyadic import Dyadic
 from .errors import (FormatError, IndexOutOfRange, InfeasibleSchedule,
@@ -31,39 +30,42 @@ __all__ = ["FractalSpec", "SamplePoint", "PointReport", "make_spec",
            "solve_pivot_offset", "membership", "verify_carry",
            "pattern_holds", "verify_point", "write_points", "read_points"]
 
-log = logging.getLogger(__name__)
-
 ROLE_TAGS = {"pinned": "x", "sample": "y"}
 TAG_ROLES = {v: k for k, v in ROLE_TAGS.items()}
 
 
-@dataclass(frozen=True)
-class FractalSpec:
-    """Everything that pins down one construction run."""
-
+class _SpecFields(NamedTuple):
     dim: int
     target: Fraction
     norm: PolyhedralNorm
     schedule: BlockSchedule
     seed: int
 
-    def __post_init__(self):
-        if self.norm.dim != self.dim:
+
+class FractalSpec(_SpecFields):
+    """Everything that pins down one construction run.
+
+    No __slots__: the instance dict holds the cached plan and tail paths.
+    """
+
+    def __new__(cls, dim, target, norm, schedule, seed):
+        if norm.dim != dim:
             raise OutOfRange("norm dimension does not match spec dimension")
-        if (isinstance(self.seed, bool) or not isinstance(self.seed, int)
-                or not 0 <= self.seed < 1 << 64):
+        if (isinstance(seed, bool) or not isinstance(seed, int)
+                or not 0 <= seed < 1 << 64):
             raise OutOfRange("seed must be an unsigned 64-bit integer")
-        if self.schedule.free_fraction != self.target - (self.dim - 1):
+        if schedule.free_fraction != target - (dim - 1):
             raise OutOfRange("schedule free fraction inconsistent with target")
-        if self.schedule.n_functionals != self.norm.n_functionals:
+        if schedule.n_functionals != norm.n_functionals:
             raise OutOfRange("schedule cycle length != functional count")
-        c = min_margin(self.norm)
-        if self.schedule.margin < c:
+        c = min_margin(norm)
+        if schedule.margin < c:
             raise OutOfRange(
-                f"margin {self.schedule.margin} below norm requirement {c}")
-        report = validate(self.schedule)
+                f"margin {schedule.margin} below norm requirement {c}")
+        report = validate(schedule)
         if not report.ok:
             raise InfeasibleSchedule("; ".join(report.failures()))
+        return tuple.__new__(cls, (dim, target, norm, schedule, seed))
 
     @cached_property
     def plan(self) -> tuple["_Block", ...]:
@@ -94,8 +96,7 @@ class FractalSpec:
         return tuple(label_path(i, "block", tail) for i in range(self.dim))
 
 
-@dataclass(frozen=True, slots=True)
-class _Block:
+class _Block(NamedTuple):
     """Block k of a spec, as build_point and verify_point use it."""
 
     k: int
@@ -122,23 +123,27 @@ def make_spec(dim: int, target, norm: PolyhedralNorm, seed: int, *, m=None,
     return FractalSpec(dim, target, norm, sched, seed)
 
 
-@dataclass(frozen=True)
-class SamplePoint:
-    """Coordinate i is mantissas[i] * 2**-precision, a point of [0, 1)**d."""
-
+class _PointFields(NamedTuple):
     mantissas: tuple[int, ...]
     precision: int
     role: str
     index: int
 
-    def __post_init__(self):
-        if self.role not in ROLE_TAGS:
-            raise OutOfRange(f"unknown role {self.role!r}")
-        if not self.mantissas:
+
+class SamplePoint(_PointFields):
+    """Coordinate i is mantissas[i] * 2**-precision, a point of [0, 1)**d."""
+
+    __slots__ = ()
+
+    def __new__(cls, mantissas, precision, role, index):
+        if role not in ROLE_TAGS:
+            raise OutOfRange(f"unknown role {role!r}")
+        if not mantissas:
             raise OutOfRange("point needs at least one coordinate")
-        top = 1 << self.precision
-        if not all(0 <= m < top for m in self.mantissas):
+        top = 1 << precision
+        if not all(0 <= m < top for m in mantissas):
             raise OutOfRange("coordinates must lie in [0, 1)")
+        return tuple.__new__(cls, (mantissas, precision, role, index))
 
     @property
     def dim(self) -> int:
@@ -205,14 +210,13 @@ def build_point(spec: FractalSpec, index: int = 0,
                 role: str = "pinned") -> SamplePoint:
     mants = [0] * spec.dim
     stream = BitStream(spec.seed, "point", index, "coord")
-    for blk in spec.plan:
-        for i, nbits, shift, path in blk.draws:
-            mants[i] |= stream.draw(nbits, path) << shift
-        if blk.marker:
+    for _, coeffs, _, pivot, _, _, _, draws, shift, marker, cap in spec.plan:
+        for i, nbits, at, path in draws:
+            mants[i] |= stream.draw(nbits, path) << at
+        if marker:
             # the pivot's unsolved places are still zero
-            s0 = int_dot([m >> blk.shift for m in mants], blk.coeffs)
-            u = _steer(s0, blk.coeffs[blk.pivot], blk.marker, blk.cap)
-            mants[blk.pivot] |= u << blk.shift
+            s0 = int_dot([m >> shift for m in mants], coeffs)
+            mants[pivot] |= _steer(s0, coeffs[pivot], marker, cap) << shift
     for i, path in enumerate(spec.tail_paths):
         mants[i] |= stream.draw(1, path)
     return SamplePoint(tuple(mants), spec.schedule.depth, role, index)
@@ -231,8 +235,9 @@ def sample_points(spec: FractalSpec, count: int) -> list[SamplePoint]:
     for index in range(1, count + 1):
         pt = build_point(spec, index, "sample")
         if pt.mantissas in seen:
-            log.warning("points %d and %d are identical", seen[pt.mantissas],
-                        pt.index)
+            import logging  # only here: start-up skips it
+            logging.getLogger(__name__).warning(
+                "points %d and %d are identical", seen[pt.mantissas], pt.index)
         seen[pt.mantissas] = pt.index
         points.append(pt)
     return points
@@ -243,31 +248,32 @@ def sample_points(spec: FractalSpec, count: int) -> list[SamplePoint]:
 def _block_checks(mants: tuple, prec: int, blk: _Block, fulls: dict) -> dict:
     """{check: leftmost offending place} for each check block blk fails;
     fulls caches the point's full dot product per functional."""
-    if prec < blk.m_hi:
+    k, coeffs, pv, _, m_hi, a, b, _, _, marker, _ = blk
+    if prec < m_hi:
         raise PrecisionExceeded(
-            f"block {blk.k} needs {blk.m_hi} stored places, point has {prec}")
-    if not blk.marker:
+            f"block {k} needs {m_hi} stored places, point has {prec}")
+    if not marker:
         return {}
-    full = fulls.get(blk.coeffs)
+    full = fulls.get(coeffs)
     if full is None:
-        full = fulls[blk.coeffs] = int_dot(mants, blk.coeffs)
+        full = fulls[coeffs] = int_dot(mants, coeffs)
     failed = {}
-    span = blk.b - blk.a
+    span = b - a
     # full and truncated-at-m_hi sums, both floored at window place b
-    top = full >> (prec + blk.pv - blk.b)
-    cut = [m >> (prec - blk.m_hi) for m in mants]
-    low = int_dot(cut, blk.coeffs) >> (blk.m_hi + blk.pv - blk.b)
+    top = full >> (prec + pv - b)
+    cut = [m >> (prec - m_hi) for m in mants]
+    low = int_dot(cut, coeffs) >> (m_hi + pv - b)
     digits = top & ((1 << span) - 1)
     if digits:
-        failed["membership"] = blk.b + 1 - digits.bit_length()
+        failed["membership"] = b + 1 - digits.bit_length()
     if top != low:
         # floors that differ at one place differ at every finer place
-        failed["carry"] = blk.b - next(s for s in reversed(range(span))
-                                       if top >> s != low >> s)
-    modulus, lo, width = blk.marker
-    marked = int_dot([m >> 1 for m in cut], blk.coeffs) % modulus
+        failed["carry"] = b - next(s for s in reversed(range(span))
+                                   if top >> s != low >> s)
+    modulus, lo, width = marker
+    marked = int_dot([m >> 1 for m in cut], coeffs) % modulus
     if not lo <= marked < lo + width:
-        failed["pattern"] = blk.b + 1  # marker place
+        failed["pattern"] = b + 1  # marker place
     return failed
 
 
@@ -293,8 +299,7 @@ def pattern_holds(point: SamplePoint, spec: FractalSpec, k: int) -> bool:
     return "pattern" not in _checks(point, spec, k)
 
 
-@dataclass(frozen=True)
-class PointReport:
+class PointReport(NamedTuple):
     failures: tuple  # (block, check, place) triples
 
     @property
@@ -304,10 +309,11 @@ class PointReport:
 
 def verify_point(point: SamplePoint, spec: FractalSpec) -> PointReport:
     """Every check of every block, in one pass over the blocks."""
+    mants, prec = point.mantissas, point.precision
     fulls = {}
     return PointReport(tuple(
         (blk.k, check, place) for blk in spec.plan for check, place in
-        _block_checks(point.mantissas, point.precision, blk, fulls).items()))
+        _block_checks(mants, prec, blk, fulls).items()))
 
 
 # -- points file -----------------------------------------------------------

@@ -26,8 +26,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import (BudgetExceeded, InsufficientData, MissingCheckpoint,
                      OutOfRange)
@@ -41,43 +41,51 @@ __all__ = ["SlabGroup", "SlabSystem", "slab_system", "ExactCount",
            "FalconerReport", "falconer_check"]
 
 
-@dataclass(frozen=True)
-class SlabGroup:
-    """One functional's slab constraints: digits of the dot product vanish
-    on each (a, b] window."""
-
+class _GroupFields(NamedTuple):
     mantissas: tuple
     precision: int
     windows: tuple  # ((a, b), ...) ascending, disjoint
 
-    def __post_init__(self):
-        if self.precision < 0 or not any(self.mantissas):
+
+class SlabGroup(_GroupFields):
+    """One functional's slab constraints: digits of the dot product vanish
+    on each (a, b] window."""
+
+    __slots__ = ()
+
+    def __new__(cls, mantissas, precision, windows):
+        if precision < 0 or not any(mantissas):
             raise OutOfRange("group needs a nonzero functional")
         prev_b = 0
-        for a, b in self.windows:
+        for a, b in windows:
             if not 0 <= a < b:
                 raise OutOfRange(f"bad window ({a}, {b}]")
             if a < prev_b:
                 raise OutOfRange("windows must be disjoint and ascending")
             prev_b = b
+        return tuple.__new__(cls, (mantissas, precision, windows))
 
     @property
     def support(self) -> tuple:
         return tuple(i for i, v in enumerate(self.mantissas) if v)
 
 
-@dataclass(frozen=True)
-class SlabSystem:
+class _SystemFields(NamedTuple):
     dim: int
     depth: int
     groups: tuple
 
-    def __post_init__(self):
-        for g in self.groups:
-            if len(g.mantissas) != self.dim:
+
+class SlabSystem(_SystemFields):
+    __slots__ = ()
+
+    def __new__(cls, dim, depth, groups):
+        for g in groups:
+            if len(g.mantissas) != dim:
                 raise OutOfRange("group dimension mismatch")
-            if g.windows and max(b for _, b in g.windows) > self.depth:
+            if g.windows and max(b for _, b in g.windows) > depth:
                 raise OutOfRange("window deeper than the system depth")
+        return tuple.__new__(cls, (dim, depth, groups))
 
 
 def slab_system(spec) -> SlabSystem:
@@ -96,8 +104,7 @@ def slab_system(spec) -> SlabSystem:
     return SlabSystem(spec.dim, sched.depth, tuple(groups))
 
 
-@dataclass(frozen=True)
-class ExactCount:
+class ExactCount(NamedTuple):
     r: int
     lower: int
     upper: int
@@ -351,15 +358,13 @@ def count_point_cells(points, r: int) -> int:
                 for p in points})
 
 
-@dataclass(frozen=True)
-class BoxCount:
+class BoxCount(NamedTuple):
     r: int
     count: int
     mode: str
 
 
-@dataclass(frozen=True)
-class BoxCountSeries:
+class BoxCountSeries(NamedTuple):
     entries: tuple
 
     def entry(self, r: int) -> BoxCount:
@@ -387,8 +392,7 @@ def sampled_point_series(points, scales) -> BoxCountSeries:
                     len(points), scales)
 
 
-@dataclass(frozen=True)
-class ComplexityProfile:
+class ComplexityProfile(NamedTuple):
     """Piecewise-linear digit-complexity curve with integer breakpoints.
 
     value_at(r) and ratio(r) = P(r)/r evaluate one place; values() returns
@@ -500,8 +504,7 @@ def distance_slack(margin: int, block_end: int) -> int:
     return 2 * margin + (block_end - 1).bit_length() + 3
 
 
-@dataclass(frozen=True)
-class FalconerReport:
+class FalconerReport(NamedTuple):
     dim_set: float
     dim_dist: float
     ambient: int

@@ -13,7 +13,7 @@ its precision suggests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .dyadic import Dyadic
 from .errors import OutOfRange, PrecisionExceeded
@@ -25,8 +25,7 @@ __all__ = ["DistanceRecord", "delta_mantissas", "pinned", "pairwise",
            "CollapseReport", "collapse_check", "estimation_values"]
 
 
-@dataclass(frozen=True)
-class DistanceRecord:
+class DistanceRecord(NamedTuple):
     value: Dyadic
     achieving: int          # smallest index of a functional attaining the max
     source: tuple[int, int]  # point indices (first, second)
@@ -49,20 +48,30 @@ def delta_mantissas(x, y) -> list:
     return [a - b for a, b in zip(x.mantissas, y.mantissas)]
 
 
-def _records(pairs, prec: int, norm: PolyhedralNorm) -> list:
-    """One record per (x, y) pair of points at precision prec."""
+def _records(pairs, prec: int, norm: PolyhedralNorm, euclid=None) -> list:
+    """One record per (x, y) pair of points at precision prec.
+
+    euclid, if given, is (r, floors): each pair's euclid_floor_mantissa at r
+    places is appended to the list floors, from the difference the norm
+    measured, so a caller writing both takes each difference once.
+    """
     measure = norm.measure_mantissas
     out = []
+    r, floors = euclid or (None, None)
     for x, y in pairs:
-        value, ties = measure(delta_mantissas(x, y), prec)
+        delta = delta_mantissas(x, y)
+        value, ties = measure(delta, prec)
         out.append(DistanceRecord(value, ties[0], (x.index, y.index)))
+        if floors is not None:
+            floors.append(euclid_floor_mantissa(delta, prec, r))
     return out
 
 
-def pinned(x, ys, norm: PolyhedralNorm) -> list:
-    """Distances from the pinned point to each sample."""
+def pinned(x, ys, norm: PolyhedralNorm, euclid=None) -> list:
+    """Distances from the pinned point to each sample; euclid as in
+    _records."""
     prec = _shared_precision([x, *ys])
-    return _records(((x, y) for y in ys), prec, norm)
+    return _records(((x, y) for y in ys), prec, norm, euclid)
 
 
 def _unrank_pair(rank: int, n: int) -> tuple[int, int]:
@@ -73,11 +82,11 @@ def _unrank_pair(rank: int, n: int) -> tuple[int, int]:
 
 
 def pairwise(ys, norm: PolyhedralNorm, cap: int | None = None,
-             seed: int = 0) -> list:
+             seed: int = 0, euclid=None) -> list:
     """All unordered pair distances, subsampled to cap when there are more.
 
     Subsampling draws a uniform cap-subset of pair ranks (Floyd's method) so
-    reruns with the same seed pick the same pairs.
+    reruns with the same seed pick the same pairs.  euclid as in _records.
     """
     n = len(ys)
     total = n * (n - 1) // 2
@@ -92,7 +101,7 @@ def pairwise(ys, norm: PolyhedralNorm, cap: int | None = None,
             chosen.add(t if r in chosen else r)
         ranks = sorted(chosen)
     pairs = (_unrank_pair(rank, n) for rank in ranks)
-    return _records(((ys[i], ys[j]) for i, j in pairs), prec, norm)
+    return _records(((ys[i], ys[j]) for i, j in pairs), prec, norm, euclid)
 
 
 # Leading-digit Euclidean floors.  Squaring full mantissas costs more than
@@ -152,8 +161,7 @@ def euclid_floor(delta, r: int) -> Dyadic:
     return Dyadic(euclid_floor_mantissa(mants, prec, r), r)
 
 
-@dataclass(frozen=True)
-class BlockCollapse:
+class BlockCollapse(NamedTuple):
     block: int
     window: tuple[int, int]
     trimmed: tuple[int, int]
@@ -161,8 +169,7 @@ class BlockCollapse:
     constant_trimmed: bool
 
 
-@dataclass(frozen=True)
-class CollapseReport:
+class CollapseReport(NamedTuple):
     achieving: int
     ties: tuple
     blocks: tuple

@@ -8,9 +8,9 @@ digits into that coordinate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
+from typing import NamedTuple
 
 from .dyadic import Dyadic
 from .errors import (BadPivot, DegenerateNorm, DimensionMismatch,
@@ -27,8 +27,7 @@ def int_dot(mants, coeffs) -> int:
     return sum(map(mul, mants, coeffs))
 
 
-@dataclass(frozen=True)
-class Functional:
+class Functional(NamedTuple):
     """One face functional: coefficient mantissas at a shared precision.
 
     Coefficient i is mantissas[i] * 2**-precision.  pivot indexes the

@@ -12,8 +12,8 @@ Indexing: digit places and block numbers are 1-based, functional indices are
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import IndexOutOfRange, InfeasibleSchedule, OutOfRange
 
@@ -31,25 +31,30 @@ def free_fraction(s, d: int) -> Fraction:
     return s - (d - 1)
 
 
-@dataclass(frozen=True)
-class BlockSchedule:
-    """Immutable bookkeeping for K blocks.
-
-    bounds = (m_1, ..., m_{K+1}), splits = (n_1, ..., n_K).  margin is the
-    guard width c around each window; n_functionals is the cycle length.
-    """
-
+class _ScheduleFields(NamedTuple):
     margin: int
     bounds: tuple[int, ...]
     splits: tuple[int, ...]
     free_fraction: Fraction
     n_functionals: int
 
-    def __post_init__(self):
-        if not self.bounds:
+
+class BlockSchedule(_ScheduleFields):
+    """Immutable bookkeeping for K blocks.
+
+    bounds = (m_1, ..., m_{K+1}), splits = (n_1, ..., n_K).  margin is the
+    guard width c around each window; n_functionals is the cycle length.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, margin, bounds, splits, free_fraction, n_functionals):
+        if not bounds:
             raise OutOfRange("bounds must contain at least m_1")
-        if len(self.splits) != len(self.bounds) - 1:
+        if len(splits) != len(bounds) - 1:
             raise OutOfRange("need one split per block")
+        return tuple.__new__(cls, (margin, bounds, splits, free_fraction,
+                                   n_functionals))
 
     @property
     def n_blocks(self) -> int:
@@ -84,8 +89,7 @@ class BlockSchedule:
                 if self.functional_for_block(k) == ell]
 
 
-@dataclass(frozen=True)
-class ScheduleReport:
+class ScheduleReport(NamedTuple):
     checks: tuple[tuple[str, bool, str], ...]
 
     @property

@@ -551,13 +551,17 @@ def test_out_directory_created(tmp_path):
     ("profile", "file", "file"),  # --out is a file
     ("profile", "file/sub", "file/sub"),  # --out lies under a file
     ("verify", "dir", "dir/points.txt"),  # points.txt is a directory
+    ("profile", None, None),  # --out is empty; profile reads no input
 ])
 def test_unusable_paths_are_exit_2(tmp_path, capsys, command, out, named):
     cfg = write_config(tmp_path / "cfg.json")
     (tmp_path / "file").write_text("")
     (tmp_path / "dir" / "points.txt").mkdir(parents=True)
-    assert main([command, "--config", cfg, "--out", str(tmp_path / out)]) == 2
-    assert str(tmp_path / named) in capsys.readouterr().err
+    out = "" if out is None else str(tmp_path / out)
+    assert main([command, "--config", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("path error: ")
+    assert (repr("") if named is None else str(tmp_path / named)) in err
 
 
 def test_module_entry_point(tmp_path):
