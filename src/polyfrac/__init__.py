@@ -27,17 +27,14 @@ _HOME = {
     "falconer_check": "dimension", "profile_c_aware": "dimension",
     "profile_ideal": "dimension", "slab_system": "dimension",
 }
-_SUBMODULES = ("cli", "construct", "dimension", "distset", "dyadic",
-               "errors", "norms", "schedule", "streams")
 
 __all__ = [*_HOME, "__version__"]
 
 
 def __getattr__(name):
     home = _HOME.get(name)
-    if home is None and name not in _SUBMODULES:
+    if home is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module = importlib.import_module(f"{__name__}.{home or name}")
-    value = module if home is None else getattr(module, name)
+    value = getattr(importlib.import_module(f"{__name__}.{home}"), name)
     globals()[name] = value
     return value
