@@ -97,7 +97,11 @@ class FractalSpec(_SpecFields):
 
 
 class _Block(NamedTuple):
-    """Block k of a spec, as build_point and verify_point use it."""
+    """Block k of a spec, as build_point and verify_point use it.
+
+    Both unpack it once per block: a NamedTuple field load costs several
+    times a local load.
+    """
 
     k: int
     coeffs: tuple   # mantissas of the block's functional, at precision pv
