@@ -151,7 +151,9 @@ def _resolve(cfg: dict, seed=None, samples=None, budget=None) -> _Run:
                 _canonical_hash(cfg), _canonical_hash(resolved))
 
 
-def _write_manifest(run: _Run, out: str) -> None:
+def _write_manifest(run: _Run, args) -> None:
+    """manifest.json for construct, so it keeps describing the points.txt
+    written with it; manifest.<command>.json for every other command."""
     doc = {
         "format": "polyfrac-manifest v1",
         "tool": f"polyfrac {__version__}",
@@ -159,7 +161,9 @@ def _write_manifest(run: _Run, out: str) -> None:
         "manifest_hash": run.manifest_hash,
         "resolved": run.resolved,
     }
-    path = os.path.join(out, "manifest.json")
+    name = ("manifest.json" if args.command == "construct"
+            else f"manifest.{args.command}.json")
+    path = os.path.join(args.out, name)
     with open(path, "w", newline="\n") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
@@ -242,7 +246,7 @@ def cmd_construct(run: _Run, args) -> int:
         return 3
     path = os.path.join(args.out, _POINTS_FILE)
     cn.write_points(path, points, run.manifest_hash)
-    _write_manifest(run, args.out)
+    _write_manifest(run, args)
     print(f"wrote {len(points)} points (d={run.spec.dim}, "
           f"prec={run.spec.schedule.depth}) to {path}")
     return 0
@@ -253,13 +257,11 @@ def cmd_distset(run: _Run, args) -> int:
     points = _load_points(run, args)
     x, ys = points[0], points[1:]
     r = args.euclid
-    floors = []  # filled only when r is set
-    euclid = None if r is None else (r, floors)
     if args.pairwise:
         recs = ds.pairwise(ys, run.spec.norm, cap=run.budget,
-                           seed=run.spec.seed, euclid=euclid)
+                           seed=run.spec.seed, euclid=r)
     else:
-        recs = ds.pinned(x, ys, run.spec.norm, euclid=euclid)
+        recs = ds.pinned(x, ys, run.spec.norm, euclid=r)
     header = "pair_id,ell,mantissa_hex,prec"
     if r is not None:
         header += ",euclid_mantissa_hex,euclid_prec"
@@ -267,19 +269,18 @@ def cmd_distset(run: _Run, args) -> int:
     def row(rec) -> str:
         i, j = rec.source
         v = rec.value
-        return (f"{i}-{j},{rec.achieving},"
+        line = (f"{i}-{j},{rec.achieving},"
                 f"{cn.mantissa_to_hex(v.mantissa, v.precision)},{v.precision}")
+        if r is not None:
+            line += f",{cn.mantissa_to_hex(rec.euclid, r)},{r}"
+        return line + "\n"
 
     path = os.path.join(args.out, "distances.csv")
     with open(path, "w", newline="\n") as fh:
         fh.write(f"polyfrac-distances v1\n# manifest {run.manifest_hash}\n"
                  f"{header}\n")
-        if r is None:
-            fh.writelines(row(rec) + "\n" for rec in recs)
-        else:
-            fh.writelines(f"{row(rec)},{cn.mantissa_to_hex(e, r)},{r}\n"
-                          for rec, e in zip(recs, floors))
-    _write_manifest(run, args.out)
+        fh.writelines(map(row, recs))
+    _write_manifest(run, args)
     kind = "pairwise" if args.pairwise else "pinned"
     print(f"wrote {len(recs)} {kind} distances to {path}")
     return 0
@@ -319,7 +320,7 @@ def cmd_boxdim(run: _Run, args) -> int:
                      _boxcount_csv(ser, run.manifest_hash))
         _write_lines(os.path.join(args.out, f"boxcounts_{tag}.svg"),
                      _series_svg(ser, run.manifest_hash, tag))
-    _write_manifest(run, args.out)
+    _write_manifest(run, args)
 
     est_set = dm.dim_lower_estimate(set_series, run.scales)
     limited = [e.r for e in set_series.entries if e.mode == "saturated"]
@@ -386,7 +387,7 @@ def cmd_profile(run: _Run, args) -> int:
         path = os.path.join(args.out, f"profiles_{tag}.csv")
         _write_lines(path, lines)
         print(f"wrote {path}")
-    _write_manifest(run, args.out)
+    _write_manifest(run, args)
     return 0
 
 

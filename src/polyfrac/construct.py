@@ -19,16 +19,16 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .dyadic import Dyadic
-from .errors import (FormatError, IndexOutOfRange, InfeasibleSchedule,
-                     NoSolution, OutOfRange, PrecisionExceeded)
+from .errors import (FormatError, InfeasibleSchedule, NoSolution, OutOfRange,
+                     PrecisionExceeded)
 from .norms import PolyhedralNorm, int_dot, min_margin
 from .schedule import BlockSchedule, free_fraction, generate, validate
 from .streams import BitStream, label_path
 
 __all__ = ["FractalSpec", "SamplePoint", "PointReport", "make_spec",
            "build_point", "pinned_point", "sample_points",
-           "solve_pivot_offset", "membership", "verify_carry",
-           "pattern_holds", "verify_point", "write_points", "read_points"]
+           "solve_pivot_offset", "verify_point", "write_points",
+           "read_points"]
 
 ROLE_TAGS = {"pinned": "x", "sample": "y"}
 TAG_ROLES = {v: k for k, v in ROLE_TAGS.items()}
@@ -249,60 +249,6 @@ def sample_points(spec: FractalSpec, count: int) -> list[SamplePoint]:
 
 # -- per-block verification ------------------------------------------------
 
-def _block_checks(mants: tuple, prec: int, blk: _Block, fulls: dict) -> dict:
-    """{check: leftmost offending place} for each check block blk fails;
-    fulls caches the point's full dot product per functional."""
-    k, coeffs, pv, _, m_hi, a, b, _, _, marker, _ = blk
-    if prec < m_hi:
-        raise PrecisionExceeded(
-            f"block {k} needs {m_hi} stored places, point has {prec}")
-    if not marker:
-        return {}
-    full = fulls.get(coeffs)
-    if full is None:
-        full = fulls[coeffs] = int_dot(mants, coeffs)
-    failed = {}
-    span = b - a
-    # full and truncated-at-m_hi sums, both floored at window place b
-    top = full >> (prec + pv - b)
-    cut = [m >> (prec - m_hi) for m in mants]
-    low = int_dot(cut, coeffs) >> (m_hi + pv - b)
-    digits = top & ((1 << span) - 1)
-    if digits:
-        failed["membership"] = b + 1 - digits.bit_length()
-    if top != low:
-        # floors that differ at one place differ at every finer place
-        failed["carry"] = b - next(s for s in reversed(range(span))
-                                   if top >> s != low >> s)
-    modulus, lo, width = marker
-    marked = int_dot([m >> 1 for m in cut], coeffs) % modulus
-    if not lo <= marked < lo + width:
-        failed["pattern"] = b + 1  # marker place
-    return failed
-
-
-def _checks(point: SamplePoint, spec: FractalSpec, k: int) -> dict:
-    if not 1 <= k <= len(spec.plan):
-        raise IndexOutOfRange(f"block {k} outside 1..{len(spec.plan)}")
-    return _block_checks(point.mantissas, point.precision, spec.plan[k - 1],
-                         {})
-
-
-def membership(point: SamplePoint, spec: FractalSpec, k: int) -> bool:
-    """All digits of the full dot product vanish on block k's window."""
-    return "membership" not in _checks(point, spec, k)
-
-
-def verify_carry(point: SamplePoint, spec: FractalSpec, k: int) -> bool:
-    """Truncated and full dot products share floors on block k's window."""
-    return "carry" not in _checks(point, spec, k)
-
-
-def pattern_holds(point: SamplePoint, spec: FractalSpec, k: int) -> bool:
-    """The marker residue the solver installed during block k."""
-    return "pattern" not in _checks(point, spec, k)
-
-
 class PointReport(NamedTuple):
     failures: tuple  # (block, check, place) triples
 
@@ -312,12 +258,43 @@ class PointReport(NamedTuple):
 
 
 def verify_point(point: SamplePoint, spec: FractalSpec) -> PointReport:
-    """Every check of every block, in one pass over the blocks."""
+    """Every check of every block, in one pass over the blocks.
+
+    A failure (k, check, place) names the leftmost offending place of block
+    k's check: "membership" (a digit of the full dot product with the
+    block's functional is nonzero on its window), "carry" (that product and
+    the one truncated at the block end differ in floor there) or "pattern"
+    (the marker residue the solver installed is missing).
+    """
     mants, prec = point.mantissas, point.precision
-    fulls = {}
-    return PointReport(tuple(
-        (blk.k, check, place) for blk in spec.plan for check, place in
-        _block_checks(mants, prec, blk, fulls).items()))
+    fulls = {}  # the full dot product per functional
+    failures = []
+    for k, coeffs, pv, _, m_hi, a, b, _, _, marker, _ in spec.plan:
+        if prec < m_hi:
+            raise PrecisionExceeded(
+                f"block {k} needs {m_hi} stored places, point has {prec}")
+        if not marker:
+            continue
+        full = fulls.get(coeffs)
+        if full is None:
+            full = fulls[coeffs] = int_dot(mants, coeffs)
+        span = b - a
+        # full and truncated-at-m_hi sums, both floored at window place b
+        top = full >> (prec + pv - b)
+        cut = [m >> (prec - m_hi) for m in mants]
+        low = int_dot(cut, coeffs) >> (m_hi + pv - b)
+        digits = top & ((1 << span) - 1)
+        if digits:
+            failures.append((k, "membership", b + 1 - digits.bit_length()))
+        if top != low:
+            # floors that differ at one place differ at every finer place
+            failures.append((k, "carry", b - next(
+                s for s in reversed(range(span)) if top >> s != low >> s)))
+        modulus, lo, width = marker
+        marked = int_dot([m >> 1 for m in cut], coeffs) % modulus
+        if not lo <= marked < lo + width:
+            failures.append((k, "pattern", b + 1))  # marker place
+    return PointReport(tuple(failures))
 
 
 # -- points file -----------------------------------------------------------
@@ -374,10 +351,14 @@ def read_points(path) -> tuple[list, str]:
         raise FormatError("missing manifest line")
     mhash = lines[1].split()[-1]
     try:
-        head = dict(field.split("=") for field in lines[2].split())
-        dim, prec, count = (int(head[k]) for k in ("d", "prec", "count"))
-    except (ValueError, KeyError):
+        dim, prec, count = (int(field.partition("=")[2])
+                            for field in lines[2].split(" "))
+    except ValueError:
         raise FormatError("malformed header line") from None
+    # only the header write_points renders: keys d, prec, count in order,
+    # values with no sign, leading zero or other spelling int() takes
+    if lines[2] != f"d={dim} prec={prec} count={count}":
+        raise FormatError("malformed header line")
     if dim < 1 or prec < 1:
         raise FormatError("header needs d >= 1 and prec >= 1")
     if count < 1:

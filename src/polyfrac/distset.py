@@ -29,6 +29,7 @@ class DistanceRecord(NamedTuple):
     value: Dyadic
     achieving: int          # smallest index of a functional attaining the max
     source: tuple[int, int]  # point indices (first, second)
+    euclid: int | None = None  # euclid_floor_mantissa at the r places asked
 
 
 def _shared_precision(points) -> int:
@@ -48,26 +49,24 @@ def delta_mantissas(x, y) -> list:
     return [a - b for a, b in zip(x.mantissas, y.mantissas)]
 
 
-def _records(pairs, prec: int, norm: PolyhedralNorm, euclid=None) -> list:
-    """One record per (x, y) pair of points at precision prec.
-
-    euclid, if given, is (r, floors): each pair's euclid_floor_mantissa at r
-    places is appended to the list floors, from the difference the norm
-    measured, so a caller writing both takes each difference once.
-    """
+def _records(pairs, prec: int, norm: PolyhedralNorm,
+             euclid: int | None = None) -> list:
+    """One record per (x, y) pair of points at precision prec; euclid, if
+    given, is a number of places r >= 0 at which each record also takes its
+    Euclidean floor, from the difference the norm measured."""
     measure = norm.measure_mantissas
     out = []
-    r, floors = euclid or (None, None)
     for x, y in pairs:
         delta = delta_mantissas(x, y)
         value, ties = measure(delta, prec)
-        out.append(DistanceRecord(value, ties[0], (x.index, y.index)))
-        if floors is not None:
-            floors.append(euclid_floor_mantissa(delta, prec, r))
+        out.append(DistanceRecord(
+            value, ties[0], (x.index, y.index),
+            None if euclid is None else
+            euclid_floor_mantissa(delta, prec, euclid)))
     return out
 
 
-def pinned(x, ys, norm: PolyhedralNorm, euclid=None) -> list:
+def pinned(x, ys, norm: PolyhedralNorm, euclid: int | None = None) -> list:
     """Distances from the pinned point to each sample; euclid as in
     _records."""
     prec = _shared_precision([x, *ys])
@@ -82,7 +81,7 @@ def _unrank_pair(rank: int, n: int) -> tuple[int, int]:
 
 
 def pairwise(ys, norm: PolyhedralNorm, cap: int | None = None,
-             seed: int = 0, euclid=None) -> list:
+             seed: int = 0, euclid: int | None = None) -> list:
     """All unordered pair distances, subsampled to cap when there are more.
 
     Subsampling draws a uniform cap-subset of pair ranks (Floyd's method) so

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .errors import PrecisionExceeded
 
-__all__ = ["Dyadic", "ZERO"]
+__all__ = ["Dyadic"]
 
 
 class Dyadic:
@@ -33,10 +33,6 @@ class Dyadic:
         self.precision = precision
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def from_int(cls, n: int) -> "Dyadic":
-        return cls(n, 0)
 
     @classmethod
     def from_fraction(cls, q: Fraction) -> "Dyadic":
@@ -117,12 +113,6 @@ class Dyadic:
     def __abs__(self) -> "Dyadic":
         return Dyadic(abs(self.mantissa), self.precision)
 
-    def scale_pow2(self, e: int) -> "Dyadic":
-        """self * 2**e, exactly."""
-        if e >= self.precision:
-            return Dyadic(self.mantissa << (e - self.precision), 0)
-        return Dyadic(self.mantissa, self.precision - e)
-
     # -- digit operations --------------------------------------------------
 
     def floor_scaled(self, j: int) -> int:
@@ -149,16 +139,6 @@ class Dyadic:
             raise ValueError("truncation precision must be >= 0")
         return Dyadic(self.floor_scaled(p), p)
 
-    def mod_pow2(self, a: int) -> "Dyadic":
-        """self - 2**-a * floor(2**a * self); always in [0, 2**-a)."""
-        if a < 0:
-            raise ValueError("modulus exponent must be >= 0")
-        p = max(self.precision, a)
-        m = self.mantissa << (p - self.precision)
-        return Dyadic(m & ((1 << (p - a)) - 1), p)
-
     def __repr__(self) -> str:
         return f"Dyadic({self.mantissa}, {self.precision})"
 
-
-ZERO = Dyadic(0, 0)

@@ -17,8 +17,7 @@ from .errors import (BadPivot, DegenerateNorm, DimensionMismatch,
                      NonDyadicCoefficient, ZeroVector)
 
 __all__ = ["Functional", "PolyhedralNorm", "int_dot", "preset",
-           "custom_norm", "min_margin", "margin_ok",
-           "euclid_comparison_bounds"]
+           "custom_norm", "min_margin", "margin_ok"]
 
 
 def int_dot(mants, coeffs) -> int:
@@ -241,15 +240,3 @@ def min_margin(norm: PolyhedralNorm) -> int:
             raise DegenerateNorm("no finite margin constant")
     return c
 
-
-def euclid_comparison_bounds(norm_name: str, dim: int) -> tuple[Dyadic, Dyadic]:
-    """Dyadic (c1, c2) with c1*||x||_2 <= ||x||_P <= c2*||x||_2 for presets."""
-    # smallest k with 2**k >= sqrt(dim)
-    k = 0
-    while (1 << (2 * k)) < dim:
-        k += 1
-    if norm_name == "linf":
-        return Dyadic(1, k), Dyadic(1, 0)
-    if norm_name == "l1":
-        return Dyadic(1, 0), Dyadic(1 << k, 0)
-    raise ValueError(f"no comparison bounds for {norm_name!r}")

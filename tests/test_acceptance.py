@@ -13,9 +13,9 @@ from polyfrac import dimension as dm
 from polyfrac import distset as ds
 from polyfrac import schedule as sch
 from polyfrac.construct import (SamplePoint, build_point, hex_to_mantissa,
-                                make_spec, mantissa_to_hex, membership,
-                                pinned_point, read_points, solve_pivot_offset,
-                                verify_carry, verify_point, write_points)
+                                make_spec, mantissa_to_hex, pinned_point,
+                                read_points, solve_pivot_offset, verify_point,
+                                write_points)
 from polyfrac.dyadic import Dyadic
 from polyfrac.errors import NoSolution
 from polyfrac.norms import margin_ok, min_margin, preset
@@ -68,9 +68,9 @@ def test_02_carry_equality_and_solver_totality(ensemble):
     windows = 0
     for name, s, seed, spec, pts in ensemble:
         for p in pts:
-            for k in range(1, spec.schedule.n_blocks + 1):
-                assert verify_carry(p, spec, k)
-                windows += 1
+            failures = verify_point(p, spec).failures
+            assert [f for f in failures if f[1] == "carry"] == []
+            windows += spec.schedule.n_blocks
 
     rng = random.Random(0xACCE55)
     no_solution = 0
@@ -259,7 +259,8 @@ def test_07_property_suites(desk_spec, tmp_path):
     mutated = SamplePoint((coord.mantissa | 1 << (coord.precision - place),
                            point.mantissas[1]), point.precision,
                           point.role, point.index)
-    assert membership(point, spec, 3) and not membership(mutated, spec, 3)
+    assert verify_point(point, spec).ok
+    assert (3, "membership", place) in verify_point(mutated, spec).failures
 
     pts = [build_point(spec, i, "sample" if i else "pinned")
            for i in range(20)]

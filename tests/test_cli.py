@@ -294,8 +294,28 @@ def test_byte_determinism(tmp_path):
         assert main(["construct", "--config", cfg, "--out", str(out)]) == 0
         assert main(["distset", "--config", cfg, "--out", str(out)]) == 0
         outs.append(out)
-    for name in ("points.txt", "distances.csv", "manifest.json"):
+    for name in ("points.txt", "distances.csv", "manifest.json",
+                 "manifest.distset.json"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def test_readers_leave_the_points_manifest(tmp_path):
+    # budget is in the manifest hash, so this distset run has another one;
+    # manifest.json must still describe the points.txt beside it
+    cfg = write_config(tmp_path / "cfg.json")
+    assert main(["construct", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert main(["distset", "--config", cfg, "--out", str(tmp_path),
+                 "--pairwise", "--budget", "10"]) == 0
+
+    def stamped(name):  # the hash on line 2 of an output file
+        return (tmp_path / name).read_text().splitlines()[1].split()[-1]
+
+    def manifest(name):
+        return json.loads((tmp_path / name).read_text())["manifest_hash"]
+
+    assert manifest("manifest.json") == stamped("points.txt")
+    assert manifest("manifest.distset.json") == stamped("distances.csv")
+    assert stamped("points.txt") != stamped("distances.csv")
 
 
 def test_points_golden_digest(tmp_path):
@@ -517,7 +537,7 @@ def test_ratio_reads_like_s(tmp_path, ratio):
                        schedule={"c": "auto", "rule": "geometric", "K": 4,
                                  "ratio": ratio})
     assert main(["profile", "--config", cfg, "--out", str(tmp_path)]) == 0
-    got = json.loads((tmp_path / "manifest.json").read_text())
+    got = json.loads((tmp_path / "manifest.profile.json").read_text())
     norm = preset("linf", 2)
     want = generate(free_fraction(Fraction(3, 2), 2), min_margin(norm),
                     norm.n_functionals, K=4, ratio=Fraction(ratio))
@@ -570,7 +590,7 @@ def test_module_entry_point(tmp_path):
         [sys.executable, "-m", "polyfrac", "profile", "--config", cfg,
          "--out", str(tmp_path)], capture_output=True, text=True)
     assert proc.returncode == 0
-    assert (tmp_path / "manifest.json").exists()
+    assert (tmp_path / "manifest.profile.json").exists()
 
 
 def test_geometric_rule_config(tmp_path):
@@ -578,7 +598,7 @@ def test_geometric_rule_config(tmp_path):
                        schedule={"c": "auto", "rule": "geometric", "K": 3},
                        scales="checkpoints")
     assert main(["profile", "--config", cfg, "--out", str(tmp_path)]) == 0
-    doc = json.loads((tmp_path / "manifest.json").read_text())
+    doc = json.loads((tmp_path / "manifest.profile.json").read_text())
     m = doc["resolved"]["schedule"]["m"]
     assert m[0] == 1 and len(m) == 4
     assert doc["resolved"]["scales"] == m[1:]

@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 
 from polyfrac.construct import (FractalSpec, SamplePoint, build_point,
                                 hex_to_mantissa, make_spec, mantissa_to_hex,
-                                membership, pattern_holds, pinned_point,
-                                read_points, sample_points, solve_pivot_offset,
-                                verify_carry, verify_point, write_points)
+                                pinned_point, read_points, sample_points,
+                                solve_pivot_offset, verify_point, write_points)
 from polyfrac.dyadic import Dyadic
 from polyfrac.errors import (FormatError, NoSolution, OutOfRange,
                              PrecisionExceeded)
@@ -116,10 +115,6 @@ def test_pinned_point_verifies(desk):
     pt = pinned_point(desk)
     assert pt.role == "pinned" and pt.index == 0
     assert pt.precision == 96
-    for k in (1, 2, 3):
-        assert membership(pt, desk, k)
-        assert verify_carry(pt, desk, k)
-        assert pattern_holds(pt, desk, k)
     assert verify_point(pt, desk).ok
 
 
@@ -216,11 +211,9 @@ def test_shallow_point_raises(desk):
     pt = pinned_point(desk)
     shallow = SamplePoint(tuple(m >> (pt.precision - 32) for m in pt.mantissas),
                           32, "pinned", 0)
-    assert membership(shallow, desk, 1)
-    with pytest.raises(PrecisionExceeded):
-        membership(shallow, desk, 3)
-    with pytest.raises(PrecisionExceeded):
-        verify_carry(shallow, desk, 3)
+    # blocks 1 and 2 end within 32 places; block 3 needs 96
+    with pytest.raises(PrecisionExceeded, match="block 3 needs 96"):
+        verify_point(shallow, desk)
 
 
 def test_spec_validation():
@@ -315,6 +308,11 @@ def test_points_file_rejects_malformed(tmp_path, desk):
     reject([good[0], "# manifesto cafe"] + good[2:])
     reject(good[:2] + ["d=2 prec=96 count=2"] + good[3:])  # count mismatch
     reject(good[:2] + ["d=2 prec=96"] + good[3:])
+    # headers other than the one write_points renders are not reinterpreted
+    reject(good[:2] + ["d=3 prec=96 count=1 d=2"] + good[3:])
+    reject(good[:2] + ["d=2 prec=96 count=1 junk=1"] + good[3:])
+    reject(good[:2] + ["prec=96 d=2 count=1"] + good[3:])
+    reject(good[:2] + ["d=2 prec=96 count=01"] + good[3:])
     reject(good[:2] + ["d=2 prec=96 count=0"])
     reject(good[:2] + ["d=-1 prec=96 count=1", ""])
     reject(good[:2] + ["d=0 prec=96 count=1", "x"])

@@ -197,6 +197,28 @@ def test_euclid_floor_matches_norm_bounds(desk, desk_points):
         assert e * e <= 2 * v * v
 
 
+@pytest.mark.parametrize("sampled", [False, True])
+def test_records_carry_euclid_floor(desk, desk_points, sampled):
+    # each record's floor is the one of its own pair's difference, and only
+    # a call given euclid takes it
+    x, ys = desk_points
+    by_index = {p.index: p for p in (x, *ys)}
+
+    def run(euclid=None):
+        if sampled:  # a cap below the 66 pairs, so Floyd's draws pick them
+            return pairwise(ys, desk.norm, cap=20, seed=3, euclid=euclid)
+        return pinned(x, ys, desk.norm, euclid=euclid)
+
+    recs, plain = run(euclid=24), run()
+    assert len(recs) == (20 if sampled else 12)
+    for rec in recs:
+        a, b = (by_index[i] for i in rec.source)
+        assert rec.euclid == euclid_floor_mantissa(delta_mantissas(a, b),
+                                                   x.precision, 24)
+    assert [rec.euclid for rec in plain] == [None] * len(recs)
+    assert [rec._replace(euclid=None) for rec in recs] == plain
+
+
 def test_collapse_on_constructed_pairs(desk, desk_points):
     x, ys = desk_points
     for y in ys:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from polyfrac.dyadic import ZERO, Dyadic
+from polyfrac.dyadic import Dyadic
 from polyfrac.errors import PrecisionExceeded
 
 mantissas = st.integers(min_value=-(1 << 80), max_value=1 << 80)
@@ -17,7 +17,7 @@ def test_basic_values():
     assert Dyadic(3, 2).as_fraction() == Fraction(3, 4)
     assert Dyadic(-3, 2).as_fraction() == Fraction(-3, 4)
     assert float(Dyadic(1, 1)) == 0.5
-    assert not ZERO
+    assert not Dyadic(0, 0)
     assert Dyadic(1, 10)
 
 
@@ -90,21 +90,6 @@ def test_truncate_drops_fine_digits(a, p):
     t = a.truncate(p)
     assert t.precision == p
     assert t.as_fraction() == Fraction(math.floor(a.as_fraction() * 2**p), 2**p)
-
-
-def test_from_int():
-    assert Dyadic.from_int(-7) == Dyadic(-7, 0)
-    assert Dyadic.from_int(3).as_fraction() == 3
-
-
-@given(dyadics, st.integers(min_value=0, max_value=80))
-def test_mod_pow2_matches_fraction_mod(a, k):
-    assert a.mod_pow2(k).as_fraction() == a.as_fraction() % Fraction(1, 2**k)
-
-
-@given(dyadics, st.integers(min_value=-30, max_value=30))
-def test_scale_pow2(a, e):
-    assert a.scale_pow2(e).as_fraction() == a.as_fraction() * Fraction(2) ** e
 
 
 def test_repr_round_trips_value():

@@ -8,8 +8,7 @@ from polyfrac.dyadic import Dyadic
 from polyfrac.errors import (BadPivot, DegenerateNorm, DimensionMismatch,
                              NonDyadicCoefficient, ZeroVector)
 from polyfrac.norms import (Functional, PolyhedralNorm, custom_norm,
-                            euclid_comparison_bounds, margin_ok, min_margin,
-                            preset)
+                            margin_ok, min_margin, preset)
 
 vectors2 = st.lists(
     st.builds(Dyadic, st.integers(min_value=-1000, max_value=1000),
@@ -173,22 +172,3 @@ def test_margin_ok_small_pivot():
     # pivot coefficient 1/4 forces 1/v_pivot = 4 <= 2**(c-3), so c >= 5
     n = custom_norm([[[1, 2], [0, 0]], [[0, 0], [1, 0]]])
     assert min_margin(n) == 5
-
-
-def test_euclid_comparison_bounds_frozen():
-    assert euclid_comparison_bounds("linf", 2) == (Dyadic(1, 1), Dyadic(1, 0))
-    assert euclid_comparison_bounds("l1", 2) == (Dyadic(1, 0), Dyadic(2, 0))
-    assert euclid_comparison_bounds("linf", 1) == (Dyadic(1, 0), Dyadic(1, 0))
-    assert euclid_comparison_bounds("linf", 5) == (Dyadic(1, 2), Dyadic(1, 0))
-    with pytest.raises(ValueError):
-        euclid_comparison_bounds("l2", 2)
-
-
-@given(vectors2, st.sampled_from(["linf", "l1"]))
-def test_euclid_comparison_holds(x, name):
-    # compare squares to stay in exact rationals
-    c1, c2 = euclid_comparison_bounds(name, 2)
-    normed = preset(name, 2).evaluate(x).as_fraction()
-    sq = sum(v.as_fraction() ** 2 for v in x)
-    assert normed * normed >= c1.as_fraction() ** 2 * sq
-    assert normed * normed <= c2.as_fraction() ** 2 * sq

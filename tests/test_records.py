@@ -33,8 +33,8 @@ RECORDS = [
      lambda: SamplePoint((1, 2), 4, "sample", 3)),
     (PointReport, ("failures",),
      lambda: PointReport(((1, "carry", 5),))),
-    (DistanceRecord, ("value", "achieving", "source"),
-     lambda: DistanceRecord(Dyadic(3, 4), 0, (0, 1))),
+    (DistanceRecord, ("value", "achieving", "source", "euclid"),
+     lambda: DistanceRecord(Dyadic(3, 4), 0, (0, 1), 5)),
     (BlockCollapse, ("block", "window", "trimmed", "constant_full",
                      "constant_trimmed"),
      lambda: BlockCollapse(1, (2, 5), (3, 4), True, False)),
