@@ -231,6 +231,73 @@ def test_boxdim_budget_starvation(tmp_path, capsys):
     assert all(r.split(",")[3] == "saturated" for r in rows[3:])
 
 
+# |x|, |x/2 + y| and |x/2 - y|: three functionals, two at precision 1
+HEX_NORM = {"custom": [[[1, 0], [0, 0]], [[1, 1], [1, 0]],
+                       [[1, 1], [-1, 0]]]}
+
+BOXDIM_GOLDEN = {
+    "desk": ({"dimension": 2, "s": "3/2", "norm": {"preset": "linf"},
+              "schedule": {"c": "auto", "m": [1, 16, 32, 96]}}, 3, [
+        "r=16 count=2147483648 mode=exact",
+        "r=32 count=2305843009213693952 mode=exact",
+        "r=96 count=11692013098647223345629478661730264157247460343808"
+        " mode=exact",
+        "dim_set lower estimate 1.6979 over scales [16, 32, 96]",
+        "dist ell=0 r=13 log2count=6.58 bound=9+13 ok",
+        "dist ell=0 r=93 log2count=6.88 bound=64+16 ok",
+        "dist ell=1 r=29 log2count=7.51 bound=24+14 ok",
+        "falconer: dim_set>=1.6979 dim_dist>=0.0740 threshold=0.6479 "
+        "FAIL; sample-limited (saturated) at ell=0 r=13, ell=0 r=93, "
+        "ell=1 r=29"]),
+    "l1-d3": ({"dimension": 3, "s": "9/4", "norm": {"preset": "l1"},
+               "schedule": {"c": "auto", "m": [1, 16, 32, 96]}}, 0, [
+        "r=16 count=149533581377536 mode=exact",
+        "r=32 count=301 mode=saturated",
+        "r=96 count=301 mode=saturated",
+        "dim_set lower estimate 0.0858 over scales [16, 32, 96]; "
+        "sample-limited (saturated) at [32, 96]",
+        "dist ell=0 r=11 log2count=5.95 bound=5+17 ok",
+        "dist ell=1 r=27 log2count=6.82 bound=20+18 ok",
+        "dist ell=2 r=91 log2count=6.27 bound=48+20 ok",
+        "falconer: dim_set>=0.0858 dim_dist>=0.0689 threshold=-1.9642 "
+        "PASS; sample-limited (saturated) at ell=0 r=11, ell=1 r=27, "
+        "ell=2 r=91"]),
+    "hex": ({"dimension": 2, "s": "3/2", "norm": HEX_NORM,
+             "schedule": {"c": "auto", "m": [1, 16, 32, 96, 384]}}, 3, [
+        "r=19 count=137438953472 mode=exact",
+        "r=38 count=20070057552195992158208 mode=exact",
+        "r=114 count=106710729501573572985208503271280065630982099043"
+        "829854240768 mode=exact",
+        "r=456 count=689456532887748412341091025928864224451014138635"
+        "639044112158674527024860928026977516082500242976073479227921"
+        "509126512162531600743815690362632644531367975328653607141790"
+        "232756518120302545016645071290572999593807577088 mode=exact",
+        "dim_set lower estimate 1.5724 over scales [19, 38, 114, 456]",
+        "dist ell=0 r=15 log2count=6.17 bound=10+16 ok",
+        "dist ell=0 r=452 log2count=6.21 bound=285+20 ok",
+        "dist ell=1 r=34 log2count=7.10 bound=29+17 ok",
+        "dist ell=2 r=110 log2count=6.48 bound=76+18 ok",
+        "falconer: dim_set>=1.5724 dim_dist>=0.0137 threshold=0.5224 "
+        "FAIL; sample-limited (saturated) at ell=0 r=15, ell=0 r=452, "
+        "ell=1 r=34, ell=2 r=110"]),
+}
+
+
+@pytest.mark.parametrize("name", list(BOXDIM_GOLDEN))
+def test_boxdim_stdout_golden(tmp_path, name, capsys):
+    # every line boxdim --falconer prints, at seed 7 with 300 samples and the
+    # default scales (each block end from m_2 on); the distance lines read
+    # each checkpoint, its bound and its slack off the schedule's blocks
+    base, code, lines = BOXDIM_GOLDEN[name]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(base, samples=300, seed=7)))
+    construct(str(cfg), tmp_path)
+    capsys.readouterr()
+    assert main(["boxdim", "--config", str(cfg), "--out", str(tmp_path),
+                 "--falconer"]) == code
+    assert capsys.readouterr().out.splitlines() == lines
+
+
 def test_profile_outputs(tmp_path):
     cfg = write_config(tmp_path / "cfg.json")
     assert main(["profile", "--config", cfg, "--out", str(tmp_path)]) == 0
