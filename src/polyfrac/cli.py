@@ -117,7 +117,7 @@ def _resolve(cfg: dict, seed=None, samples=None, budget=None) -> _Run:
     spec = cn.FractalSpec(dim, s, norm, sched, seed)
     raw_scales = cfg.get("scales", "checkpoints")
     if raw_scales == "checkpoints":
-        scales = [sched.bound(k) for k in range(2, sched.n_blocks + 2)]
+        scales = list(sched.bounds[1:])
     else:
         scales = list(raw_scales)
         for r in scales:
@@ -308,13 +308,12 @@ def cmd_boxdim(run: _Run, args) -> int:
         print(f"r={e.r} count={e.count} mode={e.mode}")
 
     values = ds.estimation_values(ds.pinned(points[0], points[1:], spec.norm))
-    dist_series, dist_cps = [], []
+    sched = spec.schedule
+    dist_series = []
     for ell in range(spec.norm.n_functionals):
-        cps = dm.distance_checkpoints(spec, ell)
-        ser = dm.sampled_distance_series(values.get(ell, []),
-                                         [r for r, _ in cps])
+        ser = dm.sampled_distance_series(
+            values.get(ell, []), [w.b for w in sched.of_functional(ell)])
         dist_series.append(ser)
-        dist_cps.append(cps)
         tag = f"dist_ell{ell}"
         _write_lines(os.path.join(args.out, f"boxcounts_{tag}.csv"),
                      _boxcount_csv(ser, run.manifest_hash))
@@ -327,19 +326,20 @@ def cmd_boxdim(run: _Run, args) -> int:
     print(f"dim_set lower estimate {est_set:.4f} over scales "
           f"{list(run.scales)}"
           + (f"; sample-limited (saturated) at {limited}" if limited else ""))
-    margin = spec.schedule.margin
-    for ell, (ser, cps) in enumerate(zip(dist_series, dist_cps)):
-        for r, bound in cps:
-            # a checkpoint sits margin places below its block's end
-            slack = dm.distance_slack(margin, r + margin)
-            e = ser.entry(r)
-            if e.count:
-                lg = math.log2(e.count)
-                word = "ok" if lg <= bound + slack else "over"
-                print(f"dist ell={ell} r={r} log2count={lg:.2f} "
-                      f"bound={bound}+{slack} {word}")
-            else:
-                print(f"dist ell={ell} r={r} empty bound={bound}+{slack} ok")
+    for ell, ser in enumerate(dist_series):
+        # a checkpoint tops its block's window, with n_k digits as its ideal
+        # bound; an empty window constrains no digit, so it bounds nothing
+        for w in sched.of_functional(ell):
+            e = ser.entry(w.b)
+            lg = math.log2(e.count) if e.count else None
+            line = f"dist ell={ell} r={w.b} " + (
+                "empty" if lg is None else f"log2count={lg:.2f}")
+            if w.a >= w.b:
+                print(f"{line} no thinning claimed (empty window)")
+                continue
+            slack = dm.distance_slack(sched.margin, w.end)
+            word = "ok" if lg is None or lg <= w.split + slack else "over"
+            print(f"{line} bound={w.split}+{slack} {word}")
 
     code = 0
     if args.falconer:

@@ -70,18 +70,16 @@ class FractalSpec(_SpecFields):
     @cached_property
     def plan(self) -> tuple["_Block", ...]:
         """Each block resolved once for build_point and verify_point."""
-        sched, depth = self.schedule, self.schedule.depth
+        depth = self.schedule.depth
         plan = []
-        for k in range(1, sched.n_blocks + 1):
-            f = self.norm.functionals[sched.functional_for_block(k)]
-            m_lo, m_hi, n = sched.bound(k), sched.bound(k + 1), sched.split(k)
+        for k, ell, m_lo, n, m_hi, a, b in self.schedule.blocks:
+            f = self.norm.functionals[ell]
             ends = [n if i == f.pivot else m_hi for i in range(self.dim)]
             draws = tuple((i, hi - m_lo, depth - hi + 1,
                            label_path(i, "block", k))
                           for i, hi in enumerate(ends) if hi > m_lo)
             # validation leaves a < b exactly when the pivot has places to
             # solve (n < m_hi); otherwise the window is empty and unchecked
-            a, b = sched.window(k)
             marker = _marker(m_hi - 1 + f.precision, a, b) if a < b else None
             plan.append(_Block(k, f.mantissas, f.precision, f.pivot, m_hi, a,
                                b, draws, depth - m_hi + 1, marker,

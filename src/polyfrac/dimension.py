@@ -37,7 +37,7 @@ __all__ = ["SlabGroup", "SlabSystem", "slab_system", "ExactCount",
            "count_point_cells", "BoxCount", "BoxCountSeries",
            "sampled_distance_series", "sampled_point_series",
            "ComplexityProfile", "profile_ideal", "profile_c_aware",
-           "dim_lower_estimate", "distance_checkpoints", "distance_slack",
+           "dim_lower_estimate", "distance_slack",
            "FalconerReport", "falconer_check"]
 
 
@@ -92,15 +92,10 @@ def slab_system(spec) -> SlabSystem:
     """Margin-aware slab constraints satisfied by every constructed point."""
     sched = spec.schedule
     groups = []
-    for ell in range(spec.norm.n_functionals):
-        wins = []
-        for k in sched.blocks_for_functional(ell):
-            a, b = sched.window(k)
-            if a < b:
-                wins.append((a, b))
+    for ell, f in enumerate(spec.norm.functionals):
+        wins = tuple((w.a, w.b) for w in sched.of_functional(ell) if w.a < w.b)
         if wins:
-            f = spec.norm.functionals[ell]
-            groups.append(SlabGroup(f.mantissas, f.precision, tuple(wins)))
+            groups.append(SlabGroup(f.mantissas, f.precision, wins))
     return SlabSystem(spec.dim, sched.depth, tuple(groups))
 
 
@@ -449,14 +444,14 @@ def _profile(schedule, dim: int, ell: int | None,
     functional ell walks ell's blocks only, from place 0, adding 1 and 0.
     """
     if ell is None:
-        blocks, free, fixed = range(1, schedule.n_blocks + 1), dim, dim - 1
-        pos = schedule.bound(1)
+        blocks, free, fixed = schedule.blocks, dim, dim - 1
+        pos = schedule.bounds[0]
         parts = [(0, pos, 0)]
     else:
-        blocks, free, fixed = schedule.blocks_for_functional(ell), 1, 0
+        blocks, free, fixed = schedule.of_functional(ell), 1, 0
         parts, pos = [], 0
-    for k in blocks:
-        a, b = schedule.split(k) + margin, schedule.bound(k + 1) - margin
+    for w in blocks:
+        a, b = w.split + margin, w.end - margin
         if a < b:
             parts += [(pos, a, free), (a, b, fixed)]
             pos = b
@@ -489,14 +484,6 @@ def dim_lower_estimate(series: BoxCountSeries, checkpoints) -> float:
     if best is None:
         raise MissingCheckpoint("no checkpoints given")
     return best
-
-
-def distance_checkpoints(spec, ell: int) -> list:
-    """(scale, ideal digit bound) pairs where the pinned distance set for
-    functional ell is provably thin."""
-    sched = spec.schedule
-    return [(sched.bound(k + 1) - sched.margin, sched.split(k))
-            for k in sched.blocks_for_functional(ell)]
 
 
 def distance_slack(margin: int, block_end: int) -> int:

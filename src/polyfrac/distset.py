@@ -199,11 +199,7 @@ def collapse_check(x, y, spec) -> CollapseReport:
     value, ties = spec.norm.measure_mantissas(delta_mantissas(x, y), prec)
     achieving = ties[0]
     blocks = []
-    for k in sched.blocks_for_functional(achieving):
-        a, b = sched.window(k)
-        if a >= b:
-            blocks.append(BlockCollapse(k, (a, b), (a + 1, b - 1), True, True))
-            continue
+    for k, _, _, _, _, a, b in sched.of_functional(achieving):
         blocks.append(BlockCollapse(
             k, (a, b), (a + 1, b - 1),
             _digits_constant(value.mantissa, value.precision, a, b),

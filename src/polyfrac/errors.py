@@ -37,10 +37,6 @@ class InfeasibleSchedule(PolyfracError):
     """Block schedule violates a structural constraint."""
 
 
-class IndexOutOfRange(PolyfracError, IndexError):
-    """Block index outside 1..K."""
-
-
 class NoSolution(PolyfracError):
     """Pivot-digit solver found no admissible bit string."""
 

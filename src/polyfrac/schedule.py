@@ -6,19 +6,21 @@ the first part [m_k, n_k) is free (random) and the trimmed window
 through the norm's functionals.
 
 Indexing: digit places and block numbers are 1-based, functional indices are
-0-based.
+0-based.  BlockSchedule.blocks tabulates every block once; each reader of
+block data goes through it.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple
 
-from .errors import IndexOutOfRange, InfeasibleSchedule, OutOfRange
+from .errors import InfeasibleSchedule, OutOfRange
 
-__all__ = ["BlockSchedule", "ScheduleReport", "free_fraction", "generate",
-           "validate"]
+__all__ = ["Block", "BlockSchedule", "ScheduleReport", "free_fraction",
+           "generate", "validate"]
 
 
 def free_fraction(s, d: int) -> Fraction:
@@ -39,14 +41,27 @@ class _ScheduleFields(NamedTuple):
     n_functionals: int
 
 
+class Block(NamedTuple):
+    """Block k, places [start, end): random up to split, digit constraints
+    on the trimmed window (a, b], empty when a >= b.  ell is the functional
+    the block serves."""
+
+    k: int
+    ell: int
+    start: int
+    split: int
+    end: int
+    a: int
+    b: int
+
+
 class BlockSchedule(_ScheduleFields):
     """Immutable bookkeeping for K blocks.
 
     bounds = (m_1, ..., m_{K+1}), splits = (n_1, ..., n_K).  margin is the
     guard width c around each window; n_functionals is the cycle length.
+    No __slots__: the instance dict holds the cached block table.
     """
-
-    __slots__ = ()
 
     def __new__(cls, margin, bounds, splits, free_fraction, n_functionals):
         if not bounds:
@@ -65,28 +80,18 @@ class BlockSchedule(_ScheduleFields):
         """Finest digit place touched by the construction."""
         return self.bounds[-1]
 
-    def bound(self, k: int) -> int:
-        if not 1 <= k <= len(self.bounds):
-            raise IndexOutOfRange(f"bound index {k} outside 1..{len(self.bounds)}")
-        return self.bounds[k - 1]
+    @cached_property
+    def blocks(self) -> tuple[Block, ...]:
+        """Every block in order, its window trimmed by the margin."""
+        c, n_f = self.margin, self.n_functionals
+        return tuple(Block(k, (k - 1) % n_f, start, n, end, n + c, end - c)
+                     for k, (start, n, end) in enumerate(
+                         zip(self.bounds, self.splits, self.bounds[1:]), 1))
 
-    def split(self, k: int) -> int:
-        if not 1 <= k <= self.n_blocks:
-            raise IndexOutOfRange(f"block {k} outside 1..{self.n_blocks}")
-        return self.splits[k - 1]
-
-    def window(self, k: int) -> tuple[int, int]:
-        """Constrained places of block k as (lo, hi] after margin trimming."""
-        return (self.split(k) + self.margin, self.bound(k + 1) - self.margin)
-
-    def functional_for_block(self, k: int) -> int:
-        if k < 1:
-            raise IndexOutOfRange("block numbers start at 1")
-        return (k - 1) % self.n_functionals
-
-    def blocks_for_functional(self, ell: int) -> list[int]:
-        return [k for k in range(1, self.n_blocks + 1)
-                if self.functional_for_block(k) == ell]
+    def of_functional(self, ell: int) -> tuple[Block, ...]:
+        """Functional ell's blocks, in order: blocks cycle through the
+        functionals, block k serving (k - 1) mod n_functionals."""
+        return self.blocks[ell::self.n_functionals]
 
 
 class ScheduleReport(NamedTuple):
@@ -119,19 +124,17 @@ def validate(schedule: BlockSchedule) -> ScheduleReport:
         ok = 2 * s.margin < s.bounds[1]
         checks.append(("margin fits below first block end", ok,
                        f"2c = {2 * s.margin} vs m_2 = {s.bounds[1]}"))
-    for k in range(1, s.n_blocks + 1):
-        ok = k * s.bound(k) <= s.bound(k + 1)
-        checks.append((f"growth at block {k}", ok,
-                       f"{k}*m_{k} = {k * s.bound(k)} vs m_{k + 1} = {s.bound(k + 1)}"))
-    for k in range(1, s.n_blocks + 1):
-        want = _expected_split(s.bound(k), s.bound(k + 1), s.free_fraction)
-        checks.append((f"split at block {k}", s.split(k) == want,
-                       f"n_{k} = {s.split(k)}, expected {want}"))
+    for k, _, start, _, end, _, _ in s.blocks:
+        checks.append((f"growth at block {k}", k * start <= end,
+                       f"{k}*m_{k} = {k * start} vs m_{k + 1} = {end}"))
+    for k, _, start, n, end, _, _ in s.blocks:
+        want = _expected_split(start, end, s.free_fraction)
+        checks.append((f"split at block {k}", n == want,
+                       f"n_{k} = {n}, expected {want}"))
     if s.free_fraction < 1:
-        for k in range(1, s.n_blocks + 1):
-            lo, hi = s.window(k)
-            checks.append((f"window at block {k} nonempty", lo < hi,
-                           f"({lo}, {hi}]"))
+        for k, _, _, _, _, a, b in s.blocks:
+            checks.append((f"window at block {k} nonempty", a < b,
+                           f"({a}, {b}]"))
     else:
         # alpha = 1 leaves no constrained places; windows are empty by design
         checks.append(("windows vacuous at full dimension", True, "alpha = 1"))

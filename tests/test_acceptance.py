@@ -142,11 +142,10 @@ def test_05_distance_cells_below_checkpoint_budget(desk_spec):
     sched = spec.schedule
     limits = {}
     for ell in range(spec.norm.n_functionals):
-        for (r, bound), k in zip(dm.distance_checkpoints(spec, ell),
-                                 sched.blocks_for_functional(ell)):
-            if r <= CHECKPOINT_CUTOFF:
-                slack = dm.distance_slack(sched.margin, sched.bound(k + 1))
-                limits[(ell, r)] = bound + slack
+        for w in sched.of_functional(ell):
+            if w.b <= CHECKPOINT_CUTOFF:
+                slack = dm.distance_slack(sched.margin, w.end)
+                limits[(ell, w.b)] = w.split + slack
     assert limits == CELL_LIMITS
 
     x = pinned_point(spec)
@@ -177,7 +176,7 @@ def test_06_distance_dimension_inequality(ensemble):
     summary = {}
     for key, spec in families.items():
         sched = spec.schedule
-        scales = [sched.bound(k) for k in range(2, sched.n_blocks + 2)]
+        scales = list(sched.bounds[1:])
         prof = dm.profile_ideal(sched, spec.dim)
         series = dm.BoxCountSeries(tuple(
             dm.BoxCount(r, 1 << prof.value_at(r), "exact") for r in scales))
@@ -185,7 +184,7 @@ def test_06_distance_dimension_inequality(ensemble):
 
         per_functional = []
         for ell in range(spec.norm.n_functionals):
-            cps = dm.distance_checkpoints(spec, ell)
+            cps = [(w.b, w.split) for w in sched.of_functional(ell)]
             dist_series = dm.BoxCountSeries(tuple(
                 dm.BoxCount(r, 1 << b, "exact") for r, b in cps))
             est = dm.dim_lower_estimate(dist_series, [r for r, _ in cps])
@@ -253,7 +252,7 @@ def test_07_property_suites(desk_spec, tmp_path):
 
     spec = desk_spec
     point = build_point(spec, 5, "sample")
-    a, b = spec.schedule.window(3)
+    a, b = spec.schedule.blocks[2].a, spec.schedule.blocks[2].b
     coord = Dyadic(point.mantissas[0], point.precision)
     place = next(j for j in range(a + 1, b + 1) if not coord.bit(j))
     mutated = SamplePoint((coord.mantissa | 1 << (coord.precision - place),

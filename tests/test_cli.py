@@ -298,6 +298,25 @@ def test_boxdim_stdout_golden(tmp_path, name, capsys):
     assert capsys.readouterr().out.splitlines() == lines
 
 
+def test_boxdim_claims_no_thinning_on_empty_windows(tmp_path, capsys):
+    # at s = d every window is empty, so no checkpoint has a digit budget;
+    # the falconer line keeps its sampled form
+    cfg = write_config(tmp_path / "cfg.json", norm={"preset": "l1"}, s="2",
+                       samples=200, scales=None)
+    construct(cfg, tmp_path)
+    capsys.readouterr()
+    assert main(["boxdim", "--config", cfg, "--out", str(tmp_path),
+                 "--falconer"]) == 3
+    got = capsys.readouterr().out.splitlines()
+    assert [row for row in got if row.startswith(("dist", "falconer"))] == [
+        "dist ell=0 r=12 log2count=6.91 no thinning claimed (empty window)",
+        "dist ell=0 r=92 log2count=6.91 no thinning claimed (empty window)",
+        "dist ell=1 r=28 log2count=6.32 no thinning claimed (empty window)",
+        "falconer: dim_set>=2.0000 dim_dist>=0.0751 threshold=0.9500 "
+        "FAIL; sample-limited (saturated) at ell=0 r=12, ell=0 r=92, "
+        "ell=1 r=28"]
+
+
 def test_profile_outputs(tmp_path):
     cfg = write_config(tmp_path / "cfg.json")
     assert main(["profile", "--config", cfg, "--out", str(tmp_path)]) == 0

@@ -73,9 +73,9 @@ def test_solver_trivial_cases():
 
 
 def _installed_offset(point, spec, k):
-    sched = spec.schedule
-    f = spec.norm.functionals[sched.functional_for_block(k)]
-    n, m_hi = sched.split(k), sched.bound(k + 1)
+    blk = spec.schedule.blocks[k - 1]
+    f = spec.norm.functionals[blk.ell]
+    n, m_hi = blk.split, blk.end
     w = m_hi - n
     shift = point.precision - m_hi + 1
     return (point.mantissas[f.pivot] >> shift) & ((1 << w) - 1), f, n, m_hi
@@ -159,9 +159,10 @@ def test_points_differ_by_index_and_seed(desk):
 
 def test_mutation_is_detected(desk):
     pt = pinned_point(desk)
-    a, b = desk.schedule.window(3)
+    blk = desk.schedule.blocks[2]
+    a, b = blk.a, blk.b
     # set a zero digit inside the block-3 window of the pivot coordinate
-    f = desk.norm.functionals[desk.schedule.functional_for_block(3)]
+    f = desk.norm.functionals[blk.ell]
     place = next(j for j in range(a + 1, b + 1)
                  if Dyadic(pt.mantissas[f.pivot], pt.precision).bit(j) == 0)
     mants = list(pt.mantissas)
@@ -189,11 +190,12 @@ def test_failure_places_match_a_digit_scan():
         coords = [Dyadic(m, p) for m in bad.mantissas]
         for k, check, place in verify_point(bad, spec).failures:
             seen.add(check)
-            a, b = sched.window(k)
-            f = spec.norm.functionals[sched.functional_for_block(k)]
+            blk = sched.blocks[k - 1]
+            a, b = blk.a, blk.b
+            f = spec.norm.functionals[blk.ell]
             coef = [Fraction(v, 1 << f.precision) for v in f.mantissas]
             full = sum(c * v.as_fraction() for c, v in zip(coef, coords))
-            cut = sum(c * v.truncate(sched.bound(k + 1)).as_fraction()
+            cut = sum(c * v.truncate(blk.end).as_fraction()
                       for c, v in zip(coef, coords))
             if check == "membership":
                 want = next(j for j in range(a + 1, b + 1)

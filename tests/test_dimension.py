@@ -13,7 +13,7 @@ from polyfrac.dimension import (BoxCount, BoxCountSeries, ComplexityProfile,
                                 SlabGroup, SlabSystem, count_exact,
                                 count_point_cells, count_value_cells,
                                 decoupled_count, dim_lower_estimate,
-                                distance_checkpoints, distance_slack,
+                                distance_slack,
                                 falconer_check, profile_c_aware, profile_ideal,
                                 sampled_distance_series, sampled_point_series,
                                 slab_system)
@@ -401,9 +401,11 @@ def test_distance_profile_frozen(name, s, ell, points):
 
 
 def test_distance_checkpoints_frozen():
-    spec = spec_for("linf", "3/2")
-    assert distance_checkpoints(spec, 0) == [(13, 9), (93, 64)]
-    assert distance_checkpoints(spec, 1) == [(29, 24)]
+    # each checkpoint tops its block's window, with n_k digits as its bound
+    sched = spec_for("linf", "3/2").schedule
+    assert [(w.b, w.split) for w in sched.of_functional(0)] == [(13, 9),
+                                                                (93, 64)]
+    assert [(w.b, w.split) for w in sched.of_functional(1)] == [(29, 24)]
 
 
 def test_checkpoint_scales_match_profile_plateaus():
@@ -412,8 +414,8 @@ def test_checkpoint_scales_match_profile_plateaus():
         spec = spec_for(name, s)
         for ell in range(2):
             prof = profile_ideal(spec.schedule, 2, ell=ell)
-            for r, _ in distance_checkpoints(spec, ell):
-                assert prof.value_at(r) == prof.value_at(r - 1)  # slope 0
+            for w in spec.schedule.of_functional(ell):
+                assert prof.value_at(w.b) == prof.value_at(w.b - 1)  # slope 0
 
 
 def test_distance_c_aware_profile():

@@ -225,17 +225,37 @@ def test_collapse_on_constructed_pairs(desk, desk_points):
         report = collapse_check(x, y, desk)
         assert report.ok
         ks = [b.block for b in report.blocks]
-        assert ks == desk.schedule.blocks_for_functional(report.achieving)
+        assert ks == [w.k for w in
+                      desk.schedule.of_functional(report.achieving)]
         for b in report.blocks:
             lo, hi = b.window
             assert b.trimmed == (lo + 1, hi - 1)
+
+
+def test_collapse_at_full_dimension_is_vacuous():
+    # s = d leaves every window empty (a >= b): each block of the achieving
+    # functional reports both stretches constant, whatever the digits
+    spec = make_spec(2, Fraction(2), preset("l1", 2), seed=7,
+                     m=[1, 16, 32, 96])
+    assert all(w.a >= w.b for w in spec.schedule.blocks)
+    x, ys = pinned_point(spec), sample_points(spec, 40)
+    achieving = set()
+    for y in ys + [x]:
+        report = collapse_check(x, y, spec)
+        achieving.add(report.achieving)
+        assert [b.block for b in report.blocks] == [
+            w.k for w in spec.schedule.of_functional(report.achieving)]
+        assert all(b.constant_full and b.constant_trimmed
+                   for b in report.blocks)
+        assert report.ok
+    assert achieving == {0, 1}
 
 
 def test_collapse_window_digit_rule(desk):
     # hand-built differences with a single digit planted around block 3's
     # window (67, 93]; functional 0 owns blocks 1 and 3
     depth = desk.schedule.depth
-    a, b = desk.schedule.window(3)
+    a, b = desk.schedule.blocks[2].a, desk.schedule.blocks[2].b
 
     def point(m0):
         return SamplePoint((m0, 0), depth, "sample", 0)

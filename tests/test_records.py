@@ -13,7 +13,7 @@ from polyfrac.distset import BlockCollapse, CollapseReport, DistanceRecord
 from polyfrac.dyadic import Dyadic
 from polyfrac.errors import InfeasibleSchedule, OutOfRange
 from polyfrac.norms import Functional, preset
-from polyfrac.schedule import BlockSchedule, ScheduleReport, generate
+from polyfrac.schedule import Block, BlockSchedule, ScheduleReport, generate
 
 LINF2 = preset("linf", 2)
 DESK = generate(Fraction(1, 2), 3, 2, m=[1, 16, 32, 96])
@@ -25,6 +25,8 @@ RECORDS = [
     (BlockSchedule, ("margin", "bounds", "splits", "free_fraction",
                      "n_functionals"),
      lambda: BlockSchedule(3, (1, 16, 32), (9, 24), Fraction(1, 2), 2)),
+    (Block, ("k", "ell", "start", "split", "end", "a", "b"),
+     lambda: Block(1, 0, 1, 9, 16, 12, 13)),
     (ScheduleReport, ("checks",),
      lambda: ScheduleReport((("first bound is 1", True, "m_1 = 1"),))),
     (FractalSpec, ("dim", "target", "norm", "schedule", "seed"),
@@ -105,6 +107,7 @@ def test_properties_and_methods_survive():
     assert prof.depth == 9 and prof.value_at(6) == 8
     assert SlabGroup((0, 3), 1, ()).support == (1,)
     assert DESK.n_blocks == 3 and DESK.depth == DESK.bounds[-1]
+    assert DESK.blocks is DESK.blocks  # computed once, then cached
     spec = make_spec(2, Fraction(3, 2), LINF2, seed=7, m=[1, 16, 32, 96])
     assert spec.plan is spec.plan  # computed once, then cached
     assert len(spec.tail_paths) == 2

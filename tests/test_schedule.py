@@ -1,8 +1,11 @@
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from polyfrac.errors import IndexOutOfRange, InfeasibleSchedule, OutOfRange
+from polyfrac.errors import InfeasibleSchedule, OutOfRange
 from polyfrac.schedule import BlockSchedule, free_fraction, generate, validate
 
 def desk():
@@ -26,9 +29,7 @@ def test_desk_schedule_frozen():
     assert s.splits == (9, 24, 64)
     assert s.depth == 96
     assert s.n_blocks == 3
-    assert s.window(1) == (12, 13)
-    assert s.window(2) == (27, 29)
-    assert s.window(3) == (67, 93)
+    assert [(w.a, w.b) for w in s.blocks] == [(12, 13), (27, 29), (67, 93)]
     assert validate(s).ok
 
 
@@ -53,40 +54,56 @@ def test_alpha_one_windows_vacuous():
     s = generate(1, 3, 2, m=[1, 16, 32, 96])
     assert s.splits == (16, 32, 96)
     assert validate(s).ok
-    lo, hi = s.window(1)
-    assert lo >= hi  # nothing constrained
+    assert s.blocks[0].a >= s.blocks[0].b  # nothing constrained
 
 
 def test_alpha_zero_everything_constrained():
     s = generate(0, 3, 1, m=[1, 16])
     assert s.splits == (1,)
-    assert s.window(1) == (4, 13)
+    assert (s.blocks[0].a, s.blocks[0].b) == (4, 13)
 
 
 def test_functional_cycle():
     s = desk()
-    assert [s.functional_for_block(k) for k in (1, 2, 3)] == [0, 1, 0]
-    assert s.blocks_for_functional(0) == [1, 3]
-    assert s.blocks_for_functional(1) == [2]
+    assert [w.ell for w in s.blocks] == [0, 1, 0]
+    assert [w.k for w in s.of_functional(0)] == [1, 3]
+    assert [w.k for w in s.of_functional(1)] == [2]
     four = BlockSchedule(3, (1, 16, 32, 96, 384, 1920, 11520), (9,) * 6,
                          Fraction(1, 2), 4)
-    assert four.functional_for_block(6) == 1
+    assert four.blocks[5].ell == 1
     one = generate(0, 3, 1, m=[1, 16])
-    assert one.functional_for_block(1) == 0
-    with pytest.raises(IndexOutOfRange):
-        s.functional_for_block(0)
+    assert one.blocks[0].ell == 0
 
 
-def test_index_errors():
-    s = desk()
-    with pytest.raises(IndexOutOfRange):
-        s.bound(0)
-    with pytest.raises(IndexOutOfRange):
-        s.bound(5)
-    with pytest.raises(IndexOutOfRange):
-        s.split(4)
-    with pytest.raises(IndexOutOfRange):
-        s.window(0)
+@st.composite
+def schedules(draw):
+    """generate()d schedules: explicit bound lists and the geometric rule,
+    alpha from 0 to 1, 1-4 functionals and K = 0..6 blocks."""
+    alpha = draw(st.sampled_from([0, 1])
+                 | st.fractions(0, 1, max_denominator=8))
+    margin = draw(st.integers(1, 5))
+    n_f = draw(st.integers(1, 4))
+    K = draw(st.integers(0, 6))
+    if draw(st.booleans()):
+        steps = draw(st.lists(st.integers(1, 40), min_size=K, max_size=K))
+        return generate(alpha, margin, n_f, m=list(accumulate([1] + steps)))
+    ratio = draw(st.fractions(1, 4, max_denominator=4))
+    return generate(alpha, margin, n_f, K=K, ratio=ratio)
+
+
+@given(schedules())
+def test_block_table_matches_fields(s):
+    assert [w.k for w in s.blocks] == list(range(1, s.n_blocks + 1))
+    for w in s.blocks:
+        assert w.start == s.bounds[w.k - 1] and w.end == s.bounds[w.k]
+        assert w.split == s.splits[w.k - 1]
+        assert (w.a, w.b) == (w.split + s.margin, w.end - s.margin)
+        assert w.ell == (w.k - 1) % s.n_functionals
+    slices = [s.of_functional(ell) for ell in range(s.n_functionals)]
+    for ell, part in enumerate(slices):
+        assert all(w.ell == ell for w in part)
+        assert [w.k for w in part] == sorted(w.k for w in part)
+    assert sorted(sum(slices, ()), key=lambda w: w.k) == list(s.blocks)
 
 
 def test_validate_reports_named_failures():
@@ -106,10 +123,9 @@ def test_geometric_rule_frozen():
 
 def test_geometric_rule_growth_property():
     s = generate(Fraction(1, 3), 4, 3, K=5, ratio=Fraction(3, 2))
-    for k in range(1, s.n_blocks + 1):
-        assert k * s.bound(k) <= s.bound(k + 1)
-        lo, hi = s.window(k)
-        assert lo < hi
+    for w in s.blocks:
+        assert w.k * w.start <= w.end
+        assert w.a < w.b
 
 
 def test_generate_argument_errors():
