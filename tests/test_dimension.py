@@ -218,13 +218,27 @@ def _triples(system, scales):
             for r, e in ((r, count_exact(system, r)) for r in scales)}
 
 
-def test_deep_geometric_counts_frozen():
+def _deep_system():
     # l1 d=3 geometric K=6 ratio 2: windows end at places 1915 and 11515,
-    # far below any level the walk reaches; r=32 and r=96 stay undecided
+    # far below any level the walk reaches
     spec = make_spec(3, Fraction(9, 4), preset("l1", 3), seed=0, K=6, ratio=2)
-    system = slab_system(spec)
+    return slab_system(spec)
+
+
+def _spatial_system():
+    # a group that keeps a window but loses its tail, and a top-attained
+    # group all of whose windows lie past the cap; r >= 8 stays undecided
+    return SlabSystem(3, 64, (
+        SlabGroup((1, 1, 1), 0, ((2, 5),)),
+        SlabGroup((1, -1, 1), 0, ((6, 9), (50, 53))),
+        SlabGroup((-1, -1, -1), 1, ((60, 64),))))
+
+
+def test_deep_geometric_counts_frozen():
+    # r >= 32 stays undecided
+    system = _deep_system()
     assert system.depth == 11520
-    assert _triples(system, (8, 12, 16, 32, 96)) == {
+    assert _triples(system, (8, 12, 16, 32, 96, 192, 384)) == {
         8: (16777216, 16777216, 64),
         12: (68719476736, 68719476736, 1597),
         16: (149533581377536, 149533581377536, 1733),
@@ -233,6 +247,12 @@ def test_deep_geometric_counts_frozen():
         96: (240291200809860268824094719563482961228940329118137994626611970184348434432,
              240291200809860268824142610779885838921215486606668819482444494956453167104,
              17400),
+        192: (429049853758163107186368799942587076079339706258956588087153966199096448962353503257659977541340909686081019461967553627320124249982290238285876768194691072,
+              643574780637244660779553199914388305103040470312457475490644137473710507570310897224121453335893247263147171508857217104720590296445696567791599608576081920,
+              66417),
+        384: (287392224937801894015672842994585033946252945363650108037610625710510602990858323554083021195717050487797188852760305815413279542918134076158584748354559219120433347665356336325431948210887274718491334919976275137726138346138319855832556967831784239355763755425909838970880,
+              287392224937801894015672842994585033946252945363650108037610625710510602990858323554083023320269021754865583726287082553794609697327426147651977969858979224700575284638474934484034573373069230392840281377774921497434777942003626651842495135298924354729465787563563823398912,
+              166752),
     }
 
 
@@ -246,13 +266,7 @@ def test_coupled_fine_windows_frozen():
                 284, 304, 324]
     assert _triples(planar, range(1, 17)) == {
         r: (c, c, n) for r, (c, n) in enumerate(zip(counts, examined), 1)}
-    # a group that keeps a window but loses its tail, and a top-attained
-    # group all of whose windows lie past the cap; r >= 8 stays undecided
-    spatial = SlabSystem(3, 64, (
-        SlabGroup((1, 1, 1), 0, ((2, 5),)),
-        SlabGroup((1, -1, 1), 0, ((6, 9), (50, 53))),
-        SlabGroup((-1, -1, -1), 1, ((60, 64),))))
-    assert _triples(spatial, range(1, 17)) == {
+    assert _triples(_spatial_system(), range(1, 17)) == {
         1: (8, 8, 8), 2: (64, 64, 16), 3: (512, 512, 145),
         4: (3072, 3072, 161), 5: (12288, 12288, 181),
         6: (65536, 65536, 205), 7: (393216, 393216, 554),
@@ -286,6 +300,34 @@ def test_budget_exhaustion(l1_system):
         count_exact(l1_system, 114, budget=100)
     assert err.value.scale == 114
     assert err.value.examined == 101
+
+
+# a walk that runs out raises at the first node past the budget, wherever
+# that node falls: level walk, refinement search or a top-attained group;
+# each case is (system, r, examined at r)
+_BUDGET_CASES = {"spatial": (_spatial_system(), 8, 880),
+                 "deep": (_deep_system(), 12, 1597)}
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from(sorted(_BUDGET_CASES)).flatmap(lambda name: st.tuples(
+    st.just(name),
+    st.integers(min_value=0, max_value=_BUDGET_CASES[name][2] - 1))))
+@example(("spatial", 0))
+@example(("spatial", 879))
+@example(("deep", 1596))
+def test_budget_counts_every_node(case):
+    name, budget = case
+    system, r, examined = _BUDGET_CASES[name]
+    with pytest.raises(BudgetExceeded) as err:
+        count_exact(system, r, budget=budget)
+    assert err.value.examined == budget + 1
+    assert err.value.scale == r
+
+
+def test_budget_equal_to_examined_suffices():
+    for system, r, examined in _BUDGET_CASES.values():
+        assert count_exact(system, r, budget=examined).examined == examined
 
 
 def test_exact_count_gap_raises():
