@@ -11,6 +11,17 @@ cell image's offset modulo the coarsest unsatisfied window period.  Between
 windows every surviving cell collapses onto the same state, so the state
 table stays small even at depth ~100.
 
+Stepping from a state to its children goes through a per-level transition
+table.  At a fixed level, a child's group state depends only on its group,
+that group's state in the parent and the child's corner delta, so each
+(level, group, group state) has one row of 2**dim child states, classified
+once and reused by every combined state that shares it.  The table is
+exact, not an approximation: classify is a pure function of (group, mask,
+offset) at a fixed level.  It lives for one count_exact call, and a walk
+level's rows are dropped once the walk has passed it (the refinement search
+reads only levels past r).  Every child still passes through bump(), so
+examined, and where a budget runs out, do not depend on the table.
+
 Integers are sized by the walk's depth cap (the deepest level any search
 reaches), not by the deepest window: a group of precision pv counts in
 units of 2^-(pv + max(cap, deepest kept window end)) and drops each window
@@ -126,7 +137,7 @@ _DFS_HEADROOM = 24
 
 class _Group:
     __slots__ = ("qg", "pv", "wins", "incs", "lenbase", "negabs", "full",
-                 "top_attained")
+                 "top_attained", "rests")
 
     def __init__(self, g: SlabGroup, cap: int, dim: int):
         self.pv = g.precision
@@ -151,6 +162,47 @@ class _Group:
         # closed at the top (attained at the included lower corner), so the
         # interval test must not drop that endpoint
         self.top_attained = not any(v > 0 for v in g.mantissas)
+        self.rests: dict = {}
+
+    def rest(self, mask: int) -> tuple:
+        """The kept windows mask leaves unsatisfied, coarsest first."""
+        rest = self.rests.get(mask)
+        if rest is None:
+            rest = self.rests[mask] = tuple(
+                w for wi, w in enumerate(self.wins) if not (mask >> wi) & 1)
+        return rest
+
+    def classify(self, mask: int, offset: int, length: int):
+        """State of a cell whose image is [offset, offset + length).
+
+        None when the whole cell lies inside every slab, _OUT when it meets
+        none, else (mask, offset modulo the coarsest unsatisfied period).
+        """
+        for wi, (period, wd) in enumerate(self.wins):
+            if not (mask >> wi) & 1:
+                top = (offset % period) + length
+                # an attained image top exactly on the band roof is outside
+                # it, so such a window may not be marked fully inside
+                if top < wd or (top == wd and not self.top_attained):
+                    mask |= 1 << wi
+        if mask == self.full:
+            return None
+        rest = self.rest(mask)
+        offset = offset % rest[0][0] if rest else 0
+        if not _intersects(offset, length, rest):
+            top = offset + length
+            if not (self.top_attained and
+                    all(top % period < wd for period, wd in rest)):
+                return _OUT
+        return (mask, offset)
+
+    def row(self, state: tuple, q: int) -> tuple:
+        """classify of every level-q child of a cell in state, by delta."""
+        shift = self.qg - self.pv - q
+        length = self.lenbase << shift
+        mask, offset = state
+        return tuple(self.classify(mask, offset + (inc << shift), length)
+                     for inc in self.incs)
 
 
 def _intersects(lo: int, length: int, wins: tuple, idx: int = 0) -> bool:
@@ -195,6 +247,9 @@ def count_exact(system: SlabSystem, r: int, budget: int = 10**8) -> ExactCount:
     product_rule = _product_form(active)
 
     examined = 0
+    # level -> per group, {group state: its row of 2**dim child states}
+    tables: dict = {}
+    inside = (None,) * (1 << dim)
 
     def bump():
         nonlocal examined
@@ -203,54 +258,29 @@ def count_exact(system: SlabSystem, r: int, budget: int = 10**8) -> ExactCount:
             raise BudgetExceeded("box-count budget exhausted",
                                  examined=examined, scale=r)
 
-    def classify(gi: int, mask: int, offset: int, q: int):
-        g = gs[gi]
-        length = g.lenbase << (g.qg - g.pv - q)
-        for wi, (period, wd) in enumerate(g.wins):
-            if not (mask >> wi) & 1:
-                top = (offset % period) + length
-                # an attained image top exactly on the band roof is outside
-                # it, so such a window may not be marked fully inside
-                if top < wd or (top == wd and not g.top_attained):
-                    mask |= 1 << wi
-        if mask == g.full:
-            return None  # whole cell inside every slab
-        rest = tuple(g.wins[wi] for wi in range(len(g.wins))
-                     if not (mask >> wi) & 1)
-        offset = offset % rest[0][0] if rest else 0
-        if not _intersects(offset, length, rest):
-            top = offset + length
-            if not (g.top_attained and
-                    all(top % period < wd for period, wd in rest)):
-                return _OUT
-        return (mask, offset, rest)
-
     def children(state, q: int):
-        """Yield (delta-state, all_inside) for each child; prunes dead ones."""
-        for delta in range(1 << dim):
+        """Yield (child state, all_inside) for each child; prunes dead ones."""
+        level = tables.get(q)
+        if level is None:
+            level = tables[q] = [{} for _ in gs]
+        rows = []
+        for g, known, st in zip(gs, level, state):
+            if st is None:
+                rows.append(inside)
+                continue
+            row = known.get(st)
+            if row is None:
+                row = known[st] = g.row(st, q)
+            rows.append(row)
+        for child in zip(*rows):
             bump()
-            child = []
-            dead = False
-            all_in = True
-            for gi, st in enumerate(state):
-                if st is None:
-                    child.append(None)
-                    continue
-                g = gs[gi]
-                inc = g.incs[delta] << (g.qg - g.pv - q)
-                nxt = classify(gi, st[0], st[1] + inc, q)
-                if nxt is _OUT:
-                    dead = True
-                    break
-                if nxt is not None:
-                    all_in = False
-                child.append(nxt)
-            if not dead:
-                yield tuple(child), all_in
+            if _OUT not in child:
+                yield child, child == inside
 
     root = []
-    for gi, g in enumerate(gs):
-        st = classify(gi, 0, -g.negabs << (g.qg - g.pv), 0)
+    for g in gs:
+        shift = g.qg - g.pv
+        st = g.classify(0, -g.negabs << shift, g.lenbase << shift)
         if st is _OUT:
             return ExactCount(r, 0, 0, examined)
         root.append(st)
@@ -267,6 +297,8 @@ def count_exact(system: SlabSystem, r: int, budget: int = 10**8) -> ExactCount:
                     full += mult << ((r - q - 1) * dim)
                 else:
                     nxt[child] = nxt.get(child, 0) + mult
+        # refine reads only levels past r, so no walk level is read again
+        tables.pop(q + 1, None)
         states = nxt
         if not states:
             break
@@ -276,12 +308,11 @@ def count_exact(system: SlabSystem, r: int, budget: int = 10**8) -> ExactCount:
 
     def corner_ok(state, q: int) -> bool:
         # the cell's lowest corner is an attained point of the cell
-        for gi, st in enumerate(state):
+        for g, st in zip(gs, state):
             if st is None:
                 continue
-            g = gs[gi]
             corner = st[1] + (g.negabs << (g.qg - g.pv - q))
-            for period, wd in st[2]:
+            for period, wd in g.rest(st[0]):
                 if (corner % period) >= wd:
                     return False
         return True
