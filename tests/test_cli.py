@@ -491,6 +491,20 @@ def test_deep_points_golden_digest(tmp_path, config, digest):
     assert hashlib.sha256(blob).hexdigest() == digest
 
 
+def test_pairwise_distances_golden_digest(tmp_path):
+    # the four-functional l1 pairwise path with Floyd's sampling and the
+    # Euclidean column; the other pairwise pins use TIED_NORM or DEEP_CONFIG
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(PAIRWISE_CONFIG))
+    construct(str(cfg), tmp_path)
+    assert main(["distset", "--config", str(cfg), "--out", str(tmp_path),
+                 "--pairwise", "--budget", "2000", "--euclid", "24"]) == 0
+    blob = (tmp_path / "distances.csv").read_bytes()
+    assert hashlib.sha256(blob).hexdigest() == (
+        "4f5433a47af00edaaf8ca42305a9a3e6"
+        "22fa71a38688b8ec88610fac2f467906")
+
+
 def test_distances_fields_decode(tmp_path):
     # README rule: a field at precision p is the mantissa << pad in lowercase
     # hex, pad = 4 * ceil(p / 4) - p, one digit wider when the value is >= 1;
