@@ -276,13 +276,16 @@ def cmd_distset(run: _Run, args) -> int:
         return line + "\n"
 
     path = os.path.join(args.out, "distances.csv")
+    rows = 0
     with open(path, "w", newline="\n") as fh:
         fh.write(f"polyfrac-distances v1\n# manifest {run.manifest_hash}\n"
                  f"{header}\n")
-        fh.writelines(map(row, recs))
+        for rec in recs:  # pairwise records are measured as they are written
+            fh.write(row(rec))
+            rows += 1
     _write_manifest(run, args)
     kind = "pairwise" if args.pairwise else "pinned"
-    print(f"wrote {len(recs)} {kind} distances to {path}")
+    print(f"wrote {rows} {kind} distances to {path}")
     return 0
 
 

@@ -2,8 +2,9 @@
 
 Distances are exact dyadics: the norm of a coordinate difference is a max of
 dot products.  Points of one call share dimension and precision, so each
-difference is a list of integer mantissas at that precision, and the norm
-and the Euclidean floor are taken on those integers.  The collapse report
+point is projected once to its k integer dot products x . v, and a distance
+is the largest |x . v - y . v|: every functional is linear.  The Euclidean
+floor is taken on the integer mantissas of x - y.  The collapse report
 explains why pinned distances cluster: whichever functional achieves the
 norm, the digits of the achieved value are constant across that functional's
 scheduled windows, so each distance is determined by far fewer digits than
@@ -13,6 +14,9 @@ its precision suggests.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
+from itertools import combinations, repeat
+from operator import sub
 from typing import NamedTuple
 
 from .dyadic import Dyadic
@@ -46,31 +50,32 @@ def delta_mantissas(x, y) -> list:
     """Mantissas of the coordinate difference x - y at the points' shared
     precision; the caller has checked that x and y share dimension and
     precision."""
-    return [a - b for a, b in zip(x.mantissas, y.mantissas)]
+    return list(map(sub, x.mantissas, y.mantissas))
 
 
 def _records(pairs, prec: int, norm: PolyhedralNorm,
-             euclid: int | None = None) -> list:
-    """One record per (x, y) pair of points at precision prec; euclid, if
-    given, is a number of places r >= 0 at which each record also takes its
-    Euclidean floor, from the difference the norm measured."""
-    measure = norm.measure_mantissas
-    out = []
-    for x, y in pairs:
-        delta = delta_mantissas(x, y)
-        value, ties = measure(delta, prec)
-        out.append(DistanceRecord(
+             euclid: int | None = None) -> Iterator:
+    """Lazily, one record per (x, px, y, py): points x and y at precision
+    prec and their projections px, py under norm.  ||x - y|| is measured
+    from px - py alone; euclid, if given, is a number of places r >= 0 at
+    which each record also takes the Euclidean floor of x - y, the only
+    use of the coordinate difference."""
+    measure = norm.measure_projection
+    for x, px, y, py in pairs:
+        value, ties = measure(map(sub, px, py), prec)
+        yield DistanceRecord(
             value, ties[0], (x.index, y.index),
             None if euclid is None else
-            euclid_floor_mantissa(delta, prec, euclid)))
-    return out
+            euclid_floor_mantissa(delta_mantissas(x, y), prec, euclid))
 
 
 def pinned(x, ys, norm: PolyhedralNorm, euclid: int | None = None) -> list:
-    """Distances from the pinned point to each sample; euclid as in
-    _records."""
+    """Distances from the pinned point to each sample, each sample projected
+    as it is reached; euclid as in _records."""
     prec = _shared_precision([x, *ys])
-    return _records(((x, y) for y in ys), prec, norm, euclid)
+    px, project = norm.project(x.mantissas), norm.project
+    return list(_records(((x, px, y, project(y.mantissas)) for y in ys),
+                         prec, norm, euclid))
 
 
 def _unrank_pair(rank: int, n: int) -> tuple[int, int]:
@@ -81,26 +86,30 @@ def _unrank_pair(rank: int, n: int) -> tuple[int, int]:
 
 
 def pairwise(ys, norm: PolyhedralNorm, cap: int | None = None,
-             seed: int = 0, euclid: int | None = None) -> list:
-    """All unordered pair distances, subsampled to cap when there are more.
+             seed: int = 0, euclid: int | None = None) -> Iterator:
+    """All unordered pair distances, subsampled to cap when there are more,
+    as an iterator of records in pair order.
 
     Subsampling draws a uniform cap-subset of pair ranks (Floyd's method) so
-    reruns with the same seed pick the same pairs.  euclid as in _records.
+    reruns with the same seed pick the same pairs.  The shape check, the
+    draws and one projection per point (n lists of k ints) happen at call
+    time; each record is measured as it is taken.  euclid as in _records.
     """
     n = len(ys)
     total = n * (n - 1) // 2
     prec = _shared_precision(ys) if ys else 0
     if cap is None or total <= cap:
-        ranks = range(total)
+        pairs = combinations(range(n), 2)
     else:
         stream = BitStream(seed, "pairs")
         chosen = set()
         for t in range(total - cap, total):
             r = stream.randrange(t + 1)
             chosen.add(t if r in chosen else r)
-        ranks = sorted(chosen)
-    pairs = (_unrank_pair(rank, n) for rank in ranks)
-    return _records(((ys[i], ys[j]) for i, j in pairs), prec, norm, euclid)
+        pairs = map(_unrank_pair, sorted(chosen), repeat(n))
+    proj = [norm.project(y.mantissas) for y in ys]
+    return _records(((ys[i], proj[i], ys[j], proj[j]) for i, j in pairs),
+                    prec, norm, euclid)
 
 
 # Leading-digit Euclidean floors.  Squaring full mantissas costs more than

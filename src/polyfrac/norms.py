@@ -57,11 +57,14 @@ class PolyhedralNorm:
         self.dim = dim
         self.functionals = tuple(functionals)
         self.validate()
-        # (mantissas, precision, shift to the top precision) per functional:
-        # |x . v| << shift compares functionals of any precision as integers
+        # every functional's coefficients at the finest functional
+        # precision, 2**shift times its own, so that the dot products of
+        # functionals of any precision compare as integers
         top = max(f.precision for f in self.functionals)
-        self._faces = tuple((f.mantissas, f.precision, top - f.precision)
-                            for f in self.functionals)
+        self._shifts = tuple(top - f.precision for f in self.functionals)
+        self._coeffs = tuple(tuple(m << shift for m in f.mantissas)
+                             for f, shift in zip(self.functionals,
+                                                 self._shifts))
 
     @property
     def n_functionals(self) -> int:
@@ -95,24 +98,42 @@ class PolyhedralNorm:
         return self.measure_mantissas(
             [v.mantissa << (px - v.precision) for v in x], px)
 
-    def measure_mantissas(self, mants, prec: int
-                          ) -> tuple[Dyadic, tuple[int, ...]]:
-        """measure of the vector mants * 2**-prec, from integers alone.
+    def project(self, mants) -> list[int]:
+        """The integer dot products mants . v, one per functional, each
+        scaled by 2**shift to the finest functional precision.
 
-        One int_dot per functional.  The value is |x . v| of the first
-        attaining functional, at precision prec + that functional's
-        precision.  Full rank makes it 0 only for x = 0, which every
-        functional attains.  mants must have length dim.
+        Each is linear, so project(x - y) is project(x) - project(y)
+        entry by entry: a distance needs the two points' projections only.
+        mants must have length dim.
         """
-        keys = [abs(int_dot(mants, c)) << shift for c, _, shift in self._faces]
+        return [int_dot(mants, c) for c in self._coeffs]
+
+    def measure_projection(self, proj, prec: int
+                           ) -> tuple[Dyadic, tuple[int, ...]]:
+        """measure of the vector whose projection is proj, at precision prec.
+
+        proj is any iterable of the k ints project returns.  Functionals
+        compare by |proj[l]|; the value is |proj[l]| >> shift of the first
+        attaining functional l, which is |x . v| at precision
+        prec + that functional's precision.  Full rank makes it 0 only for
+        x = 0, which every functional attains.
+        """
+        keys = list(map(abs, proj))
         best = max(keys)
         first = keys.index(best)
         if keys.count(best) == 1:
             ties = (first,)
         else:
             ties = tuple(i for i, k in enumerate(keys) if k == best)
-        _, pv, shift = self._faces[first]
-        return Dyadic(best >> shift, prec + pv), ties
+        return (Dyadic(best >> self._shifts[first],
+                       prec + self.functionals[first].precision), ties)
+
+    def measure_mantissas(self, mants, prec: int
+                          ) -> tuple[Dyadic, tuple[int, ...]]:
+        """measure of the vector mants * 2**-prec, from integers alone:
+        measure_projection of its projection.  mants must have length dim.
+        """
+        return self.measure_projection(self.project(mants), prec)
 
     def evaluate(self, x) -> Dyadic:
         """||x||, exact."""

@@ -1,4 +1,5 @@
 import math
+from collections.abc import Iterator
 from fractions import Fraction
 from itertools import combinations
 
@@ -96,7 +97,7 @@ def test_unrank_pair_is_lexicographic(n):
 
 def test_pairwise_full_enumeration(desk, desk_points):
     _, ys = desk_points
-    recs = pairwise(ys, desk.norm)
+    recs = list(pairwise(ys, desk.norm))
     assert len(recs) == 12 * 11 // 2
     assert [r.source for r in recs] == [
         (ys[i].index, ys[j].index) for i, j in combinations(range(12), 2)]
@@ -104,9 +105,9 @@ def test_pairwise_full_enumeration(desk, desk_points):
 
 def test_pairwise_cap_is_deterministic(desk, desk_points):
     _, ys = desk_points
-    a = pairwise(ys, desk.norm, cap=10, seed=5)
-    b = pairwise(ys, desk.norm, cap=10, seed=5)
-    c = pairwise(ys, desk.norm, cap=10, seed=6)
+    a = list(pairwise(ys, desk.norm, cap=10, seed=5))
+    b = list(pairwise(ys, desk.norm, cap=10, seed=5))
+    c = list(pairwise(ys, desk.norm, cap=10, seed=6))
     assert len(a) == 10
     assert [r.source for r in a] == [r.source for r in b]
     assert [r.source for r in a] != [r.source for r in c]
@@ -114,6 +115,26 @@ def test_pairwise_cap_is_deterministic(desk, desk_points):
     full = [r.source for r in pairwise(ys, desk.norm)]
     it = iter(full)
     assert all(src in it for src in (r.source for r in a))
+
+
+def test_pairwise_is_lazy(desk, monkeypatch):
+    # 1000 points make 499500 pairs; taking the first record measures it
+    # alone, and the argument checks above still raise at call time
+    ys = sample_points(desk, 1000)
+    measured = []
+    measure = desk.norm.measure_projection
+
+    def counting(proj, prec):
+        measured.append(prec)
+        return measure(proj, prec)
+
+    monkeypatch.setattr(desk.norm, "measure_projection", counting)
+    recs = pairwise(ys, desk.norm)
+    assert isinstance(recs, Iterator)
+    first = next(recs)
+    assert first.source == (1, 2)
+    assert len(measured) == 1
+    assert first == pinned(ys[0], ys[1:2], desk.norm)[0]
 
 
 def test_euclid_floor_frozen():
@@ -206,7 +227,8 @@ def test_records_carry_euclid_floor(desk, desk_points, sampled):
 
     def run(euclid=None):
         if sampled:  # a cap below the 66 pairs, so Floyd's draws pick them
-            return pairwise(ys, desk.norm, cap=20, seed=3, euclid=euclid)
+            return list(pairwise(ys, desk.norm, cap=20, seed=3,
+                                 euclid=euclid))
         return pinned(x, ys, desk.norm, euclid=euclid)
 
     recs, plain = run(euclid=24), run()

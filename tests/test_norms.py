@@ -130,6 +130,43 @@ def test_measure_matches_dot_oracle(case):
         assert ties == tuple(range(norm.n_functionals))
 
 
+@st.composite
+def norm_and_pair(draw):
+    """A random custom norm (d = 1..4, d..5 functionals, coefficients at
+    precisions 0..3, signed) and two integer vectors, equal half the time."""
+    d = draw(st.integers(min_value=1, max_value=4))
+    entry = st.tuples(st.integers(min_value=-4, max_value=4),
+                      st.integers(min_value=0, max_value=3))
+    rows = draw(st.lists(st.lists(entry, min_size=d, max_size=d),
+                         min_size=d, max_size=5))
+    try:
+        norm = custom_norm(rows)
+    except (BadPivot, DegenerateNorm):
+        assume(False)
+    vector = st.lists(st.integers(min_value=-60, max_value=60),
+                      min_size=d, max_size=d)
+    x = draw(vector)
+    y = x if draw(st.booleans()) else draw(vector)
+    return norm, x, y, draw(st.integers(min_value=0, max_value=3))
+
+
+@given(norm_and_pair())
+def test_projection_difference_measures_the_difference(case):
+    # ||x - y|| from the two projections alone: same value mantissa and
+    # precision and the same ties as measuring x - y itself
+    norm, x, y, prec = case
+    proj = [a - b for a, b in zip(norm.project(x), norm.project(y))]
+    value, ties = norm.measure_projection(proj, prec)
+    expect, expect_ties = norm.measure_mantissas(
+        [a - b for a, b in zip(x, y)], prec)
+    assert (value.mantissa, value.precision) == (expect.mantissa,
+                                                 expect.precision)
+    assert ties == expect_ties
+    if x == y:
+        assert value.mantissa == 0
+        assert ties == tuple(range(norm.n_functionals))
+
+
 def test_bad_pivot_rejected():
     with pytest.raises(BadPivot):
         PolyhedralNorm(2, [Functional((0, 1), 0, 0),
