@@ -119,7 +119,7 @@ def test_pairwise_cap_is_deterministic(desk, desk_points):
 
 def test_pairwise_is_lazy(desk, monkeypatch):
     # 1000 points make 499500 pairs; taking the first record measures it
-    # alone, and the argument checks above still raise at call time
+    # alone (test_mismatched_last_point_rejected keeps the checks eager)
     ys = sample_points(desk, 1000)
     measured = []
     measure = desk.norm.measure_projection
