@@ -3,13 +3,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from polyfrac.construct import (FractalSpec, SamplePoint, build_point,
-                                hex_to_mantissa, make_spec, mantissa_to_hex,
-                                pinned_point, read_points, sample_points,
-                                solve_pivot_offset, verify_point, write_points)
+from polyfrac.construct import (FractalSpec, SamplePoint, _marker, _steer,
+                                build_point, hex_to_mantissa, make_spec,
+                                mantissa_to_hex, pinned_point, read_points,
+                                sample_points, solve_pivot_offset,
+                                verify_point, write_points)
 from polyfrac.dyadic import Dyadic
 from polyfrac.errors import (FormatError, NoSolution, OutOfRange,
                              PrecisionExceeded)
@@ -60,6 +61,50 @@ def test_solver_returns_smallest_offset(inst):
             solve_pivot_offset(ps, coeff, split, block_end, c)
     else:
         assert solve_pivot_offset(ps, coeff, split, block_end, c) == expect
+
+
+def _steer_by_division(s0, step, modulus, lo, width, max_offsets):
+    """The pivot solver written with % and // by the modulus, as an oracle
+    for the mask-and-shift form; None where no offset below the cap lands."""
+    rho = s0 % modulus
+    q0 = max(0, -((rho + 1 - lo - width) // -modulus))
+    for q in range(q0, q0 + 4):
+        target = lo + q * modulus
+        u = max(0, -((rho - target) // step))
+        val = rho + u * step
+        if target <= val < target + width and u < max_offsets:
+            return u
+    return None
+
+
+@st.composite
+def steer_instances(draw):
+    e = draw(st.integers(min_value=3, max_value=12000))  # modulus 2**e
+    w = draw(st.integers(min_value=0, max_value=e - 3))  # band width 2**w
+    step = draw(st.integers(min_value=1, max_value=1 << w))
+    bits = draw(st.integers(min_value=0, max_value=e + 8))
+    s0 = draw(st.integers(min_value=-(1 << bits), max_value=1 << bits))
+    cap = 1 << draw(st.integers(min_value=0, max_value=e + 1))
+    return e, w, step, s0, cap
+
+
+@settings(deadline=None, max_examples=150)
+@given(steer_instances())
+@example((3, 0, 1, -1, 16))
+@example((12000, 11997, 1 << 11997, -(1 << 12008) + 12345, 1 << 12001))
+@example((12000, 11997, 1, (1 << 12000) - 1, 1 << 12001))
+@example((7190, 40, 3, (1 << 11530) - 977, 1 << 7191))
+def test_steer_matches_the_division_form(inst):
+    # scale e + 1 and window (1, e - w - 1]: modulus 2**e, lo 2**(w + 1),
+    # width 2**w, whatever layout _marker gives them
+    e, w, step, s0, cap = inst
+    marker = _marker(e + 1, 1, e - w - 1)
+    want = _steer_by_division(s0, step, 1 << e, 2 << w, 1 << w, cap)
+    if want is None:
+        with pytest.raises(NoSolution):
+            _steer(s0, step, marker, cap)
+    else:
+        assert _steer(s0, step, marker, cap) == want
 
 
 def test_solver_trivial_cases():
@@ -173,40 +218,88 @@ def test_mutation_is_detected(desk):
     assert (3, "membership", place) in report.failures
 
 
+def _floor(x: Fraction, j: int) -> int:
+    """floor(x * 2**j), exactly."""
+    return (x.numerator << j) // x.denominator
+
+
+def _digit_scan(spec, pt):
+    """verify_point's failures for pt, from exact rational sums: per block,
+    the first odd digit of the full dot product on the window, the first
+    place there where it and the sum truncated at the block end floor
+    apart, and the marker residue of the sum truncated one place earlier."""
+    coords = [Dyadic(m, pt.precision) for m in pt.mantissas]
+    want = []
+    for blk in spec.schedule.blocks:
+        a, b = blk.a, blk.b
+        if a >= b:
+            continue
+        f = spec.norm.functionals[blk.ell]
+        coef = [Fraction(v, 1 << f.precision) for v in f.mantissas]
+
+        def total(places):
+            return sum(c * v.truncate(places).as_fraction()
+                       for c, v in zip(coef, coords))
+
+        full, cut = total(pt.precision), total(blk.end)
+        odd = next((j for j in range(a + 1, b + 1) if _floor(full, j) % 2),
+                   None)
+        if odd is not None:
+            want.append((blk.k, "membership", odd))
+        # floors equal at place b are equal at every coarser place
+        if _floor(full, b) != _floor(cut, b):
+            want.append((blk.k, "carry", next(
+                j for j in range(a + 1, b + 1)
+                if _floor(full, j) != _floor(cut, j))))
+        if not _marker_ok(total(blk.end - 1), a, b):
+            want.append((blk.k, "pattern", b + 1))
+    return want
+
+
+def _scramble_and_scan(spec, count, keep):
+    """For count sample points, each with its places past keep(rng, p)
+    scrambled, verify_point's failures equal the digit scan's, in order.
+    Returns {block: checks that failed there}."""
+    rng = random.Random(5)
+    seen = {}
+    for index in range(count):
+        pt = build_point(spec, index, "sample")
+        p = pt.precision
+        cut = p - keep(rng, p)
+        bad = SamplePoint(tuple(m ^ rng.getrandbits(cut) for m in pt.mantissas),
+                          p, "sample", index)
+        failures = verify_point(bad, spec).failures
+        assert list(failures) == _digit_scan(spec, bad), index
+        for k, check, _ in failures:
+            seen.setdefault(k, set()).add(check)
+    return seen
+
+
 def test_failure_places_match_a_digit_scan():
     # scramble all but the first 20 places of l1 points, where borrows make
     # every check fail somewhere; each reported place must match a scan of
     # the exact sums
     spec = make_spec(2, Fraction(3, 2), preset("l1", 2), seed=5,
                      m=[1, 16, 32, 96])
-    sched = spec.schedule
-    rng = random.Random(5)
-    seen = set()
-    for index in range(200):
-        pt = build_point(spec, index, "sample")
-        p = pt.precision
-        bad = SamplePoint(tuple(m ^ rng.getrandbits(p - 20)
-                                for m in pt.mantissas), p, "sample", index)
-        coords = [Dyadic(m, p) for m in bad.mantissas]
-        for k, check, place in verify_point(bad, spec).failures:
-            seen.add(check)
-            blk = sched.blocks[k - 1]
-            a, b = blk.a, blk.b
-            f = spec.norm.functionals[blk.ell]
-            coef = [Fraction(v, 1 << f.precision) for v in f.mantissas]
-            full = sum(c * v.as_fraction() for c, v in zip(coef, coords))
-            cut = sum(c * v.truncate(blk.end).as_fraction()
-                      for c, v in zip(coef, coords))
-            if check == "membership":
-                want = next(j for j in range(a + 1, b + 1)
-                            if math.floor(full * 2**j) % 2)
-            elif check == "carry":
-                want = next(j for j in range(a + 1, b + 1)
-                            if math.floor(full * 2**j) != math.floor(cut * 2**j))
-            else:
-                want = b + 1
-            assert place == want, (index, k, check)
-    assert seen == {"membership", "carry", "pattern"}
+    seen = _scramble_and_scan(spec, 200, lambda rng, p: 20)
+    assert set().union(*seen.values()) == {"membership", "carry", "pattern"}
+
+
+def test_failure_places_match_a_digit_scan_on_a_geometric_schedule():
+    # l1 d=2, geometric K=5: depth 2280, marker moduli up to 2**907, so the
+    # checks reduce sums far wider than a machine word.  A random number of
+    # leading places survives, so some large-modulus blocks pass and some
+    # fail, and each outcome must match the exact scan
+    spec = make_spec(2, Fraction(3, 2), preset("l1", 2), seed=5, K=5,
+                     ratio=2)
+    assert spec.schedule.depth == 2280
+    wide = [p.k for p in spec.plan if p.marker and p.b - p.a > 64]
+    assert wide == [4, 5]
+    seen = _scramble_and_scan(
+        spec, 120, lambda rng, p: rng.choice([p, 100, 300, 1000, 2000]))
+    assert seen[4] == {"membership", "carry", "pattern"}
+    # block 5 ends at the depth, so its truncated sum is the full one
+    assert seen[5] == {"membership", "pattern"}
 
 
 def test_shallow_point_raises(desk):
@@ -261,6 +354,24 @@ def test_sample_count_validation(desk):
 def test_hex_round_trip(prec, data):
     m = data.draw(st.integers(min_value=0, max_value=(1 << prec) - 1))
     assert hex_to_mantissa(mantissa_to_hex(m, prec), prec) == m
+
+
+@settings(deadline=None)
+@given(prec=st.integers(min_value=0, max_value=12000), data=st.data())
+@example(prec=0, data=None)
+def test_hex_matches_format(prec, data):
+    # the writer's field is format's, also for m >= 2**prec (a wider field)
+    # and at prec 0, where the field of m = 0 is "0", not ""
+    w = (prec + 3) // 4
+    pad = 4 * w - prec
+    values = [0, 1, (1 << prec) - 1 if prec else 0, 1 << prec,
+              (1 << (prec + 9)) - 1]
+    if data is not None:
+        values.append(data.draw(st.integers(min_value=0,
+                                            max_value=1 << (prec + 9))))
+    for m in values:
+        assert mantissa_to_hex(m, prec) == format(m << pad, f"0{w}x"), m
+    assert mantissa_to_hex(0, 0) == "0"
 
 
 def test_hex_frozen():

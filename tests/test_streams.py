@@ -67,6 +67,9 @@ _LABEL = st.one_of(st.integers(min_value=-10**6, max_value=10**6),
 @example(n=513, prefix=["point", 3], labels=["coord", 1], drawn=512)
 @example(n=1024, prefix=[], labels=[], drawn=0)
 @example(n=1025, prefix=["x"], labels=["7", 7], drawn=1)
+# deep's widest draw: 19 blocks of one keyed stream
+@example(n=9600, prefix=["point", 3, "coord"], labels=[0, "block", 6],
+         drawn=0)
 def test_draw_matches_the_full_path(n, prefix, labels, drawn):
     parent = BitStream(11, *prefix)
     parent.take_bits(drawn)  # a draw ignores the parent's own position
