@@ -25,18 +25,28 @@ def label_path(*labels) -> bytes:
     return path
 
 
-def _block(key: bytes, counter: int) -> bytes:
-    """Block counter of the stream keyed by key: 512 bits, big-endian."""
-    return hashlib.blake2b(counter.to_bytes(8, "big"), key=key,
-                           digest_size=64).digest()
+_COUNTER_0 = bytes(8)
+
+
+def _keyed(key: bytes):
+    """The BLAKE2b state of the stream keyed by key, before any block."""
+    return hashlib.blake2b(key=key, digest_size=64)
+
+
+def _block(keyed, counter: int) -> bytes:
+    """Block counter of a keyed stream: 512 bits, big-endian.  Copying the
+    keyed state skips constructing and keying one per block."""
+    h = keyed.copy()
+    h.update(counter.to_bytes(8, "big"))
+    return h.digest()
 
 
 class BitStream:
     """Counter-mode deterministic bit source for one labelled stream.
 
     The key is the BLAKE2b digest of the seed and the label path, taken at
-    the first refill.  A stream keeps its hashed path, so draw() extends it
-    without rehashing it.
+    the first refill, and the stream keeps one state keyed by it.  A stream
+    keeps its hashed path, so draw() extends it without rehashing it.
     """
 
     __slots__ = ("_path", "_key", "_counter", "_buf", "_nbits")
@@ -59,15 +69,17 @@ class BitStream:
         child = self._path.copy()
         child.update(path)
         key = child.digest()
-        if n <= 512:
-            return int.from_bytes(_block(key, 0), "big") >> (512 - n)
+        if n <= 512:  # one block: a one-shot hash beats keying and copying
+            block = hashlib.blake2b(_COUNTER_0, key=key, digest_size=64)
+            return int.from_bytes(block.digest(), "big") >> (512 - n)
         count = (n + 511) >> 9
-        blocks = b"".join([_block(key, c) for c in range(count)])
+        keyed = _keyed(key)
+        blocks = b"".join([_block(keyed, c) for c in range(count)])
         return int.from_bytes(blocks, "big") >> (512 * count - n)
 
     def _refill(self) -> None:
         if self._key is None:
-            self._key = self._path.digest()
+            self._key = _keyed(self._path.digest())
         block = _block(self._key, self._counter)
         self._counter += 1
         self._buf = (self._buf << 512) | int.from_bytes(block, "big")

@@ -266,8 +266,8 @@ def _scramble_and_scan(spec, count, keep):
         pt = build_point(spec, index, "sample")
         p = pt.precision
         cut = p - keep(rng, p)
-        bad = SamplePoint(tuple(m ^ rng.getrandbits(cut) for m in pt.mantissas),
-                          p, "sample", index)
+        mants = tuple(m ^ rng.getrandbits(cut) for m in pt.mantissas)
+        bad = SamplePoint(mants, p, "sample", index)
         failures = verify_point(bad, spec).failures
         assert list(failures) == _digit_scan(spec, bad), index
         for k, check, _ in failures:
