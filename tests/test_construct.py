@@ -371,11 +371,11 @@ def test_hex_matches_format(prec, data):
                                             max_value=1 << (prec + 9))))
     for m in values:
         assert mantissa_to_hex(m, prec) == format(m << pad, f"0{w}x"), m
-    assert mantissa_to_hex(0, 0) == "0"
 
 
 def test_hex_frozen():
     assert mantissa_to_hex(0b1011001, 7) == "b2"
+    assert mantissa_to_hex(0, 0) == "0"  # a zero-width field is one digit
     assert hex_to_mantissa("b2", 7) == 0b1011001
     with pytest.raises(FormatError):
         hex_to_mantissa("b3", 7)  # padding bit set
