@@ -283,11 +283,71 @@ BOXDIM_GOLDEN = {
 }
 
 
+# SHA-256 of every boxcounts_* file test_boxdim_stdout_golden writes
+BOXDIM_DIGESTS = {
+    "desk": {
+        "dist_ell0.csv": "186ae636eb526c3d87c767b52272e0e0"
+            "c5314b0f8ea05ef473f1563e7ad3dbef",
+        "dist_ell0.svg": "ace1ad4d12aa8b41c157caf4f1cc37c5"
+            "513636a781d634a13cf453143dd4eb52",
+        "dist_ell1.csv": "e56471df0f5d70ecc12ea164f9e8c214"
+            "47e243c2fb40624a65b795f4fc2cb3d6",
+        "dist_ell1.svg": "dbf94f0846b772e8b7bdf646a57cb1f6"
+            "b7abb70b97e77f46df603b50f42c880b",
+        "set.csv": "e1ab25caa4f1bf4a9e60ae75c5148110"
+            "39a41e66c5a42cd48917a5b5469cc9d8",
+        "set.svg": "260dc87fe983b38b3edd5060dfd931a3"
+            "bd20de3e8f9207b8d09ac3b64fb0bd17",
+    },
+    "l1-d3": {
+        "dist_ell0.csv": "11bfd1259e12caf87ba3e080222956d3"
+            "3097869436ca4c761c5430786c3a8a19",
+        "dist_ell0.svg": "86d6c19ec5f2ec6d88eb9a35c3a16684"
+            "03096abf1043a6853dea3a1b261cbebc",
+        "dist_ell1.csv": "8c97cf0c90db212580ad610960e8182a"
+            "2d64448f174cebc966d9d4f4095b323e",
+        "dist_ell1.svg": "efe45d9f05572a5329ff9ab0bc1c6c71"
+            "a3cd63ec95176309d866c672cdd29760",
+        "dist_ell2.csv": "7c2aa0696b6122eba21ff3ec2beee966"
+            "889cb79cb06aa9de97a117990cc182d9",
+        "dist_ell2.svg": "6963474d72ad52ec7a1df5cf6ac76354"
+            "4a38b7d82ce104632a20a1e6cf5583bf",
+        "dist_ell3.csv": "cf4df68dc7791f2eb4397a907a9a059d"
+            "c0c46c139560e736b874d8a3a6e7ed94",
+        "dist_ell3.svg": "7be715904d55325b9ce87495669bf3c1"
+            "e308f3c2c6e81540e597a91e49118cb5",
+        "set.csv": "87af6d916a19a2c83e47ee7e66cd059b"
+            "4cd2763d64be9fa42ed53bd2b5c2800b",
+        "set.svg": "63afb23c28bf6c9f2b9eadeb5dcc7514"
+            "bbd71978b25dbf4961a889f2d7242849",
+    },
+    "hex": {
+        "dist_ell0.csv": "a53a4c585e5d95484a9574e424994f52"
+            "6f9aad14eaf5e207d496b34078cc0691",
+        "dist_ell0.svg": "789ff775a8bca888a7db2dd93ca52d60"
+            "48249e43052f3a06be8e753b76120878",
+        "dist_ell1.csv": "303cf9ca109d0aa9968c9bf9fba299a4"
+            "a0ed8e344e56d6cc9375261ad1f2f848",
+        "dist_ell1.svg": "3364726fd08a493d3fbba40d2c175a05"
+            "7ee8136bba5c658e4d9ab6b663d4bf26",
+        "dist_ell2.csv": "470703d15e698d5938add90d70c01181"
+            "51f02ff7b4bfd499c44ba14c105542b4",
+        "dist_ell2.svg": "5ca44625cbd9d1632d847b5493e74e40"
+            "dd9c67fc403d77468b34928aa52f26fe",
+        "set.csv": "a6419b3fcb534cae490281f1c0bb0b79"
+            "a0b672b813363ceb3a963211f6610ac6",
+        "set.svg": "7e4f3a9c9c49dea074ec3f5e6d268852"
+            "ef8845e1c540ba7d070361ddcba00a63",
+    },
+}
+
+
 @pytest.mark.parametrize("name", list(BOXDIM_GOLDEN))
 def test_boxdim_stdout_golden(tmp_path, name, capsys):
     # every line boxdim --falconer prints, at seed 7 with 300 samples and the
     # default scales (each block end from m_2 on); the distance lines read
-    # each checkpoint, its bound and its slack off the schedule's blocks
+    # each checkpoint, its bound and its slack off the schedule's blocks;
+    # every csv/svg pair it writes is pinned by digest
     base, code, lines = BOXDIM_GOLDEN[name]
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(dict(base, samples=300, seed=7)))
@@ -296,6 +356,10 @@ def test_boxdim_stdout_golden(tmp_path, name, capsys):
     assert main(["boxdim", "--config", str(cfg), "--out", str(tmp_path),
                  "--falconer"]) == code
     assert capsys.readouterr().out.splitlines() == lines
+    got = {p.name[len("boxcounts_"):]:
+           hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in tmp_path.glob("boxcounts_*")}
+    assert got == BOXDIM_DIGESTS[name]
 
 
 def test_boxdim_claims_no_thinning_on_empty_windows(tmp_path, capsys):
