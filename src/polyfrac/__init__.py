@@ -22,7 +22,7 @@ _HOME = {
     "verify_point": "construct",
     "DistanceRecord": "distset", "collapse_check": "distset",
     "euclid_floor": "distset", "pairwise": "distset", "pinned": "distset",
-    "BoxCountSeries": "dimension", "ComplexityProfile": "dimension",
+    "ComplexityProfile": "dimension",
     "count_exact": "dimension", "decoupled_count": "dimension",
     "falconer_check": "dimension", "profile_c_aware": "dimension",
     "profile_ideal": "dimension", "slab_system": "dimension",

@@ -96,9 +96,8 @@ def _resolve(cfg: dict, seed=None, samples=None, budget=None) -> _Run:
     if "m" in scfg and scfg.keys() & {"rule", "K", "ratio"}:
         raise FormatError("schedule gives block ends and a geometric rule")
     margin = scfg.get("c", "auto")
+    # FractalSpec refuses a margin below c_min
     margin = c_min if margin == "auto" else _whole("schedule.c", margin)
-    if margin < c_min:
-        raise OutOfRange(f"margin {margin!r} too small for this norm")
     alpha = free_fraction(s, dim)
     if "m" in scfg:
         m = [_whole("schedule.m entry", v) for v in scfg["m"]]
@@ -174,17 +173,8 @@ def _write_lines(path: str, lines: list) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _boxcount_csv(series, mhash: str) -> list:
-    lines = ["polyfrac-boxcounts v1", f"# manifest {mhash}",
-             "r,count,log2_count,mode"]
-    for e in series.entries:
-        lg = math.log2(e.count) if e.count else float("-inf")
-        lines.append(f"{e.r},{e.count},{lg:.6f},{e.mode}")
-    return lines
-
-
-def _series_svg(series, mhash: str, title: str) -> list:
-    pts = [(e.r, math.log2(e.count)) for e in series.entries if e.count]
+def _series_svg(entries, mhash: str, title: str) -> list:
+    pts = [(e.r, math.log2(e.count)) for e in entries if e.count]
     w, h, ml, mb = 400, 300, 45, 40
     if pts:
         rlo, rhi = min(p[0] for p in pts), max(p[0] for p in pts)
@@ -206,6 +196,18 @@ def _series_svg(series, mhash: str, title: str) -> list:
         f'<polyline fill="none" stroke="#000" points="{coords}"/>',
         "</svg>",
     ]
+
+
+def _write_counts(out: str, tag: str, entries, mhash: str) -> None:
+    """boxcounts_<tag>.csv and its log-log plot boxcounts_<tag>.svg."""
+    lines = ["polyfrac-boxcounts v1", f"# manifest {mhash}",
+             "r,count,log2_count,mode"]
+    for e in entries:
+        lg = math.log2(e.count) if e.count else float("-inf")
+        lines.append(f"{e.r},{e.count},{lg:.6f},{e.mode}")
+    path = os.path.join(out, f"boxcounts_{tag}")
+    _write_lines(path + ".csv", lines)
+    _write_lines(path + ".svg", _series_svg(entries, mhash, tag))
 
 
 def _load_points(run: _Run, args) -> list:
@@ -295,45 +297,36 @@ def cmd_boxdim(run: _Run, args) -> int:
     spec = run.spec
     points = _load_points(run, args)
     system = dm.slab_system(spec)
-    entries = []
+    set_counts = []
     for r in run.scales:
         try:
-            ec = dm.count_exact(system, r, run.budget)
-            entries.append(dm.BoxCount(r, ec.count, "exact"))
+            count = dm.count_exact(system, r, run.budget).count
+            set_counts.append(dm.BoxCount(r, count, "exact"))
         except BudgetExceeded:
-            entries.append(dm.sampled_point_series(points, [r]).entries[0])
-    set_series = dm.BoxCountSeries(tuple(entries))
-    _write_lines(os.path.join(args.out, "boxcounts_set.csv"),
-                 _boxcount_csv(set_series, run.manifest_hash))
-    _write_lines(os.path.join(args.out, "boxcounts_set.svg"),
-                 _series_svg(set_series, run.manifest_hash, "set"))
-    for e in set_series.entries:
+            set_counts += dm.sampled_point_series(points, [r])
+    _write_counts(args.out, "set", set_counts, run.manifest_hash)
+    for e in set_counts:
         print(f"r={e.r} count={e.count} mode={e.mode}")
 
     values = ds.estimation_values(ds.pinned(points[0], points[1:], spec.norm))
     sched = spec.schedule
-    dist_series = []
+    dist_counts = []
     for ell in range(spec.norm.n_functionals):
-        ser = dm.sampled_distance_series(
+        counts = dm.sampled_distance_series(
             values.get(ell, []), [w.b for w in sched.of_functional(ell)])
-        dist_series.append(ser)
-        tag = f"dist_ell{ell}"
-        _write_lines(os.path.join(args.out, f"boxcounts_{tag}.csv"),
-                     _boxcount_csv(ser, run.manifest_hash))
-        _write_lines(os.path.join(args.out, f"boxcounts_{tag}.svg"),
-                     _series_svg(ser, run.manifest_hash, tag))
+        dist_counts.append(counts)
+        _write_counts(args.out, f"dist_ell{ell}", counts, run.manifest_hash)
     _write_manifest(run, args)
 
-    est_set = dm.dim_lower_estimate(set_series, run.scales)
-    limited = [e.r for e in set_series.entries if e.mode == "saturated"]
+    est_set = dm.dim_lower_estimate(set_counts)
+    limited = [e.r for e in set_counts if e.mode == "saturated"]
     print(f"dim_set lower estimate {est_set:.4f} over scales "
           f"{list(run.scales)}"
           + (f"; sample-limited (saturated) at {limited}" if limited else ""))
-    for ell, ser in enumerate(dist_series):
+    for ell, counts in enumerate(dist_counts):
         # a checkpoint tops its block's window, with n_k digits as its ideal
         # bound; an empty window constrains no digit, so it bounds nothing
-        for w in sched.of_functional(ell):
-            e = ser.entry(w.b)
+        for w, e in zip(sched.of_functional(ell), counts):
             lg = math.log2(e.count) if e.count else None
             line = f"dist ell={ell} r={w.b} " + (
                 "empty" if lg is None else f"log2count={lg:.2f}")
@@ -346,9 +339,8 @@ def cmd_boxdim(run: _Run, args) -> int:
 
     code = 0
     if args.falconer:
-        usable = [[e for e in ser.entries if e.count] for ser in dist_series]
-        est_dist = min((dm.dim_lower_estimate(ser, [e.r for e in es])
-                        for ser, es in zip(dist_series, usable) if es),
+        usable = [[e for e in counts if e.count] for counts in dist_counts]
+        est_dist = min((dm.dim_lower_estimate(es) for es in usable if es),
                        default=0.0)
         dist_limited = [f"ell={ell} r={e.r}" for ell, es in enumerate(usable)
                         for e in es if e.mode == "saturated"]
@@ -360,7 +352,7 @@ def cmd_boxdim(run: _Run, args) -> int:
                  if dist_limited else ""))
         if not rep.passed:
             code = 3
-    if all(e.mode != "exact" for e in set_series.entries):
+    if all(e.mode != "exact" for e in set_counts):
         print("no exact scale completed within budget", file=sys.stderr)
         return 4
     return code

@@ -40,12 +40,11 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import (BudgetExceeded, InsufficientData, MissingCheckpoint,
-                     OutOfRange)
+from .errors import BudgetExceeded, InsufficientData, OutOfRange
 
 __all__ = ["SlabGroup", "SlabSystem", "slab_system", "ExactCount",
            "count_exact", "decoupled_count", "count_value_cells",
-           "count_point_cells", "BoxCount", "BoxCountSeries",
+           "count_point_cells", "BoxCount",
            "sampled_distance_series", "sampled_point_series",
            "ComplexityProfile", "profile_ideal", "profile_c_aware",
            "dim_lower_estimate", "distance_slack",
@@ -390,30 +389,18 @@ class BoxCount(NamedTuple):
     mode: str
 
 
-class BoxCountSeries(NamedTuple):
-    entries: tuple
-
-    def entry(self, r: int) -> BoxCount:
-        for e in self.entries:
-            if e.r == r:
-                return e
-        raise MissingCheckpoint(f"no box count at scale {r}")
+def _sampled(counts, n_samples, scales) -> tuple:
+    """One BoxCount per scale, in order; saturated below 100 samples a cell."""
+    return tuple(BoxCount(r, c, "sampled" if n_samples >= 100 * c
+                          else "saturated") for r, c in zip(scales, counts))
 
 
-def _sampled(counts, n_samples, scales) -> BoxCountSeries:
-    entries = []
-    for r, c in zip(scales, counts):
-        mode = "sampled" if n_samples >= 100 * c else "saturated"
-        entries.append(BoxCount(r, c, mode))
-    return BoxCountSeries(tuple(entries))
-
-
-def sampled_distance_series(values, scales) -> BoxCountSeries:
+def sampled_distance_series(values, scales) -> tuple:
     return _sampled([count_value_cells(values, r) for r in scales],
                     len(values), scales)
 
 
-def sampled_point_series(points, scales) -> BoxCountSeries:
+def sampled_point_series(points, scales) -> tuple:
     return _sampled([count_point_cells(points, r) for r in scales],
                     len(points), scales)
 
@@ -500,21 +487,17 @@ def profile_c_aware(schedule, dim: int, ell: int | None = None) -> ComplexityPro
     return _profile(schedule, dim, ell, schedule.margin)
 
 
-def dim_lower_estimate(series: BoxCountSeries, checkpoints) -> float:
-    """min over checkpoints of log2(count)/r; the conservative exponent.
-    Saturated (sample-limited) entries count too; callers name them."""
-    best = None
-    for r in checkpoints:
-        if r < 1:
-            raise OutOfRange("checkpoints must be >= 1")
-        e = series.entry(r)
+def dim_lower_estimate(entries) -> float:
+    """min of log2(count)/r over the BoxCount entries; the conservative
+    exponent.  Saturated (sample-limited) ones count too; callers name them."""
+    for e in entries:
+        if e.r < 1:
+            raise OutOfRange("scales must be >= 1")
         if e.count < 1:
-            raise InsufficientData(f"empty count at scale {r}")
-        v = math.log2(e.count) / r
-        best = v if best is None else min(best, v)
-    if best is None:
-        raise MissingCheckpoint("no checkpoints given")
-    return best
+            raise InsufficientData(f"empty count at scale {e.r}")
+    if not entries:
+        raise InsufficientData("no box counts given")
+    return min(math.log2(e.count) / e.r for e in entries)
 
 
 def distance_slack(margin: int, block_end: int) -> int:

@@ -36,9 +36,13 @@ class DistanceRecord(NamedTuple):
     euclid: int | None = None  # euclid_floor_mantissa at the r places asked
 
 
-def _shared_precision(points) -> int:
-    """The one precision of points that share it and their dimension;
-    OutOfRange otherwise."""
+def _shared_precision(points, euclid: int | None = None) -> int:
+    """The one precision of points that share it and their dimension, 0 for
+    no points; OutOfRange otherwise, and for euclid below 0 places."""
+    if euclid is not None and euclid < 0:
+        raise OutOfRange(f"euclid must be >= 0 places, not {euclid}")
+    if not points:
+        return 0
     dim, prec = points[0].dim, points[0].precision
     for pt in points:
         if pt.dim != dim or pt.precision != prec:
@@ -72,7 +76,7 @@ def _records(pairs, prec: int, norm: PolyhedralNorm,
 def pinned(x, ys, norm: PolyhedralNorm, euclid: int | None = None) -> list:
     """Distances from the pinned point to each sample, each sample projected
     as it is reached; euclid as in _records."""
-    prec = _shared_precision([x, *ys])
+    prec = _shared_precision([x, *ys], euclid)
     px, project = norm.project(x.mantissas), norm.project
     return list(_records(((x, px, y, project(y.mantissas)) for y in ys),
                          prec, norm, euclid))
@@ -93,11 +97,14 @@ def pairwise(ys, norm: PolyhedralNorm, cap: int | None = None,
     Subsampling draws a uniform cap-subset of pair ranks (Floyd's method) so
     reruns with the same seed pick the same pairs.  The shape check, the
     draws and one projection per point (n lists of k ints) happen at call
-    time; each record is measured as it is taken.  euclid as in _records.
+    time, as do the refusals of cap < 0 and euclid < 0; each record is
+    measured as it is taken.  euclid as in _records.
     """
+    if cap is not None and cap < 0:
+        raise OutOfRange(f"cap must be >= 0, not {cap}")
     n = len(ys)
     total = n * (n - 1) // 2
-    prec = _shared_precision(ys) if ys else 0
+    prec = _shared_precision(ys, euclid)
     if cap is None or total <= cap:
         pairs = combinations(range(n), 2)
     else:

@@ -41,12 +41,8 @@ class NoSolution(PolyfracError):
     """Pivot-digit solver found no admissible bit string."""
 
 
-class MissingCheckpoint(PolyfracError):
-    """Requested checkpoint scale is not present in the series."""
-
-
 class InsufficientData(PolyfracError):
-    """A checkpoint's box count is empty, so it gives no exponent."""
+    """No box count, or an empty one, so there is no exponent."""
 
 
 class BudgetExceeded(PolyfracError):

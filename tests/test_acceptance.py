@@ -178,16 +178,14 @@ def test_06_distance_dimension_inequality(ensemble):
         sched = spec.schedule
         scales = list(sched.bounds[1:])
         prof = dm.profile_ideal(sched, spec.dim)
-        series = dm.BoxCountSeries(tuple(
+        est_set = dm.dim_lower_estimate(tuple(
             dm.BoxCount(r, 1 << prof.value_at(r), "exact") for r in scales))
-        est_set = dm.dim_lower_estimate(series, scales)
 
         per_functional = []
         for ell in range(spec.norm.n_functionals):
-            cps = [(w.b, w.split) for w in sched.of_functional(ell)]
-            dist_series = dm.BoxCountSeries(tuple(
-                dm.BoxCount(r, 1 << b, "exact") for r, b in cps))
-            est = dm.dim_lower_estimate(dist_series, [r for r, _ in cps])
+            est = dm.dim_lower_estimate(tuple(
+                dm.BoxCount(w.b, 1 << w.split, "exact")
+                for w in sched.of_functional(ell)))
             rep = dm.falconer_check(est_set, est, spec.dim, FALCONER_TOL)
             assert rep.passed, (key, ell, rep)
             per_functional.append(est)

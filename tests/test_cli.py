@@ -694,6 +694,15 @@ def test_margin_error_names_integer_rule(tmp_path, capsys):
     assert "too small" not in err
 
 
+def test_margin_below_norm_minimum_refused_by_spec(tmp_path, capsys):
+    # 2 is below the linf minimum of 3; FractalSpec is the one place that
+    # refuses it, after the schedule is built
+    cfg = write_config(tmp_path / "cfg.json",
+                       schedule={"c": 2, "m": [1, 16, 32, 96]})
+    assert main(["profile", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "margin 2 below norm requirement 3" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("ratio", ["3/2", "9/2"])
 def test_ratio_reads_like_s(tmp_path, ratio):
     # 3/2 never beats the k * m_k growth; 9/2 does past the first block

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from polyfrac.cli import _ratio_text
 from polyfrac.construct import SamplePoint, make_spec
-from polyfrac.dimension import (BoxCount, BoxCountSeries, ComplexityProfile,
+from polyfrac.dimension import (BoxCount, ComplexityProfile,
                                 ExactCount,
                                 SlabGroup, SlabSystem, count_exact,
                                 count_point_cells, count_value_cells,
@@ -18,8 +18,7 @@ from polyfrac.dimension import (BoxCount, BoxCountSeries, ComplexityProfile,
                                 sampled_distance_series, sampled_point_series,
                                 slab_system)
 from polyfrac.dyadic import Dyadic
-from polyfrac.errors import (BudgetExceeded, InsufficientData,
-                             MissingCheckpoint, OutOfRange)
+from polyfrac.errors import BudgetExceeded, InsufficientData, OutOfRange
 from polyfrac.norms import preset
 
 
@@ -364,21 +363,18 @@ def test_count_point_cells():
 
 def test_sampled_series_mode_rule():
     vals = [Dyadic(1, 3)] * 100 + [Dyadic(5, 3)] * 100
-    series = sampled_distance_series(vals, [1, 3])
-    assert series.entry(1).mode == "sampled"  # 200 samples vs 1 cell
-    assert series.entry(3).mode == "sampled"  # exactly 100x the 2 cells
-    starved = sampled_distance_series(vals[:199], [3])
-    assert starved.entry(3).mode == "saturated"
-    with pytest.raises(MissingCheckpoint):
-        series.entry(2)
+    # one entry per scale, in the order the scales are given
+    assert sampled_distance_series(vals, [3, 0]) == (
+        BoxCount(3, 2, "sampled"),  # exactly 100x the 2 cells
+        BoxCount(0, 1, "sampled"))  # 200 samples vs 1 cell
+    assert sampled_distance_series(vals[:199], [3]) == (
+        BoxCount(3, 2, "saturated"),)
+    assert sampled_distance_series(vals, []) == ()
 
 
 def test_sampled_point_series_modes():
     pts = [SamplePoint((i % 2,), 1, "sample", i) for i in range(300)]
-    series = sampled_point_series(pts, [1])
-    assert series.entry(1).count == 2
-    assert series.entry(1).mode == "sampled"
-    assert [e.r for e in series.entries] == [1]
+    assert sampled_point_series(pts, [1]) == (BoxCount(1, 2, "sampled"),)
 
 
 # -- profiles --------------------------------------------------------------
@@ -564,27 +560,23 @@ def test_distance_slack_frozen():
 
 # -- estimators ------------------------------------------------------------
 
-def series_of(*pairs):
-    return BoxCountSeries(tuple(BoxCount(r, c, "exact") for r, c in pairs))
+def counts_of(*pairs):
+    return tuple(BoxCount(r, c, "exact") for r, c in pairs)
 
 
 def test_dim_lower_estimate_frozen():
-    series = series_of((13, 512), (93, 1 << 57))
-    got = dim_lower_estimate(series, [13, 93])
+    got = dim_lower_estimate(counts_of((13, 512), (93, 1 << 57)))
     assert math.isclose(got, 57 / 93)
-    assert math.isclose(dim_lower_estimate(series, [13]), 9 / 13)
+    assert math.isclose(dim_lower_estimate(counts_of((13, 512))), 9 / 13)
 
 
 def test_dim_lower_estimate_errors():
-    series = series_of((13, 512), (20, 0))
-    with pytest.raises(MissingCheckpoint):
-        dim_lower_estimate(series, [])
-    with pytest.raises(MissingCheckpoint):
-        dim_lower_estimate(series, [14])
     with pytest.raises(InsufficientData):
-        dim_lower_estimate(series, [20])
+        dim_lower_estimate(())
+    with pytest.raises(InsufficientData):
+        dim_lower_estimate(counts_of((13, 512), (20, 0)))
     with pytest.raises(OutOfRange):
-        dim_lower_estimate(series, [0])
+        dim_lower_estimate(counts_of((0, 1), (13, 512)))
 
 
 @pytest.mark.parametrize("dim_set,dim_dist,ambient,tol,expect", [

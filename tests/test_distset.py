@@ -89,6 +89,20 @@ def test_mismatched_last_point_rejected(desk, desk_points):
             collapse_check(x, bad, desk)
 
 
+def test_negative_places_and_cap_refused_at_call_time(desk, desk_points):
+    # euclid=-3 read floor 0 on every record and cap=-1 drew no pair; both
+    # are refused before any record is measured, lazy pairwise included
+    x, ys = desk_points
+    with pytest.raises(OutOfRange):
+        pinned(x, ys, desk.norm, euclid=-3)
+    with pytest.raises(OutOfRange):
+        pairwise(ys, desk.norm, euclid=-1)
+    with pytest.raises(OutOfRange):
+        pairwise(ys, desk.norm, cap=-1)
+    assert list(pairwise(ys, desk.norm, cap=0)) == []
+    assert [r.euclid for r in pinned(x, ys[:1], desk.norm, euclid=0)] == [0]
+
+
 @given(st.integers(min_value=2, max_value=40))
 def test_unrank_pair_is_lexicographic(n):
     pairs = [_unrank_pair(r, n) for r in range(n * (n - 1) // 2)]

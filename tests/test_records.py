@@ -6,9 +6,8 @@ from fractions import Fraction
 import pytest
 
 from polyfrac.construct import FractalSpec, PointReport, SamplePoint, make_spec
-from polyfrac.dimension import (BoxCount, BoxCountSeries, ComplexityProfile,
-                                ExactCount, FalconerReport, SlabGroup,
-                                SlabSystem)
+from polyfrac.dimension import (BoxCount, ComplexityProfile, ExactCount,
+                                FalconerReport, SlabGroup, SlabSystem)
 from polyfrac.distset import BlockCollapse, CollapseReport, DistanceRecord
 from polyfrac.dyadic import Dyadic
 from polyfrac.errors import InfeasibleSchedule, OutOfRange
@@ -51,8 +50,6 @@ RECORDS = [
      lambda: ExactCount(4, 10, 12, 7)),
     (BoxCount, ("r", "count", "mode"),
      lambda: BoxCount(4, 10, "exact")),
-    (BoxCountSeries, ("entries",),
-     lambda: BoxCountSeries((BoxCount(4, 10, "exact"),))),
     (ComplexityProfile, ("segments",),
      lambda: ComplexityProfile(((0, 4, 1), (4, 9, 2)))),
     (FalconerReport, ("dim_set", "dim_dist", "ambient", "tol", "threshold",
@@ -101,8 +98,6 @@ def test_properties_and_methods_survive():
     assert not PointReport(((1, "carry", 5),)).ok and PointReport(()).ok
     ec = ExactCount(4, 10, 10, 7)
     assert ec.exact and ec.count == 10
-    series = BoxCountSeries((BoxCount(4, 10, "exact"),))
-    assert series.entry(4).count == 10
     prof = ComplexityProfile(((0, 4, 1), (4, 9, 2)))
     assert prof.depth == 9 and prof.value_at(6) == 8
     assert SlabGroup((0, 3), 1, ()).support == (1,)
