@@ -19,8 +19,9 @@ _HOME = {
     "FractalSpec": "construct", "SamplePoint": "construct",
     "build_point": "construct", "make_spec": "construct",
     "pinned_point": "construct", "sample_points": "construct",
-    "verify_point": "construct",
+    "verify_point": "construct", "first_failure": "construct",
     "DistanceRecord": "distset", "collapse_check": "distset",
+    "collapse_first_failure": "distset",
     "euclid_floor": "distset", "pairwise": "distset", "pinned": "distset",
     "ComplexityProfile": "dimension",
     "count_exact": "dimension", "decoupled_count": "dimension",

@@ -226,19 +226,25 @@ def _load_points(run: _Run, args) -> list:
     if points[0] != cn.pinned_point(spec):
         raise FormatError("manifest mismatch: point 0 of the points file is "
                           "not this config's pinned point")
+    # point 0 equals the pinned point, role included, so row 0 is tagged x
+    tagged = next((pt.index for pt in points[1:] if pt.role != "sample"),
+                  None)
+    if tagged is not None:
+        raise FormatError(f"points file row {tagged} is tagged "
+                          f"{cn.ROLE_TAGS['pinned']}: only row 0 may be")
     return points
 
 
 def _all_verified(points, spec) -> bool:
-    """Check each point; name the first failure on stderr."""
-    for pt in points:
-        report = cn.verify_point(pt, spec)
-        if not report.ok:
-            k, check, place = report.failures[0]
-            print(f"point {pt.index}: block {k} {check} fails at place "
-                  f"{place}", file=sys.stderr)
-            return False
-    return True
+    """Check every point; name the first failure on stderr."""
+    bad = cn.first_failure(points, spec)
+    if bad is None:
+        return True
+    pt, report = bad
+    k, check, place = report.failures[0]
+    print(f"point {pt.index}: block {k} {check} fails at place {place}",
+          file=sys.stderr)
+    return False
 
 
 def cmd_construct(run: _Run, args) -> int:
@@ -392,13 +398,13 @@ def cmd_verify(run: _Run, args) -> int:
     if not _all_verified(points, run.spec):
         return 3
     x = points[0]
-    for pt in points[1:]:
+    pt = ds.collapse_first_failure(x, points[1:], run.spec)
+    if pt is not None:
         rep = ds.collapse_check(x, pt, run.spec)
-        if not rep.ok:
-            bad = next(b.block for b in rep.blocks if not b.constant_trimmed)
-            print(f"pair {x.index}-{pt.index}: collapse fails at block "
-                  f"{bad}", file=sys.stderr)
-            return 3
+        bad = next(b.block for b in rep.blocks if not b.constant_trimmed)
+        print(f"pair {x.index}-{pt.index}: collapse fails at block {bad}",
+              file=sys.stderr)
+        return 3
     print(f"verified {len(points)} points")
     print(f"collapse ok on {len(points) - 1} pinned pairs")
     return 0

@@ -26,7 +26,8 @@ from .streams import BitStream
 
 __all__ = ["DistanceRecord", "delta_mantissas", "pinned", "pairwise",
            "euclid_floor", "euclid_floor_mantissa", "BlockCollapse",
-           "CollapseReport", "collapse_check", "estimation_values"]
+           "CollapseReport", "collapse_check", "collapse_first_failure",
+           "estimation_values"]
 
 
 class DistanceRecord(NamedTuple):
@@ -198,29 +199,79 @@ class CollapseReport(NamedTuple):
         return all(b.constant_trimmed for b in self.blocks)
 
 
-def _digits_constant(mantissa: int, scale: int, lo: int, hi: int) -> bool:
-    # digits at places (lo, hi] all equal; empty stretch is constant
-    if hi - lo <= 0:
+def _window(scale: int, lo: int, hi: int):
+    """(shift, mask) reading the digits at places (lo, hi] of a mantissa
+    at scale; None for an empty stretch, which is constant."""
+    if hi <= lo:
+        return None
+    return scale - hi, (1 << (hi - lo)) - 1
+
+
+def _constant(mantissa: int, window) -> bool:
+    # digits all equal across the window
+    if window is None:
         return True
-    seg = (mantissa >> (scale - hi)) & ((1 << (hi - lo)) - 1)
-    return seg == 0 or seg == (1 << (hi - lo)) - 1
+    shift, mask = window
+    seg = (mantissa >> shift) & mask
+    return seg == 0 or seg == mask
+
+
+def _collapse_windows(sched, ell: int, scale: int) -> tuple:
+    """(k, a, b, window, trimmed window) per block k of functional ell,
+    for a value at scale: the one window table that collapse_check and
+    collapse_first_failure read."""
+    return tuple((k, a, b, _window(scale, a, b),
+                  _window(scale, a + 1, b - 1))
+                 for k, _, _, _, _, a, b in sched.of_functional(ell))
+
+
+def _collapse_precision(x, y, sched) -> int:
+    """The shared precision of x and y, refusing points shallower than the
+    schedule (PrecisionExceeded) or of another shape (OutOfRange)."""
+    if x.precision < sched.depth or y.precision < sched.depth:
+        raise PrecisionExceeded("points are shallower than the schedule")
+    return _shared_precision((x, y))
 
 
 def collapse_check(x, y, spec) -> CollapseReport:
     """Digit-constancy of d(x, y) across the achieving functional's windows."""
     sched = spec.schedule
-    if x.precision < sched.depth or y.precision < sched.depth:
-        raise PrecisionExceeded("points are shallower than the schedule")
-    prec = _shared_precision((x, y))
+    prec = _collapse_precision(x, y, sched)
     value, ties = spec.norm.measure_mantissas(delta_mantissas(x, y), prec)
-    achieving = ties[0]
-    blocks = []
-    for k, _, _, _, _, a, b in sched.of_functional(achieving):
-        blocks.append(BlockCollapse(
-            k, (a, b), (a + 1, b - 1),
-            _digits_constant(value.mantissa, value.precision, a, b),
-            _digits_constant(value.mantissa, value.precision, a + 1, b - 1)))
-    return CollapseReport(achieving, ties, tuple(blocks))
+    achieving, v = ties[0], value.mantissa
+    blocks = tuple(
+        BlockCollapse(k, (a, b), (a + 1, b - 1), _constant(v, full),
+                      _constant(v, trimmed))
+        for k, a, b, full, trimmed in _collapse_windows(
+            sched, achieving, value.precision))
+    return CollapseReport(achieving, ties, blocks)
+
+
+def collapse_first_failure(x, ys, spec):
+    """The first y in ys with collapse_check(x, y, spec) not ok, None when
+    every pair passes; refusals as collapse_check's, pair by pair.
+
+    x is projected once and each y as it is reached.  Entry l of
+    project(x) - project(y) is (x - y) . v^l scaled to the finest
+    functional precision, so the first largest |entry| is tested as it
+    stands, against its functional's trimmed windows at that scale (built
+    once per call).
+    """
+    sched, norm, project = spec.schedule, spec.norm, spec.norm.project
+    scale = x.precision + max(f.precision for f in norm.functionals)
+    trimmed = [[w for *_, w in _collapse_windows(sched, ell, scale)]
+               for ell in range(norm.n_functionals)]
+    px, prec, dim = project(x.mantissas), x.precision, x.dim
+    deep = prec >= sched.depth
+    for y in ys:
+        if not deep or y.precision != prec or len(y.mantissas) != dim:
+            _collapse_precision(x, y, sched)  # raises: y is refused
+        keys = list(map(abs, map(sub, px, project(y.mantissas))))
+        v = max(keys)
+        for window in trimmed[keys.index(v)]:
+            if not _constant(v, window):
+                return y
+    return None
 
 
 def estimation_values(records) -> dict:

@@ -106,6 +106,58 @@ def test_verify_detects_tampering(made, tmp_path, capsys):
     assert "manifest mismatch" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def made_400(tmp_path_factory):
+    """401 desk points: 104-bit lanes make chunks of 157, 157 and 87."""
+    root = tmp_path_factory.mktemp("made_400")
+    cfg = write_config(root / "cfg.json", samples=400)
+    out = root / "out"
+    assert main(["construct", "--config", cfg, "--out", str(out)]) == 0
+    return cfg, (out / "points.txt").read_text().splitlines()
+
+
+def test_verify_names_the_first_tampered_point_across_chunks(made_400,
+                                                              tmp_path,
+                                                              capsys):
+    cfg, lines = made_400
+
+    def tampered(*indices):
+        # set a zero digit of coordinate 0 in block 3's window (67, 93]
+        bad = list(lines)
+        places = {}
+        for i in indices:
+            fields = bad[3 + i].split()
+            m = hex_to_mantissa(fields[1], 96)
+            places[i] = next(j for j in range(69, 92)
+                             if not (m >> (96 - j)) & 1)
+            fields[1] = mantissa_to_hex(m | 1 << (96 - places[i]), 96)
+            bad[3 + i] = " ".join(fields)
+        (tmp_path / "points.txt").write_text("\n".join(bad) + "\n")
+        return places
+
+    place = tampered(350)[350]  # in the last, partial chunk
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert f"point 350: block 3 membership fails at place {place}" in err
+    place = tampered(350, 200)[200]  # the lower index is named
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"point 200: block 3 membership fails at place "
+                          f"{place}")
+
+
+@pytest.mark.parametrize("command", READERS)
+def test_readers_refuse_a_second_pinned_row(made, tmp_path, command,
+                                            capsys):
+    cfg, out = made
+    lines = (out / "points.txt").read_text().splitlines()
+    lines[3 + 5] = "x" + lines[3 + 5][1:]  # row 5 claims the pinned role
+    (tmp_path / "points.txt").write_text("\n".join(lines) + "\n")
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert ("format error: points file row 5 is tagged x: only row 0 may "
+            "be") in capsys.readouterr().err
+
+
 def test_verify_refuses_header_below_one(made, tmp_path, capsys):
     # a bare role tag is a well-formed row for d=0; the header itself is bad
     cfg, out = made
