@@ -276,9 +276,9 @@ def cmd_distset(run: _Run, args) -> int:
 
     def row(rec) -> str:
         i, j = rec.source
-        v = rec.value
         line = (f"{i}-{j},{rec.achieving},"
-                f"{cn.mantissa_to_hex(v.mantissa, v.precision)},{v.precision}")
+                f"{cn.mantissa_to_hex(rec.mantissa, rec.precision)},"
+                f"{rec.precision}")
         if r is not None:
             line += f",{cn.mantissa_to_hex(rec.euclid, r)},{r}"
         return line + "\n"

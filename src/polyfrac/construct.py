@@ -16,14 +16,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .dyadic import Dyadic
 from .errors import (FormatError, InfeasibleSchedule, NoSolution, OutOfRange,
                      PrecisionExceeded)
 from .norms import PolyhedralNorm, int_dot, min_margin
 from .schedule import BlockSchedule, free_fraction, generate, validate
 from .streams import BitStream, label_path
+
+if TYPE_CHECKING:
+    from .dyadic import Dyadic
 
 __all__ = ["FractalSpec", "SamplePoint", "PointReport", "make_spec",
            "build_point", "pinned_point", "sample_points",
@@ -170,19 +172,15 @@ def _marker(scale: int, a: int, b: int) -> tuple[int, int, int, int]:
 def _steer(s0: int, step: int, marker: tuple, max_offsets: int) -> int:
     """Smallest u >= 0 with s0 + u*step on the marker residue.
 
-    Requires step <= width; then every period at or above s0 mod 2**e
-    admits a landing, so only the u < max_offsets cap can fail.
+    Requires step <= width; then the first offset reaching the first band
+    that ends above s0 mod 2**e lands in it, so only the cap can fail.
     """
     e, mask, lo, width = marker
     rho = s0 & mask
-    # first period whose band ends above rho, ceil((rho+1-lo-width) / 2**e)
-    q0 = max(0, -((lo + width - 1 - rho) >> e))
-    for q in range(q0, q0 + 4):
-        target = lo + (q << e)
-        u = max(0, -((rho - target) // step))
-        val = rho + u * step
-        if target <= val < target + width and u < max_offsets:
-            return u
+    target = lo if rho < lo + width else lo + (1 << e)
+    u = max(0, -((rho - target) // step))
+    if u < max_offsets:
+        return u
     raise NoSolution(
         f"no admissible offset below 2**{max_offsets.bit_length() - 1}")
 

@@ -374,7 +374,8 @@ def decoupled_count(system: SlabSystem, r: int) -> int:
 
 
 def count_value_cells(values, r: int) -> int:
-    return len({v.floor_scaled(r) for v in values})
+    """Distinct level-r cells of (mantissa, precision) values, r >= 0."""
+    return len({m << r >> p for m, p in values})
 
 
 def count_point_cells(points, r: int) -> int:

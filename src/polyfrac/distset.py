@@ -1,9 +1,10 @@
 """Distance sets of constructed point families.
 
-Distances are exact dyadics: the norm of a coordinate difference is a max of
-dot products.  Points of one call share dimension and precision, so each
-point is projected once to its k integer dot products x . v, and a distance
-is the largest |x . v - y . v|: every functional is linear.  The Euclidean
+Distances are exact dyadics, held as (mantissa, precision) integers: the norm
+of a coordinate difference is a max of dot products.  Points of one call
+share dimension and precision, so each point is projected once to its k
+integer dot products x . v, and a distance is the largest |x . v - y . v|:
+every functional is linear.  The Euclidean
 floor is taken on the integer mantissas of x - y.  The collapse report
 explains why pinned distances cluster: whichever functional achieves the
 norm, the digits of the achieved value are constant across that functional's
@@ -17,12 +18,14 @@ import math
 from collections.abc import Iterator
 from itertools import combinations, repeat
 from operator import sub
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .dyadic import Dyadic
 from .errors import OutOfRange, PrecisionExceeded
 from .norms import PolyhedralNorm, int_dot
 from .streams import BitStream
+
+if TYPE_CHECKING:
+    from .dyadic import Dyadic
 
 __all__ = ["DistanceRecord", "delta_mantissas", "pinned", "pairwise",
            "euclid_floor", "euclid_floor_mantissa", "BlockCollapse",
@@ -31,7 +34,8 @@ __all__ = ["DistanceRecord", "delta_mantissas", "pinned", "pairwise",
 
 
 class DistanceRecord(NamedTuple):
-    value: Dyadic
+    mantissa: int           # the distance is mantissa * 2**-precision
+    precision: int
     achieving: int          # smallest index of a functional attaining the max
     source: tuple[int, int]  # point indices (first, second)
     euclid: int | None = None  # euclid_floor_mantissa at the r places asked
@@ -67,9 +71,9 @@ def _records(pairs, prec: int, norm: PolyhedralNorm,
     use of the coordinate difference."""
     measure = norm.measure_projection
     for x, px, y, py in pairs:
-        value, ties = measure(map(sub, px, py), prec)
+        mantissa, precision, ties = measure(map(sub, px, py), prec)
         yield DistanceRecord(
-            value, ties[0], (x.index, y.index),
+            mantissa, precision, ties[0], (x.index, y.index),
             None if euclid is None else
             euclid_floor_mantissa(delta_mantissas(x, y), prec, euclid))
 
@@ -166,6 +170,7 @@ def euclid_floor_mantissa(mants, prec: int, r: int) -> int:
 
 def euclid_floor(delta, r: int) -> Dyadic:
     """Euclidean length of delta, rounded down to r binary places."""
+    from .dyadic import Dyadic  # a test oracle: no command calls this form
     if r < 0:
         raise OutOfRange("r must be >= 0")
     if not delta:
@@ -235,16 +240,16 @@ def _collapse_precision(x, y, sched) -> int:
 
 def collapse_check(x, y, spec) -> CollapseReport:
     """Digit-constancy of d(x, y) across the achieving functional's windows."""
-    sched = spec.schedule
-    prec = _collapse_precision(x, y, sched)
-    value, ties = spec.norm.measure_mantissas(delta_mantissas(x, y), prec)
-    achieving, v = ties[0], value.mantissa
+    sched, norm = spec.schedule, spec.norm
+    v, scale, ties = norm.measure_projection(
+        norm.project(delta_mantissas(x, y)),
+        _collapse_precision(x, y, sched))
     blocks = tuple(
         BlockCollapse(k, (a, b), (a + 1, b - 1), _constant(v, full),
                       _constant(v, trimmed))
         for k, a, b, full, trimmed in _collapse_windows(
-            sched, achieving, value.precision))
-    return CollapseReport(achieving, ties, blocks)
+            sched, ties[0], scale))
+    return CollapseReport(ties[0], ties, blocks)
 
 
 def collapse_first_failure(x, ys, spec):
@@ -275,13 +280,14 @@ def collapse_first_failure(x, ys, spec):
 
 
 def estimation_values(records) -> dict:
-    """Nonzero distance values per achieving functional.
+    """Nonzero distance values per achieving functional, each as its
+    record's first two fields: a (mantissa, precision) pair.
 
     Zero distances (coincident points) carry no box-counting information and
     would pin a spurious cell at the origin, so they are dropped.
     """
     out: dict = {}
     for rec in records:
-        if rec.value:
-            out.setdefault(rec.achieving, []).append(rec.value)
+        if rec.mantissa:
+            out.setdefault(rec.achieving, []).append(rec[:2])
     return out

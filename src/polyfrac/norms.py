@@ -10,11 +10,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from operator import mul
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .dyadic import Dyadic
 from .errors import (BadPivot, DegenerateNorm, DimensionMismatch,
                      NonDyadicCoefficient, ZeroVector)
+
+if TYPE_CHECKING:
+    from .dyadic import Dyadic
 
 __all__ = ["Functional", "PolyhedralNorm", "int_dot", "preset",
            "custom_norm", "min_margin", "margin_ok"]
@@ -42,6 +44,7 @@ class Functional(NamedTuple):
         return len(self.mantissas)
 
     def dot(self, x: list[Dyadic] | tuple[Dyadic, ...]) -> Dyadic:
+        from .dyadic import Dyadic  # a test oracle: no command calls dot
         if len(x) != self.dim:
             raise DimensionMismatch(
                 f"vector length {len(x)} != dimension {self.dim}")
@@ -88,15 +91,17 @@ class PolyhedralNorm:
     def measure(self, x) -> tuple[Dyadic, tuple[int, ...]]:
         """(||x||, ascending indices of every functional attaining it).
 
-        The Dyadic form of measure_mantissas: x is aligned to its finest
-        coordinate precision first.
+        The Dyadic form of measure_projection: x is aligned to its finest
+        coordinate precision first.  Only tests call it.
         """
+        from .dyadic import Dyadic
         if len(x) != self.dim:
             raise DimensionMismatch(
                 f"vector length {len(x)} != dimension {self.dim}")
         px = max(v.precision for v in x)
-        return self.measure_mantissas(
-            [v.mantissa << (px - v.precision) for v in x], px)
+        mantissa, precision, ties = self.measure_projection(
+            self.project([v.mantissa << (px - v.precision) for v in x]), px)
+        return Dyadic(mantissa, precision), ties
 
     def project(self, mants) -> list[int]:
         """The integer dot products mants . v, one per functional, each
@@ -109,8 +114,10 @@ class PolyhedralNorm:
         return [int_dot(mants, c) for c in self._coeffs]
 
     def measure_projection(self, proj, prec: int
-                           ) -> tuple[Dyadic, tuple[int, ...]]:
-        """measure of the vector whose projection is proj, at precision prec.
+                           ) -> tuple[int, int, tuple[int, ...]]:
+        """(mantissa, precision, ties): the measure of the vector whose
+        projection is proj, at precision prec.  After project, the one
+        measuring kernel.
 
         proj is any iterable of the k ints project returns.  Functionals
         compare by |proj[l]|; the value is |proj[l]| >> shift of the first
@@ -125,15 +132,8 @@ class PolyhedralNorm:
             ties = (first,)
         else:
             ties = tuple(i for i, k in enumerate(keys) if k == best)
-        return (Dyadic(best >> self._shifts[first],
-                       prec + self.functionals[first].precision), ties)
-
-    def measure_mantissas(self, mants, prec: int
-                          ) -> tuple[Dyadic, tuple[int, ...]]:
-        """measure of the vector mants * 2**-prec, from integers alone:
-        measure_projection of its projection.  mants must have length dim.
-        """
-        return self.measure_projection(self.project(mants), prec)
+        return (best >> self._shifts[first],
+                prec + self.functionals[first].precision, ties)
 
     def evaluate(self, x) -> Dyadic:
         """||x||, exact."""
@@ -242,22 +242,19 @@ def margin_ok(norm: PolyhedralNorm, margin: int) -> bool:
         if e + f.precision < 0 or total > 1 << (e + f.precision):
             return False
         # 1/v_pivot <= 2**e  <=>  v_mantissa * 2**e >= 2**precision
-        piv = f.mantissas[f.pivot]
-        if e >= 0:
-            if piv << e < 1 << f.precision:
-                return False
-        else:
-            if piv < 1 << (f.precision - e):
-                return False
+        if f.mantissas[f.pivot] << max(e, 0) < 1 << (f.precision - min(e, 0)):
+            return False
     return True
 
 
 def min_margin(norm: PolyhedralNorm) -> int:
-    """Smallest margin constant c >= 1 satisfying margin_ok."""
-    c = 1
-    while not margin_ok(norm, c):
-        c += 1
-        if c > 1 << 20:
-            raise DegenerateNorm("no finite margin constant")
-    return c
-
+    """Smallest margin constant c >= 1 satisfying margin_ok, in closed form:
+    per functional (mantissas m at precision p), margin_ok asks e = c - 3
+    for e >= -p, e >= bitlen(sum|m| - 1) - p (sum|m| <= 2**(e + p)) and
+    e >= p - bitlen(m_pivot) + 1 (m_pivot * 2**e >= 2**p)."""
+    c = 3 + max(max(-p, (sum(map(abs, ms)) - 1).bit_length() - p,
+                    p - ms[pivot].bit_length() + 1)
+                for ms, p, pivot in norm.functionals)
+    if c > 1 << 20:
+        raise DegenerateNorm("no finite margin constant")
+    return max(1, c)

@@ -142,12 +142,9 @@ def validate(schedule: BlockSchedule) -> ScheduleReport:
 
 
 def _min_block_length(alpha: Fraction, margin: int) -> int:
-    # smallest L with L - ceil(alpha*L) >= 2c + 1, so the window is nonempty
-    need = 2 * margin + 1
-    length = need
-    while length - math.ceil(alpha * length) < need:
-        length += 1
-    return length
+    # smallest L with L - ceil(alpha*L) = floor((1 - alpha)*L) >= 2c + 1,
+    # so the window is nonempty; alpha < 1
+    return math.ceil((2 * margin + 1) / (1 - alpha))
 
 
 def generate(alpha, margin: int, n_functionals: int, *, m=None, K=None,

@@ -153,10 +153,10 @@ def test_05_distance_cells_below_checkpoint_budget(desk_spec):
     cells = {key: set() for key in limits}
     for i in range(1, STREAM_SAMPLES + 1):
         rec = ds.pinned(x, [build_point(spec, i, "sample")], spec.norm)[0]
-        if rec.value.mantissa:
+        if rec.mantissa:
             for (ell, r) in limits:
                 if ell == rec.achieving:
-                    cells[(ell, r)].add(rec.value.mantissa >> (prec - r))
+                    cells[(ell, r)].add(rec.mantissa >> (prec - r))
 
     measured = {}
     for key, limit in limits.items():

@@ -341,7 +341,7 @@ def test_exact_count_gap_raises():
 # -- sampled counting ------------------------------------------------------
 
 def test_count_value_cells():
-    vals = [Dyadic(1, 2), Dyadic(5, 4), Dyadic(3, 2)]
+    vals = [(1, 2), (5, 4), (3, 2)]  # (mantissa, precision) pairs
     assert count_value_cells(vals, 2) == 2  # 1/4 and 5/16 share a cell
     assert count_value_cells(vals, 4) == 3
 
@@ -362,7 +362,7 @@ def test_count_point_cells():
 
 
 def test_sampled_series_mode_rule():
-    vals = [Dyadic(1, 3)] * 100 + [Dyadic(5, 3)] * 100
+    vals = [(1, 3)] * 100 + [(5, 3)] * 100
     # one entry per scale, in the order the scales are given
     assert sampled_distance_series(vals, [3, 0]) == (
         BoxCount(3, 2, "sampled"),  # exactly 100x the 2 cells

@@ -37,7 +37,9 @@ def test_pinned_records(desk, desk_points):
         assert rec.source == (0, y.index)
         d = tuple(Dyadic(a - b, x.precision)
                   for a, b in zip(x.mantissas, y.mantissas))
-        assert rec.value == desk.norm.evaluate(d)
+        value = desk.norm.evaluate(d)
+        assert (rec.mantissa, rec.precision) == (value.mantissa,
+                                                 value.precision)
         assert rec.achieving == desk.norm.argmax(d)
 
 
@@ -53,7 +55,7 @@ def test_l1_distance_frozen():
 def test_zero_distance_convention(desk, desk_points):
     x, _ = desk_points
     recs = pinned(x, [x], desk.norm)
-    assert recs[0].value == Dyadic(0, 0)
+    assert (recs[0].mantissa, recs[0].precision) == (0, x.precision)
     assert recs[0].achieving == 0
     report = collapse_check(x, x, desk)
     assert report.achieving == 0
@@ -225,7 +227,7 @@ def test_euclid_floor_matches_norm_bounds(desk, desk_points):
     x, ys = desk_points
     r = 24
     for rec, y in zip(pinned(x, ys, desk.norm), ys):
-        v = rec.value.as_fraction()
+        v = Fraction(rec.mantissa, 1 << rec.precision)
         e = Fraction(euclid_floor_mantissa(delta_mantissas(x, y),
                                            x.precision, r), 1 << r)
         assert e + Fraction(1, 1 << r) > v
@@ -327,10 +329,9 @@ def test_collapse_requires_depth(desk):
 
 
 def test_grouping_and_estimation_values():
-    mk = lambda v, ell, src: DistanceRecord(v, ell, src)
-    recs = [mk(Dyadic(1, 1), 0, (0, 1)), mk(Dyadic(0, 4), 0, (0, 2)),
-            mk(Dyadic(3, 2), 1, (0, 3))]
+    recs = [DistanceRecord(1, 1, 0, (0, 1)), DistanceRecord(0, 4, 0, (0, 2)),
+            DistanceRecord(3, 2, 1, (0, 3))]
     vals = estimation_values(recs)
     assert sorted(vals) == [0, 1]
-    assert vals[0] == [Dyadic(1, 1)]  # the zero distance is dropped
-    assert vals[1] == [Dyadic(3, 2)]
+    assert vals[0] == [(1, 1)]  # the zero distance is dropped
+    assert vals[1] == [(3, 2)]

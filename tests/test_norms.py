@@ -156,14 +156,13 @@ def test_projection_difference_measures_the_difference(case):
     # precision and the same ties as measuring x - y itself
     norm, x, y, prec = case
     proj = [a - b for a, b in zip(norm.project(x), norm.project(y))]
-    value, ties = norm.measure_projection(proj, prec)
-    expect, expect_ties = norm.measure_mantissas(
-        [a - b for a, b in zip(x, y)], prec)
-    assert (value.mantissa, value.precision) == (expect.mantissa,
-                                                 expect.precision)
-    assert ties == expect_ties
+    mantissa, precision, ties = norm.measure_projection(proj, prec)
+    expect = norm.measure_projection(
+        norm.project([a - b for a, b in zip(x, y)]), prec)
+    assert (mantissa, precision) == expect[:2]
+    assert ties == expect[2]
     if x == y:
-        assert value.mantissa == 0
+        assert mantissa == 0
         assert ties == tuple(range(norm.n_functionals))
 
 
@@ -209,3 +208,38 @@ def test_margin_ok_small_pivot():
     # pivot coefficient 1/4 forces 1/v_pivot = 4 <= 2**(c-3), so c >= 5
     n = custom_norm([[[1, 2], [0, 0]], [[0, 0], [1, 0]]])
     assert min_margin(n) == 5
+
+
+@st.composite
+def custom_norms(draw):
+    """A random custom norm (d = 1..3, d..d+2 functionals, signed
+    coefficients at precisions 0..16): the bound 1/v_pivot decides the
+    margin in most draws, sum|v_i| in about one in ten."""
+    d = draw(st.integers(min_value=1, max_value=3))
+    entry = st.tuples(st.integers(min_value=-40, max_value=40),
+                      st.integers(min_value=0, max_value=16))
+    rows = draw(st.lists(st.lists(entry, min_size=d, max_size=d),
+                         min_size=d, max_size=d + 2))
+    try:
+        return custom_norm(rows)
+    except (BadPivot, DegenerateNorm):
+        assume(False)
+
+
+@given(custom_norms())
+def test_min_margin_is_the_least_margin_ok(norm):
+    # the closed form against margin_ok's own comparisons
+    c = min_margin(norm)
+    assert c >= 1 and margin_ok(norm, c)
+    assert c == 1 or not margin_ok(norm, c - 1)
+
+
+def test_min_margin_refuses_past_two_to_the_twenty():
+    # a pivot coefficient 2**-p needs c = p + 3, so p = 2**20 - 3 is the
+    # largest precision accepted; a refusal must come at once, not after a
+    # search over c
+    assert min_margin(custom_norm([[[1, (1 << 20) - 3]]])) == 1 << 20
+    with pytest.raises(DegenerateNorm, match="no finite margin constant"):
+        min_margin(custom_norm([[[1, (1 << 20) - 2]]]))
+    with pytest.raises(DegenerateNorm, match="no finite margin constant"):
+        min_margin(custom_norm([[[1, (1 << 20) + 8]]]))

@@ -9,7 +9,6 @@ from polyfrac.construct import FractalSpec, PointReport, SamplePoint, make_spec
 from polyfrac.dimension import (BoxCount, ComplexityProfile, ExactCount,
                                 FalconerReport, SlabGroup, SlabSystem)
 from polyfrac.distset import BlockCollapse, CollapseReport, DistanceRecord
-from polyfrac.dyadic import Dyadic
 from polyfrac.errors import InfeasibleSchedule, OutOfRange
 from polyfrac.norms import Functional, preset
 from polyfrac.schedule import Block, BlockSchedule, ScheduleReport, generate
@@ -34,8 +33,9 @@ RECORDS = [
      lambda: SamplePoint((1, 2), 4, "sample", 3)),
     (PointReport, ("failures",),
      lambda: PointReport(((1, "carry", 5),))),
-    (DistanceRecord, ("value", "achieving", "source", "euclid"),
-     lambda: DistanceRecord(Dyadic(3, 4), 0, (0, 1), 5)),
+    (DistanceRecord, ("mantissa", "precision", "achieving", "source",
+                      "euclid"),
+     lambda: DistanceRecord(3, 4, 0, (0, 1), 5)),
     (BlockCollapse, ("block", "window", "trimmed", "constant_full",
                      "constant_trimmed"),
      lambda: BlockCollapse(1, (2, 5), (3, 4), True, False)),

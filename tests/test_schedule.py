@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from itertools import accumulate
 
@@ -6,7 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from polyfrac.errors import InfeasibleSchedule, OutOfRange
-from polyfrac.schedule import BlockSchedule, free_fraction, generate, validate
+from polyfrac.schedule import (BlockSchedule, _min_block_length,
+                               free_fraction, generate, validate)
 
 def desk():
     return generate(Fraction(1, 2), 3, 2, m=[1, 16, 32, 96])
@@ -148,3 +150,16 @@ def test_schedule_shape_errors():
         BlockSchedule(3, (), (), Fraction(1, 2), 2)
     with pytest.raises(OutOfRange):
         BlockSchedule(3, (1, 16), (), Fraction(1, 2), 2)
+
+
+@given(st.fractions(min_value=0, max_value=1,
+                    max_denominator=300).filter(lambda a: a < 1),
+       st.integers(min_value=1, max_value=60))
+def test_min_block_length_is_the_least_feasible_length(alpha, margin):
+    # the closed form against its definition: the least L whose window,
+    # L - ceil(alpha*L) places, holds 2c + 1
+    need = 2 * margin + 1
+    length = _min_block_length(alpha, margin)
+    assert length - math.ceil(alpha * length) >= need
+    assert length == need or (
+        length - 1 - math.ceil(alpha * (length - 1)) < need)

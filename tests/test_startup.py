@@ -1,5 +1,6 @@
 """Start-up loads only what a command runs: the package and the CLI import
-no dataclasses, inspect or logging, and neither dimension nor distset."""
+no dataclasses, inspect or logging, and neither dimension nor distset; no
+module a command imports loads the Dyadic test oracle."""
 
 import json
 import logging
@@ -16,7 +17,7 @@ from polyfrac.norms import preset
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "src")
 HEAVY = ("dataclasses", "inspect", "logging", "polyfrac.dimension",
-         "polyfrac.distset")
+         "polyfrac.distset", "polyfrac.dyadic")
 
 _PROBE = """
 import json, sys
@@ -28,14 +29,24 @@ print(json.dumps(loaded))
 """ % (HEAVY,)
 
 
-def test_import_loads_no_heavy_module():
+def _probe(*names) -> dict:
     # -S and a bare environment: no site hook or path entry may preload a
     # module and hide an import of it; -B leaves no byte code under src
     proc = subprocess.run(
-        [sys.executable, "-S", "-B", "-c", _PROBE, "polyfrac",
-         "polyfrac.cli"],
+        [sys.executable, "-S", "-B", "-c", _PROBE, *names],
         capture_output=True, text=True, env={"PYTHONPATH": SRC}, check=True)
-    assert json.loads(proc.stdout) == {"polyfrac": [], "polyfrac.cli": []}
+    return json.loads(proc.stdout)
+
+
+def test_import_loads_no_heavy_module():
+    assert _probe("polyfrac", "polyfrac.cli") == {"polyfrac": [],
+                                                  "polyfrac.cli": []}
+
+
+@pytest.mark.parametrize("module", ["polyfrac.distset", "polyfrac.dimension"])
+def test_command_module_loads_only_itself(module):
+    # distset and dimension hold distances as (mantissa, precision) ints
+    assert _probe(module) == {module: [module]}
 
 
 def test_unknown_name_is_attribute_error():
