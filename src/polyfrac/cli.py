@@ -168,12 +168,7 @@ def _write_manifest(run: _Run, args) -> None:
         fh.write("\n")
 
 
-def _write_lines(path: str, lines: list) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _series_svg(entries, mhash: str, title: str) -> list:
+def _series_svg(entries, mhash: str, title: str) -> str:
     pts = [(e.r, math.log2(e.count)) for e in entries if e.count]
     w, h, ml, mb = 400, 300, 45, 40
     if pts:
@@ -185,7 +180,7 @@ def _series_svg(entries, mhash: str, title: str) -> list:
             f"{h - mb - v / vhi * (h - mb - 30):.2f}" for r, v in pts)
     else:
         coords = ""
-    return [
+    return "\n".join([
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {w} {h}">',
         f"<!-- manifest {mhash} -->",
         f'<text x="{ml}" y="18" font-size="12">{title}</text>',
@@ -194,20 +189,20 @@ def _series_svg(entries, mhash: str, title: str) -> list:
         f'<polyline fill="none" stroke="#888" points="{ml},{h - mb} '
         f'{ml},20"/>',
         f'<polyline fill="none" stroke="#000" points="{coords}"/>',
-        "</svg>",
-    ]
+        "</svg>\n",
+    ])
 
 
 def _write_counts(out: str, tag: str, entries, mhash: str) -> None:
     """boxcounts_<tag>.csv and its log-log plot boxcounts_<tag>.svg."""
-    lines = ["polyfrac-boxcounts v1", f"# manifest {mhash}",
-             "r,count,log2_count,mode"]
-    for e in entries:
-        lg = math.log2(e.count) if e.count else float("-inf")
-        lines.append(f"{e.r},{e.count},{lg:.6f},{e.mode}")
     path = os.path.join(out, f"boxcounts_{tag}")
-    _write_lines(path + ".csv", lines)
-    _write_lines(path + ".svg", _series_svg(entries, mhash, tag))
+    cn.write_table(path + ".csv", "boxcounts", mhash,
+                   "r,count,log2_count,mode",
+                   (f"{e.r},{e.count},"
+                    f"{math.log2(e.count) if e.count else -math.inf:.6f},"
+                    f"{e.mode}" for e in entries))
+    with open(path + ".svg", "w", newline="\n") as fh:
+        fh.write(_series_svg(entries, mhash, tag))
 
 
 def _load_points(run: _Run, args) -> list:
@@ -265,11 +260,10 @@ def cmd_distset(run: _Run, args) -> int:
     points = _load_points(run, args)
     x, ys = points[0], points[1:]
     r = args.euclid
-    if args.pairwise:
-        recs = ds.pairwise(ys, run.spec.norm, cap=run.budget,
-                           seed=run.spec.seed, euclid=r)
-    else:
-        recs = ds.pinned(x, ys, run.spec.norm, euclid=r)
+    # one lazy record source per mode, each record measured as it is written
+    recs = (ds.pairwise(ys, run.spec.norm, cap=run.budget,
+                        seed=run.spec.seed, euclid=r) if args.pairwise
+            else ds.pinned(x, ys, run.spec.norm, euclid=r))
     header = "pair_id,ell,mantissa_hex,prec"
     if r is not None:
         header += ",euclid_mantissa_hex,euclid_prec"
@@ -281,16 +275,11 @@ def cmd_distset(run: _Run, args) -> int:
                 f"{rec.precision}")
         if r is not None:
             line += f",{cn.mantissa_to_hex(rec.euclid, r)},{r}"
-        return line + "\n"
+        return line
 
     path = os.path.join(args.out, "distances.csv")
-    rows = 0
-    with open(path, "w", newline="\n") as fh:
-        fh.write(f"polyfrac-distances v1\n# manifest {run.manifest_hash}\n"
-                 f"{header}\n")
-        for rec in recs:  # pairwise records are measured as they are written
-            fh.write(row(rec))
-            rows += 1
+    rows = cn.write_table(path, "distances", run.manifest_hash, header,
+                          map(row, recs))
     _write_manifest(run, args)
     kind = "pairwise" if args.pairwise else "pinned"
     print(f"wrote {rows} {kind} distances to {path}")
@@ -379,14 +368,13 @@ def cmd_profile(run: _Run, args) -> int:
     for tag, ell in bases:
         ideal = dm.profile_ideal(sched, run.spec.dim, ell).values()
         aware = dm.profile_c_aware(sched, run.spec.dim, ell).values()
-        lines = ["polyfrac-profiles v1", f"# manifest {run.manifest_hash}",
-                 "r,P_ideal,P_c_aware,ratio_ideal,ratio_c_aware"]
-        for r in range(1, sched.depth + 1):
-            vi, vc = ideal[r], aware[r]
-            lines.append(f"{r},{vi},{vc},{_ratio_text(vi, r)},"
-                         f"{_ratio_text(vc, r)}")
         path = os.path.join(args.out, f"profiles_{tag}.csv")
-        _write_lines(path, lines)
+        cn.write_table(path, "profiles", run.manifest_hash,
+                       "r,P_ideal,P_c_aware,ratio_ideal,ratio_c_aware",
+                       (f"{r},{vi},{vc},{_ratio_text(vi, r)},"
+                        f"{_ratio_text(vc, r)}"
+                        for r, vi, vc in zip(range(1, sched.depth + 1),
+                                             ideal[1:], aware[1:])))
         print(f"wrote {path}")
     _write_manifest(run, args)
     return 0

@@ -30,7 +30,7 @@ if TYPE_CHECKING:
 __all__ = ["FractalSpec", "SamplePoint", "PointReport", "make_spec",
            "build_point", "pinned_point", "sample_points",
            "solve_pivot_offset", "verify_point", "first_failure",
-           "write_points", "read_points"]
+           "write_table", "write_points", "read_points"]
 
 ROLE_TAGS = {"pinned": "x", "sample": "y"}
 TAG_ROLES = {v: k for k, v in ROLE_TAGS.items()}
@@ -472,16 +472,24 @@ def hex_to_mantissa(s: str, prec: int) -> int:
     return v >> pad
 
 
+def write_table(path, kind: str, manifest_hash: str, header: str, rows) -> int:
+    """Write table ``polyfrac-<kind> v1``, its manifest line and header, then
+    each row as rows yields it, holding no row list; returns the row count."""
+    n = 0
+    with open(path, "w", newline="\n") as fh:
+        fh.write(f"polyfrac-{kind} v1\n# manifest {manifest_hash}\n{header}\n")
+        for n, row in enumerate(rows, 1):
+            fh.write(row + "\n")
+    return n
+
+
 def write_points(path, points: list, manifest_hash: str) -> None:
     pt0 = points[0]
-    lines = ["polyfrac-points v1", f"# manifest {manifest_hash}",
-             f"d={pt0.dim} prec={pt0.precision} count={len(points)}"]
-    for pt in points:
-        fields = [ROLE_TAGS[pt.role]]
-        fields += [mantissa_to_hex(m, pt.precision) for m in pt.mantissas]
-        lines.append(" ".join(fields))
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_table(path, "points", manifest_hash,
+                f"d={pt0.dim} prec={pt0.precision} count={len(points)}",
+                (" ".join([ROLE_TAGS[pt.role],
+                           *(mantissa_to_hex(m, pt.precision)
+                             for m in pt.mantissas)]) for pt in points))
 
 
 def read_points(path) -> tuple[list, str]:
@@ -493,9 +501,10 @@ def read_points(path) -> tuple[list, str]:
         raise FormatError(f"{path} is not an ASCII points file") from None
     if not lines or lines[0] != "polyfrac-points v1":
         raise FormatError("not a polyfrac points file")
-    if len(lines) < 3 or not lines[1].startswith("# manifest "):
+    mhash = lines[1][len("# manifest "):] if len(lines) > 2 else ""
+    # exactly "# manifest <one token>", as write_table writes it
+    if lines[1:2] != [f"# manifest {mhash}"] or mhash.split() != [mhash]:
         raise FormatError("missing manifest line")
-    mhash = lines[1].split()[-1]
     try:
         dim, prec, count = (int(field.partition("=")[2])
                             for field in lines[2].split(" "))

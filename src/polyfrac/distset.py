@@ -78,13 +78,14 @@ def _records(pairs, prec: int, norm: PolyhedralNorm,
             euclid_floor_mantissa(delta_mantissas(x, y), prec, euclid))
 
 
-def pinned(x, ys, norm: PolyhedralNorm, euclid: int | None = None) -> list:
-    """Distances from the pinned point to each sample, each sample projected
-    as it is reached; euclid as in _records."""
+def pinned(x, ys, norm: PolyhedralNorm,
+           euclid: int | None = None) -> Iterator:
+    """Distances from the pinned point to each sample, lazily and with its
+    refusals at call time as in pairwise; euclid as in _records."""
     prec = _shared_precision([x, *ys], euclid)
     px, project = norm.project(x.mantissas), norm.project
-    return list(_records(((x, px, y, project(y.mantissas)) for y in ys),
-                         prec, norm, euclid))
+    return _records(((x, px, y, project(y.mantissas)) for y in ys),
+                    prec, norm, euclid)
 
 
 def _unrank_pair(rank: int, n: int) -> tuple[int, int]:

@@ -1,9 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume
+from hypothesis import strategies as st
 
 from polyfrac.construct import build_point, make_spec
-from polyfrac.norms import preset
+from polyfrac.errors import BadPivot, DegenerateNorm
+from polyfrac.norms import custom_norm, preset
 
 BASE_M = [1, 16, 32, 96]
 TARGETS = (Fraction(1), Fraction(5, 4), Fraction(3, 2), Fraction(7, 4),
@@ -30,3 +33,21 @@ def ensemble():
                        for i in range(1001)]
                 runs.append((name, s, seed, spec, pts))
     return runs
+
+
+@st.composite
+def polyhedral_specs(draw):
+    """Specs over random polyhedral norms: d = 2-3, d..d+3 functionals with
+    coefficients m * 2**-p, m in [-4, 4] and p in 0..2, target s = d - 1 +
+    j/8 and a geometric schedule of K = 4 blocks.  Only tables that define
+    no norm (an all-zero row, rank below d) are assumed away."""
+    d = draw(st.integers(2, 3))
+    entry = st.tuples(st.integers(-4, 4), st.integers(0, 2))
+    row = st.lists(entry, min_size=d, max_size=d)
+    table = draw(st.lists(row, min_size=d, max_size=d + 3))
+    try:
+        norm = custom_norm(table)
+    except (BadPivot, DegenerateNorm):
+        assume(False)
+    s = Fraction(8 * (d - 1) + draw(st.integers(0, 8)), 8)
+    return make_spec(d, s, norm, seed=draw(st.integers(0, 2**16)), K=4)

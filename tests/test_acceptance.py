@@ -152,7 +152,7 @@ def test_05_distance_cells_below_checkpoint_budget(desk_spec):
     prec = sched.depth
     cells = {key: set() for key in limits}
     for i in range(1, STREAM_SAMPLES + 1):
-        rec = ds.pinned(x, [build_point(spec, i, "sample")], spec.norm)[0]
+        rec = next(ds.pinned(x, [build_point(spec, i, "sample")], spec.norm))
         if rec.mantissa:
             for (ell, r) in limits:
                 if ell == rec.achieving:

@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -583,6 +584,22 @@ def test_deep_distances_golden_digest(tmp_path, flags, digest):
                 + flags) == 0
     blob = (tmp_path / "distances.csv").read_bytes()
     assert hashlib.sha256(blob).hexdigest() == digest
+
+
+def test_construct_streams_points_file(tmp_path, capsys):
+    # construct writes each points.txt row as it renders it: the traced peak
+    # of a deep run (11520-bit coordinates, 201 points) stays below the file
+    # it writes, which a writer holding the text, or its lines, exceeds
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(DEEP_CONFIG, samples=200)))
+    argv = ["construct", "--config", str(cfg), "--out", str(tmp_path)]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < (tmp_path / "points.txt").stat().st_size
 
 
 # the pairwise benchmark workload's shape at 200 samples

@@ -407,6 +407,20 @@ def test_points_file_round_trip(tmp_path, desk):
     assert [p.index for p in back] == [0, 1, 2, 3]  # positional on read
 
 
+def test_points_file_manifest_line_is_one_token(tmp_path, desk):
+    # "# manifest " once read as hash "manifest", and "# manifest a b" as
+    # "b"; only the line write_table writes names a hash
+    path = tmp_path / "points.txt"
+    write_points(path, [pinned_point(desk)], "cafe")
+    good = path.read_text().splitlines()
+    assert read_points(path)[1] == "cafe"
+    for line in ("# manifest ", "# manifest a b", "# manifest  cafe",
+                 "# manifest cafe "):
+        path.write_text("\n".join([good[0], line, *good[2:]]) + "\n")
+        with pytest.raises(FormatError, match="missing manifest line"):
+            read_points(path)
+
+
 def test_points_file_rejects_malformed(tmp_path, desk):
     path = tmp_path / "points.txt"
     write_points(path, [pinned_point(desk)], "cafe")

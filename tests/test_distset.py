@@ -31,7 +31,7 @@ def desk_points(desk):
 
 def test_pinned_records(desk, desk_points):
     x, ys = desk_points
-    recs = pinned(x, ys, desk.norm)
+    recs = list(pinned(x, ys, desk.norm))
     assert len(recs) == 12
     for rec, y in zip(recs, ys):
         assert rec.source == (0, y.index)
@@ -54,7 +54,7 @@ def test_l1_distance_frozen():
 
 def test_zero_distance_convention(desk, desk_points):
     x, _ = desk_points
-    recs = pinned(x, [x], desk.norm)
+    recs = list(pinned(x, [x], desk.norm))
     assert (recs[0].mantissa, recs[0].precision) == (0, x.precision)
     assert recs[0].achieving == 0
     report = collapse_check(x, x, desk)
@@ -150,7 +150,30 @@ def test_pairwise_is_lazy(desk, monkeypatch):
     first = next(recs)
     assert first.source == (1, 2)
     assert len(measured) == 1
-    assert first == pinned(ys[0], ys[1:2], desk.norm)[0]
+    assert first == next(pinned(ys[0], ys[1:2], desk.norm))
+
+
+def test_pinned_is_lazy(desk, monkeypatch):
+    # taking the first of 1000 pinned records measures one pair
+    # (test_mismatched_last_point_rejected and
+    # test_negative_places_and_cap_refused_at_call_time keep the refusals
+    # eager)
+    x = pinned_point(desk)
+    ys = sample_points(desk, 1000)
+    measured = []
+    measure = desk.norm.measure_projection
+
+    def counting(proj, prec):
+        measured.append(prec)
+        return measure(proj, prec)
+
+    monkeypatch.setattr(desk.norm, "measure_projection", counting)
+    recs = pinned(x, ys, desk.norm)
+    assert isinstance(recs, Iterator)
+    first = next(recs)
+    assert first.source == (0, 1)
+    assert len(measured) == 1
+    assert first == next(pairwise([x, ys[0]], desk.norm))
 
 
 def test_euclid_floor_frozen():
@@ -245,7 +268,7 @@ def test_records_carry_euclid_floor(desk, desk_points, sampled):
         if sampled:  # a cap below the 66 pairs, so Floyd's draws pick them
             return list(pairwise(ys, desk.norm, cap=20, seed=3,
                                  euclid=euclid))
-        return pinned(x, ys, desk.norm, euclid=euclid)
+        return list(pinned(x, ys, desk.norm, euclid=euclid))
 
     recs, plain = run(euclid=24), run()
     assert len(recs) == (20 if sampled else 12)
