@@ -100,6 +100,10 @@ def _resolve(cfg: dict, seed=None, samples=None, budget=None) -> _Run:
     margin = c_min if margin == "auto" else _whole("schedule.c", margin)
     alpha = free_fraction(s, dim)
     if "m" in scfg:
+        # a string would be read digit by digit, a number not at all
+        if not isinstance(scfg["m"], list):
+            raise FormatError(f"schedule.m must be a JSON array, not "
+                              f"{scfg['m']!r}")
         m = [_whole("schedule.m entry", v) for v in scfg["m"]]
         sched = generate(alpha, margin, norm.n_functionals, m=m)
     elif scfg.get("rule") == "geometric":
@@ -113,10 +117,13 @@ def _resolve(cfg: dict, seed=None, samples=None, budget=None) -> _Run:
                      cfg.get("samples", 1000) if samples is None else samples)
     budget = _whole("budget",
                     cfg.get("budget", 10**8) if budget is None else budget)
-    spec = cn.FractalSpec(dim, s, norm, sched, seed)
+    spec = cn.FractalSpec(norm, sched, seed)
     raw_scales = cfg.get("scales", "checkpoints")
     if raw_scales == "checkpoints":
         scales = list(sched.bounds[1:])
+    elif not isinstance(raw_scales, list):
+        raise FormatError(f'scales must be "checkpoints" or a JSON array, '
+                          f'not {raw_scales!r}')
     else:
         scales = list(raw_scales)
         for r in scales:
@@ -221,12 +228,6 @@ def _load_points(run: _Run, args) -> list:
     if points[0] != cn.pinned_point(spec):
         raise FormatError("manifest mismatch: point 0 of the points file is "
                           "not this config's pinned point")
-    # point 0 equals the pinned point, role included, so row 0 is tagged x
-    tagged = next((pt.index for pt in points[1:] if pt.role != "sample"),
-                  None)
-    if tagged is not None:
-        raise FormatError(f"points file row {tagged} is tagged "
-                          f"{cn.ROLE_TAGS['pinned']}: only row 0 may be")
     return points
 
 
@@ -449,7 +450,11 @@ def main(argv=None) -> int:
             cfg = json.load(fh)
         run = _resolve(cfg, seed=args.seed, samples=args.samples,
                        budget=args.budget)
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError,
+    except KeyError as exc:
+        # only a key the config lacks: str(exc) is the key's repr
+        print(f"config error: missing key {exc}", file=sys.stderr)
+        return 2
+    except (OSError, json.JSONDecodeError, TypeError, ValueError,
             PolyfracError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

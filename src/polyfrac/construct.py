@@ -14,12 +14,10 @@ depth; place j of coordinate i is bit (depth - j) of mantissa i.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import (FormatError, InfeasibleSchedule, NoSolution, OutOfRange,
-                     PrecisionExceeded)
+from .errors import FormatError, NoSolution, OutOfRange, PrecisionExceeded
 from .norms import PolyhedralNorm, int_dot, min_margin
 from .schedule import BlockSchedule, free_fraction, generate, validate
 from .streams import BitStream, label_path
@@ -32,42 +30,36 @@ __all__ = ["FractalSpec", "SamplePoint", "PointReport", "make_spec",
            "solve_pivot_offset", "verify_point", "first_failure",
            "write_table", "write_points", "read_points"]
 
-ROLE_TAGS = {"pinned": "x", "sample": "y"}
-TAG_ROLES = {v: k for k, v in ROLE_TAGS.items()}
-
 
 class _SpecFields(NamedTuple):
-    dim: int
-    target: Fraction
     norm: PolyhedralNorm
     schedule: BlockSchedule
     seed: int
 
 
 class FractalSpec(_SpecFields):
-    """Everything that pins down one construction run.
+    """Everything that pins down one construction run: the dimension is
+    the norm's, the target the schedule's free fraction plus dim - 1.
 
     No __slots__: the instance dict holds the cached plan and tail paths.
     """
 
-    def __new__(cls, dim, target, norm, schedule, seed):
-        if norm.dim != dim:
-            raise OutOfRange("norm dimension does not match spec dimension")
+    def __new__(cls, norm, schedule, seed):
         if (isinstance(seed, bool) or not isinstance(seed, int)
                 or not 0 <= seed < 1 << 64):
             raise OutOfRange("seed must be an unsigned 64-bit integer")
-        if schedule.free_fraction != target - (dim - 1):
-            raise OutOfRange("schedule free fraction inconsistent with target")
         if schedule.n_functionals != norm.n_functionals:
             raise OutOfRange("schedule cycle length != functional count")
         c = min_margin(norm)
         if schedule.margin < c:
             raise OutOfRange(
                 f"margin {schedule.margin} below norm requirement {c}")
-        report = validate(schedule)
-        if not report.ok:
-            raise InfeasibleSchedule("; ".join(report.failures()))
-        return tuple.__new__(cls, (dim, target, norm, schedule, seed))
+        validate(schedule)
+        return tuple.__new__(cls, (norm, schedule, seed))
+
+    @property
+    def dim(self) -> int:
+        return self.norm.dim
 
     @cached_property
     def plan(self) -> tuple["_Block", ...]:
@@ -120,34 +112,35 @@ class _Block(NamedTuple):
 def make_spec(dim: int, target, norm: PolyhedralNorm, seed: int, *, m=None,
               K=None, ratio=None, margin=None) -> FractalSpec:
     """Assemble a spec, deriving margin and schedule from the norm."""
-    target = Fraction(target)
+    if norm.dim != dim:
+        raise OutOfRange("norm dimension does not match spec dimension")
     alpha = free_fraction(target, dim)
     c = min_margin(norm) if margin is None else margin
     sched = generate(alpha, c, norm.n_functionals, m=m, K=K, ratio=ratio)
-    return FractalSpec(dim, target, norm, sched, seed)
+    return FractalSpec(norm, sched, seed)
 
 
 class _PointFields(NamedTuple):
     mantissas: tuple[int, ...]
     precision: int
-    role: str
     index: int
 
 
 class SamplePoint(_PointFields):
-    """Coordinate i is mantissas[i] * 2**-precision, a point of [0, 1)**d."""
+    """Coordinate i is mantissas[i] * 2**-precision, a point of [0, 1)**d.
+
+    Index 0 is the pinned point; indices from 1 are samples.
+    """
 
     __slots__ = ()
 
-    def __new__(cls, mantissas, precision, role, index):
-        if role not in ROLE_TAGS:
-            raise OutOfRange(f"unknown role {role!r}")
+    def __new__(cls, mantissas, precision, index):
         if not mantissas:
             raise OutOfRange("point needs at least one coordinate")
         top = 1 << precision
         if not all(0 <= m < top for m in mantissas):
             raise OutOfRange("coordinates must lie in [0, 1)")
-        return tuple.__new__(cls, (mantissas, precision, role, index))
+        return tuple.__new__(cls, (mantissas, precision, index))
 
     @property
     def dim(self) -> int:
@@ -213,8 +206,7 @@ def solve_pivot_offset(partial_sum: Dyadic, pivot_coeff: Dyadic, split: int,
 
 # -- point construction ----------------------------------------------------
 
-def build_point(spec: FractalSpec, index: int = 0,
-                role: str = "pinned") -> SamplePoint:
+def build_point(spec: FractalSpec, index: int = 0) -> SamplePoint:
     mants = [0] * spec.dim
     stream = BitStream(spec.seed, "point", index, "coord")
     for _, coeffs, _, pivot, _, _, _, draws, shift, marker, cap in spec.plan:
@@ -226,11 +218,11 @@ def build_point(spec: FractalSpec, index: int = 0,
             mants[pivot] |= _steer(s0, coeffs[pivot], marker, cap) << shift
     for i, path in enumerate(spec.tail_paths):
         mants[i] |= stream.draw(1, path)
-    return SamplePoint(tuple(mants), spec.schedule.depth, role, index)
+    return SamplePoint(tuple(mants), spec.schedule.depth, index)
 
 
 def pinned_point(spec: FractalSpec) -> SamplePoint:
-    return build_point(spec, 0, "pinned")
+    return build_point(spec, 0)
 
 
 def sample_points(spec: FractalSpec, count: int) -> list[SamplePoint]:
@@ -240,7 +232,7 @@ def sample_points(spec: FractalSpec, count: int) -> list[SamplePoint]:
     points = []
     seen = {}
     for index in range(1, count + 1):
-        pt = build_point(spec, index, "sample")
+        pt = build_point(spec, index)
         if pt.mantissas in seen:
             import logging  # only here: start-up skips it
             logging.getLogger(__name__).warning(
@@ -484,16 +476,22 @@ def write_table(path, kind: str, manifest_hash: str, header: str, rows) -> int:
 
 
 def write_points(path, points: list, manifest_hash: str) -> None:
+    """Row 0, the pinned point, is tagged x and every later row y."""
     pt0 = points[0]
     write_table(path, "points", manifest_hash,
                 f"d={pt0.dim} prec={pt0.precision} count={len(points)}",
-                (" ".join([ROLE_TAGS[pt.role],
+                (" ".join(["y" if row else "x",
                            *(mantissa_to_hex(m, pt.precision)
-                             for m in pt.mantissas)]) for pt in points))
+                             for m in pt.mantissas)])
+                 for row, pt in enumerate(points)))
 
 
 def read_points(path) -> tuple[list, str]:
-    """Points plus the manifest hash they were written under."""
+    """Points plus the manifest hash they were written under.
+
+    Row 0 must be tagged x and every later row y, as write_points tags
+    them; point i is row i.
+    """
     try:
         with open(path, encoding="ascii") as fh:
             lines = fh.read().splitlines()
@@ -524,8 +522,12 @@ def read_points(path) -> tuple[list, str]:
     points = []
     for pos, line in enumerate(body):
         fields = line.split()
-        if len(fields) != dim + 1 or fields[0] not in TAG_ROLES:
+        if len(fields) != dim + 1 or fields[0] not in ("x", "y"):
             raise FormatError(f"malformed point line {pos + 1}")
+        if (fields[0] == "x") != (pos == 0):
+            rule = "only row 0 may be" if pos else "row 0 must be x"
+            raise FormatError(f"points file row {pos} is tagged {fields[0]}: "
+                              f"{rule}")
         mants = tuple(hex_to_mantissa(s, prec) for s in fields[1:])
-        points.append(SamplePoint(mants, prec, TAG_ROLES[fields[0]], pos))
+        points.append(SamplePoint(mants, prec, pos))
     return points, mhash

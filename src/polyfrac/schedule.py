@@ -19,8 +19,8 @@ from typing import NamedTuple
 
 from .errors import InfeasibleSchedule, OutOfRange
 
-__all__ = ["Block", "BlockSchedule", "ScheduleReport", "free_fraction",
-           "generate", "validate"]
+__all__ = ["Block", "BlockSchedule", "free_fraction", "generate",
+           "validate"]
 
 
 def free_fraction(s, d: int) -> Fraction:
@@ -36,7 +36,6 @@ def free_fraction(s, d: int) -> Fraction:
 class _ScheduleFields(NamedTuple):
     margin: int
     bounds: tuple[int, ...]
-    splits: tuple[int, ...]
     free_fraction: Fraction
     n_functionals: int
 
@@ -58,18 +57,24 @@ class Block(NamedTuple):
 class BlockSchedule(_ScheduleFields):
     """Immutable bookkeeping for K blocks.
 
-    bounds = (m_1, ..., m_{K+1}), splits = (n_1, ..., n_K).  margin is the
-    guard width c around each window; n_functionals is the cycle length.
-    No __slots__: the instance dict holds the cached block table.
+    bounds = (m_1, ..., m_{K+1}).  margin is the guard width c around each
+    window; n_functionals is the cycle length.  The splits follow from the
+    bounds and the free fraction.  No __slots__: the instance dict holds
+    the cached splits and block table.
     """
 
-    def __new__(cls, margin, bounds, splits, free_fraction, n_functionals):
+    def __new__(cls, margin, bounds, free_fraction, n_functionals):
         if not bounds:
             raise OutOfRange("bounds must contain at least m_1")
-        if len(splits) != len(bounds) - 1:
-            raise OutOfRange("need one split per block")
-        return tuple.__new__(cls, (margin, bounds, splits, free_fraction,
+        return tuple.__new__(cls, (margin, bounds, free_fraction,
                                    n_functionals))
+
+    @cached_property
+    def splits(self) -> tuple[int, ...]:
+        """(n_1, ..., n_K): n_k = m_k + ceil(alpha * (m_{k+1} - m_k))."""
+        alpha = self.free_fraction
+        return tuple(a + math.ceil(alpha * (b - a))
+                     for a, b in zip(self.bounds, self.bounds[1:]))
 
     @property
     def n_blocks(self) -> int:
@@ -94,24 +99,9 @@ class BlockSchedule(_ScheduleFields):
         return self.blocks[ell::self.n_functionals]
 
 
-class ScheduleReport(NamedTuple):
-    checks: tuple[tuple[str, bool, str], ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(passed for _, passed, _ in self.checks)
-
-    def failures(self) -> list[str]:
-        return [f"{name}: {detail}" for name, passed, detail in self.checks
-                if not passed]
-
-
-def _expected_split(m_lo: int, m_hi: int, alpha: Fraction) -> int:
-    return m_lo + math.ceil(alpha * (m_hi - m_lo))
-
-
-def validate(schedule: BlockSchedule) -> ScheduleReport:
-    """Check every structural constraint; failures are reported, not raised."""
+def validate(schedule: BlockSchedule) -> None:
+    """Check every structural constraint; raise InfeasibleSchedule naming
+    each failed check, in order."""
     s = schedule
     checks = []
     checks.append(("first bound is 1", s.bounds[0] == 1, f"m_1 = {s.bounds[0]}"))
@@ -127,18 +117,15 @@ def validate(schedule: BlockSchedule) -> ScheduleReport:
     for k, _, start, _, end, _, _ in s.blocks:
         checks.append((f"growth at block {k}", k * start <= end,
                        f"{k}*m_{k} = {k * start} vs m_{k + 1} = {end}"))
-    for k, _, start, n, end, _, _ in s.blocks:
-        want = _expected_split(start, end, s.free_fraction)
-        checks.append((f"split at block {k}", n == want,
-                       f"n_{k} = {n}, expected {want}"))
     if s.free_fraction < 1:
+        # alpha = 1 leaves no constrained places; windows are empty by design
         for k, _, _, _, _, a, b in s.blocks:
             checks.append((f"window at block {k} nonempty", a < b,
                            f"({a}, {b}]"))
-    else:
-        # alpha = 1 leaves no constrained places; windows are empty by design
-        checks.append(("windows vacuous at full dimension", True, "alpha = 1"))
-    return ScheduleReport(tuple(checks))
+    failures = [f"{name}: {detail}" for name, passed, detail in checks
+                if not passed]
+    if failures:
+        raise InfeasibleSchedule("; ".join(failures))
 
 
 def _min_block_length(alpha: Fraction, margin: int) -> int:
@@ -186,12 +173,8 @@ def generate(alpha, margin: int, n_functionals: int, *, m=None, K=None,
             nxt = max(nxt, _floor_for_block(bounds[-1], k, alpha, margin))
             bounds.append(nxt)
 
-    splits = tuple(_expected_split(a, b, alpha)
-                   for a, b in zip(bounds, bounds[1:]))
-    schedule = BlockSchedule(margin, tuple(bounds), splits, alpha, n_functionals)
-    report = validate(schedule)
-    if not report.ok:
-        raise InfeasibleSchedule("; ".join(report.failures()))
+    schedule = BlockSchedule(margin, tuple(bounds), alpha, n_functionals)
+    validate(schedule)
     return schedule
 
 

@@ -29,8 +29,7 @@ def ensemble():
         for s in TARGETS:
             for seed in range(10):
                 spec = make_spec(2, s, norm, seed=seed, m=BASE_M)
-                pts = [build_point(spec, i, "sample" if i else "pinned")
-                       for i in range(1001)]
+                pts = [build_point(spec, i) for i in range(1001)]
                 runs.append((name, s, seed, spec, pts))
     return runs
 

@@ -152,7 +152,7 @@ def test_05_distance_cells_below_checkpoint_budget(desk_spec):
     prec = sched.depth
     cells = {key: set() for key in limits}
     for i in range(1, STREAM_SAMPLES + 1):
-        rec = next(ds.pinned(x, [build_point(spec, i, "sample")], spec.norm))
+        rec = next(ds.pinned(x, [build_point(spec, i)], spec.norm))
         if rec.mantissa:
             for (ell, r) in limits:
                 if ell == rec.achieving:
@@ -244,33 +244,30 @@ def test_07_property_suites(desk_spec, tmp_path):
 
     for alpha in (0, Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), 1):
         for margin in (3, 4):
-            assert sch.validate(sch.generate(alpha, margin, 2,
-                                             m=[1, 16, 32, 96])).ok
-    assert sch.validate(sch.generate(Fraction(1, 2), 3, 2, K=4)).ok
+            sch.validate(sch.generate(alpha, margin, 2, m=[1, 16, 32, 96]))
+    sch.validate(sch.generate(Fraction(1, 2), 3, 2, K=4))
 
     spec = desk_spec
-    point = build_point(spec, 5, "sample")
+    point = build_point(spec, 5)
     a, b = spec.schedule.blocks[2].a, spec.schedule.blocks[2].b
     coord = Dyadic(point.mantissas[0], point.precision)
     place = next(j for j in range(a + 1, b + 1) if not coord.bit(j))
     mutated = SamplePoint((coord.mantissa | 1 << (coord.precision - place),
                            point.mantissas[1]), point.precision,
-                          point.role, point.index)
+                          point.index)
     assert verify_point(point, spec).ok
     assert (3, "membership", place) in verify_point(mutated, spec).failures
 
-    pts = [build_point(spec, i, "sample" if i else "pinned")
-           for i in range(20)]
-    again = [build_point(spec, i, "sample" if i else "pinned")
-             for i in range(20)]
+    pts = [build_point(spec, i) for i in range(20)]
+    again = [build_point(spec, i) for i in range(20)]
     assert [p.mantissas for p in pts] == [p.mantissas for p in again]
     write_points(tmp_path / "a.txt", pts, "f" * 64)
     write_points(tmp_path / "b.txt", pts, "f" * 64)
     assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
     back, mhash = read_points(tmp_path / "a.txt")
     assert mhash == "f" * 64
-    assert [(p.mantissas, p.precision, p.role, p.index) for p in back] == \
-        [(p.mantissas, p.precision, p.role, p.index) for p in pts]
+    assert [(p.mantissas, p.precision, p.index) for p in back] == \
+        [(p.mantissas, p.precision, p.index) for p in pts]
     print(f"OK property suites: {vectors} norm vectors, 2000 round-trips, "
           f"margin minimality, schedule validation, mutation kill, "
           f"deterministic rerun, file round-trip")

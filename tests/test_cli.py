@@ -50,7 +50,9 @@ def test_construct_outputs(made, capsys):
     cfg, out = made
     points, mhash = read_points(out / "points.txt")
     assert len(points) == 7
-    assert [p.role for p in points] == ["pinned"] + ["sample"] * 6
+    assert [p.index for p in points] == list(range(7))
+    assert [row.split()[0] for row in (out / "points.txt").read_text()
+            .splitlines()[3:]] == ["x"] + ["y"] * 6
     doc = json.loads((out / "manifest.json").read_text())
     assert list(doc) == ["format", "tool", "config_hash", "manifest_hash",
                         "resolved"]
@@ -152,7 +154,7 @@ def test_readers_refuse_a_second_pinned_row(made, tmp_path, command,
                                             capsys):
     cfg, out = made
     lines = (out / "points.txt").read_text().splitlines()
-    lines[3 + 5] = "x" + lines[3 + 5][1:]  # row 5 claims the pinned role
+    lines[3 + 5] = "x" + lines[3 + 5][1:]  # row 5 claims the pinned tag
     (tmp_path / "points.txt").write_text("\n".join(lines) + "\n")
     assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
     assert ("format error: points file row 5 is tagged x: only row 0 may "
@@ -160,7 +162,7 @@ def test_readers_refuse_a_second_pinned_row(made, tmp_path, command,
 
 
 def test_verify_refuses_header_below_one(made, tmp_path, capsys):
-    # a bare role tag is a well-formed row for d=0; the header itself is bad
+    # a bare tag is a well-formed row for d=0; the header itself is bad
     cfg, out = made
     lines = (out / "points.txt").read_text().splitlines()
     (tmp_path / "points.txt").write_text(
@@ -183,7 +185,7 @@ def test_verify_shape_mismatch(made, tmp_path, command, capsys):
     points, mhash = read_points(out / "points.txt")
     from polyfrac.construct import SamplePoint, write_points
     shallow = [SamplePoint(tuple(m >> (p.precision - 32) for m in p.mantissas),
-                           32, p.role, p.index) for p in points]
+                           32, p.index) for p in points]
     write_points(tmp_path / "points.txt", shallow, mhash)
     assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
     # well formed, right shape, but short of samples + 1 points
@@ -751,6 +753,28 @@ def test_config_rejection(tmp_path, overrides, capsys):
     cfg = write_config(tmp_path / "cfg.json", **overrides)
     assert main(["profile", "--config", cfg, "--out", str(tmp_path)]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overrides,message", [
+    ({"dimension": None}, "missing key 'dimension'"),
+    ({"norm": None}, "missing key 'norm'"),
+    ({"schedule": {"rule": "geometric"}, "scales": None}, "missing key 'K'"),
+    # neither is iterated item by item, nor fails as a bare TypeError
+    ({"schedule": {"c": "auto", "m": 5}},
+     "schedule.m must be a JSON array, not 5"),
+    ({"schedule": {"c": "auto", "m": "1,16"}},
+     "schedule.m must be a JSON array, not '1,16'"),
+    ({"scales": "abc"},
+     'scales must be "checkpoints" or a JSON array, not \'abc\''),
+    ({"scales": {"8": 1}},
+     'scales must be "checkpoints" or a JSON array, not {\'8\': 1}'),
+], ids=["dimension", "norm", "K", "m-number", "m-string", "scales-string",
+        "scales-object"])
+def test_config_rejection_names_the_key(tmp_path, overrides, message,
+                                        capsys):
+    cfg = write_config(tmp_path / "cfg.json", **overrides)
+    assert main(["profile", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 def test_margin_error_names_integer_rule(tmp_path, capsys):

@@ -158,7 +158,7 @@ def test_installed_offsets_are_minimal(desk):
 
 def test_pinned_point_verifies(desk):
     pt = pinned_point(desk)
-    assert pt.role == "pinned" and pt.index == 0
+    assert pt.index == 0
     assert pt.precision == 96
     assert verify_point(pt, desk).ok
 
@@ -182,16 +182,9 @@ def test_full_dimension_needs_no_solver():
 
 
 def test_build_is_deterministic(desk):
-    a = build_point(desk, 4, "sample")
-    b = build_point(desk, 4, "sample")
+    a = build_point(desk, 4)
+    b = build_point(desk, 4)
     assert a.mantissas == b.mantissas
-
-
-def test_role_does_not_change_coordinates(desk):
-    a = build_point(desk, 5, "pinned")
-    b = build_point(desk, 5, "sample")
-    assert a.mantissas == b.mantissas
-    assert (a.role, b.role) == ("pinned", "sample")
 
 
 def test_points_differ_by_index_and_seed(desk):
@@ -212,7 +205,7 @@ def test_mutation_is_detected(desk):
                  if Dyadic(pt.mantissas[f.pivot], pt.precision).bit(j) == 0)
     mants = list(pt.mantissas)
     mants[f.pivot] |= 1 << (pt.precision - place)
-    bad = SamplePoint(tuple(mants), pt.precision, "pinned", 0)
+    bad = SamplePoint(tuple(mants), pt.precision, 0)
     report = verify_point(bad, desk)
     assert not report.ok
     assert (3, "membership", place) in report.failures
@@ -263,11 +256,11 @@ def _scramble_and_scan(spec, count, keep):
     rng = random.Random(5)
     seen = {}
     for index in range(count):
-        pt = build_point(spec, index, "sample")
+        pt = build_point(spec, index)
         p = pt.precision
         cut = p - keep(rng, p)
         mants = tuple(m ^ rng.getrandbits(cut) for m in pt.mantissas)
-        bad = SamplePoint(mants, p, "sample", index)
+        bad = SamplePoint(mants, p, index)
         failures = verify_point(bad, spec).failures
         assert list(failures) == _digit_scan(spec, bad), index
         for k, check, _ in failures:
@@ -305,7 +298,7 @@ def test_failure_places_match_a_digit_scan_on_a_geometric_schedule():
 def test_shallow_point_raises(desk):
     pt = pinned_point(desk)
     shallow = SamplePoint(tuple(m >> (pt.precision - 32) for m in pt.mantissas),
-                          32, "pinned", 0)
+                          32, 0)
     # blocks 1 and 2 end within 32 places; block 3 needs 96
     with pytest.raises(PrecisionExceeded, match="block 3 needs 96"):
         verify_point(shallow, desk)
@@ -314,34 +307,31 @@ def test_shallow_point_raises(desk):
 def test_spec_validation():
     linf = preset("linf", 2)
     sched = generate(Fraction(1, 2), 3, 2, m=[1, 16, 32, 96])
+    with pytest.raises(OutOfRange, match="norm dimension"):
+        # 5/2 is a valid target in d = 3, so only the norm is at fault
+        make_spec(3, Fraction(5, 2), linf, 0, m=[1, 16, 32, 96])
     with pytest.raises(OutOfRange):
-        FractalSpec(3, Fraction(3, 2), linf, sched, 0)  # dim mismatch
+        FractalSpec(linf, sched, 1 << 64)
     with pytest.raises(OutOfRange):
-        FractalSpec(2, Fraction(3, 2), linf, sched, 1 << 64)
+        FractalSpec(linf, sched, 7.5)  # would alias 7
     with pytest.raises(OutOfRange):
-        FractalSpec(2, Fraction(3, 2), linf, sched, 7.5)  # would alias 7
-    with pytest.raises(OutOfRange):
-        FractalSpec(2, Fraction(3, 2), linf, sched, True)  # would alias 1
+        FractalSpec(linf, sched, True)  # would alias 1
     with pytest.raises(OutOfRange):
         make_spec(2, Fraction(3, 2), linf, True, m=[1, 16, 32, 96])
-    with pytest.raises(OutOfRange):
-        FractalSpec(2, Fraction(7, 4), linf, sched, 0)  # alpha mismatch
     with pytest.raises(OutOfRange):
         make_spec(2, Fraction(3, 2), linf, 0, m=[1, 16, 32, 96], margin=2)
     bad_cycle = generate(Fraction(1, 2), 3, 3, m=[1, 16, 32, 96])
     with pytest.raises(OutOfRange):
-        FractalSpec(2, Fraction(3, 2), linf, bad_cycle, 0)
+        FractalSpec(linf, bad_cycle, 0)
 
 
 def test_sample_point_validation():
     with pytest.raises(OutOfRange):
-        SamplePoint((4,), 2, "pinned", 0)  # 1.0 not in [0, 1)
+        SamplePoint((4,), 2, 0)  # 1.0 not in [0, 1)
     with pytest.raises(OutOfRange):
-        SamplePoint((1, -1), 2, "pinned", 0)  # -1/4 not in [0, 1)
+        SamplePoint((1, -1), 2, 0)  # -1/4 not in [0, 1)
     with pytest.raises(OutOfRange):
-        SamplePoint((1,), 1, "probe", 0)
-    with pytest.raises(OutOfRange):
-        SamplePoint((), 2, "pinned", 0)
+        SamplePoint((), 2, 0)
 
 
 def test_sample_count_validation(desk):
@@ -403,8 +393,10 @@ def test_points_file_round_trip(tmp_path, desk):
     assert mhash == "ab12"
     assert [(p.mantissas, p.precision) for p in back] == \
         [(p.mantissas, p.precision) for p in pts]
-    assert [p.role for p in back] == ["pinned", "sample", "sample", "sample"]
     assert [p.index for p in back] == [0, 1, 2, 3]  # positional on read
+    # the pinned point 0 is tagged x, every sample y
+    assert [row.split()[0] for row in path.read_text().splitlines()[3:]] == \
+        ["x", "y", "y", "y"]
 
 
 def test_points_file_manifest_line_is_one_token(tmp_path, desk):
@@ -445,9 +437,30 @@ def test_points_file_rejects_malformed(tmp_path, desk):
     reject(good[:2] + ["d=0 prec=96 count=1", "x"])
     reject(good[:2] + ["d=2 prec=0 count=1"] + good[3:])
     reject(good[:2] + ["d=2 prec=-4 count=1"] + good[3:])
-    reject(good[:3] + ["z " + good[3].split(" ", 1)[1]])  # unknown role tag
+    reject(good[:3] + ["z " + good[3].split(" ", 1)[1]])  # unknown tag
     reject(good[:3] + [good[3] + " ff"])  # extra column
     reject(good[:3] + [good[3][:-1] + "g"])  # invalid hex digit
     path.write_bytes(b"\xff\xfe\n")  # not ASCII, nor text in most codecs
     with pytest.raises(FormatError):
+        read_points(path)
+
+
+def test_points_file_tags_row_zero_alone_as_pinned(tmp_path, desk):
+    # read_points alone knows the rule: row 0 is x, every later row y
+    path = tmp_path / "points.txt"
+    write_points(path, [pinned_point(desk)] + sample_points(desk, 5), "cafe")
+    good = path.read_text().splitlines()
+
+    def retag(row, tag):
+        lines = list(good)
+        lines[3 + row] = tag + lines[3 + row][1:]
+        path.write_text("\n".join(lines) + "\n")
+
+    retag(0, "y")
+    with pytest.raises(FormatError, match="^points file row 0 is tagged y: "
+                                          "row 0 must be x$"):
+        read_points(path)
+    retag(5, "x")
+    with pytest.raises(FormatError, match="^points file row 5 is tagged x: "
+                                          "only row 0 may be$"):
         read_points(path)

@@ -347,14 +347,13 @@ def test_count_value_cells():
 
 
 def test_count_point_cells():
-    pts = [SamplePoint((4, 12), 4, "sample", 0),
-           SamplePoint((5, 12), 4, "sample", 1)]
+    pts = [SamplePoint((4, 12), 4, 0), SamplePoint((5, 12), 4, 1)]
     assert count_point_cells(pts, 0) == 1  # all of [0, 1)**2
     assert count_point_cells(pts, 2) == 1
     assert count_point_cells(pts, 4) == 2
     assert count_point_cells(pts, 7) == 2  # finer than the points: no split
     # the same point (1/4, 3/4) at precision 2 shares pts[0]'s cell
-    mixed = pts + [SamplePoint((1, 3), 2, "sample", 2)]
+    mixed = pts + [SamplePoint((1, 3), 2, 2)]
     for r in range(10):
         want = len({tuple(Dyadic(m, p.precision).floor_scaled(r)
                           for m in p.mantissas) for p in mixed})
@@ -373,7 +372,7 @@ def test_sampled_series_mode_rule():
 
 
 def test_sampled_point_series_modes():
-    pts = [SamplePoint((i % 2,), 1, "sample", i) for i in range(300)]
+    pts = [SamplePoint((i % 2,), 1, i) for i in range(300)]
     assert sampled_point_series(pts, [1]) == (BoxCount(1, 2, "sampled"),)
 
 

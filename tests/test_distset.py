@@ -66,7 +66,7 @@ def test_zero_distance_convention(desk, desk_points):
 def test_mixed_precision_rejected(desk, desk_points):
     x, ys = desk_points
     shallow = SamplePoint(tuple(m >> (x.precision - 32) for m in x.mantissas),
-                          32, "sample", 1)
+                          32, 1)
     with pytest.raises(OutOfRange):
         pinned(x, [shallow], desk.norm)
 
@@ -76,9 +76,8 @@ def test_mismatched_last_point_rejected(desk, desk_points):
     x, ys = desk_points
     y = ys[-1]
     deeper = SamplePoint(tuple(m << 4 for m in y.mantissas), y.precision + 4,
-                         "sample", 13)
-    wider = SamplePoint(y.mantissas + y.mantissas[:1], y.precision, "sample",
-                        13)
+                         13)
+    wider = SamplePoint(y.mantissas + y.mantissas[:1], y.precision, 13)
     for bad in (deeper, wider):
         with pytest.raises(OutOfRange):
             pinned(x, [*ys, bad], desk.norm)
@@ -319,7 +318,7 @@ def test_collapse_window_digit_rule(desk):
     a, b = desk.schedule.blocks[2].a, desk.schedule.blocks[2].b
 
     def point(m0):
-        return SamplePoint((m0, 0), depth, "sample", 0)
+        return SamplePoint((m0, 0), depth, 0)
 
     base = 1 << (depth - 1)  # difference 0.1...: functional 0 achieves
     y = point(0)
@@ -346,7 +345,7 @@ def test_collapse_window_digit_rule(desk):
 def test_collapse_requires_depth(desk):
     pt = pinned_point(desk)
     shallow = type(pt)(tuple(m >> (pt.precision - 40) for m in pt.mantissas),
-                       40, "pinned", 0)
+                       40, 0)
     with pytest.raises(PrecisionExceeded):
         collapse_check(shallow, shallow, desk)
 

@@ -104,7 +104,7 @@ def tampered(spec, where, extra, rng):
     points = [pinned_point(spec)] + sample_points(spec, COUNT)
     prec = spec.schedule.depth + extra
     points = [SamplePoint(tuple((m << extra) | rng.getrandbits(extra)
-                                for m in p.mantissas), prec, p.role, p.index)
+                                for m in p.mantissas), prec, p.index)
               for p in points]
     first = min(where * CHUNK + rng.randrange(CHUNK), len(points) - 1)
     later = range(first, len(points))
@@ -200,8 +200,7 @@ def test_shallow_point_raises_after_earlier_failures():
     spec = make_spec(2, Fraction(3, 2), preset("linf", 2), seed=7,
                      m=[1, 16, 32, 96])
     good = [pinned_point(spec)] + sample_points(spec, 5)
-    shallow = SamplePoint(tuple(m >> 64 for m in good[3].mantissas), 32,
-                          "sample", 3)
+    shallow = SamplePoint(tuple(m >> 64 for m in good[3].mantissas), 32, 3)
     with pytest.raises(PrecisionExceeded, match="block 3 needs 96"):
         cn.first_failure(good[:3] + [shallow] + good[4:], spec)
     # an earlier failing point is reported first, as the plain loop does

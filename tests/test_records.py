@@ -11,7 +11,7 @@ from polyfrac.dimension import (BoxCount, ComplexityProfile, ExactCount,
 from polyfrac.distset import BlockCollapse, CollapseReport, DistanceRecord
 from polyfrac.errors import InfeasibleSchedule, OutOfRange
 from polyfrac.norms import Functional, preset
-from polyfrac.schedule import Block, BlockSchedule, ScheduleReport, generate
+from polyfrac.schedule import Block, BlockSchedule, generate
 
 LINF2 = preset("linf", 2)
 DESK = generate(Fraction(1, 2), 3, 2, m=[1, 16, 32, 96])
@@ -20,17 +20,14 @@ DESK = generate(Fraction(1, 2), 3, 2, m=[1, 16, 32, 96])
 RECORDS = [
     (Functional, ("mantissas", "precision", "pivot"),
      lambda: Functional((1, -1), 0, 0)),
-    (BlockSchedule, ("margin", "bounds", "splits", "free_fraction",
-                     "n_functionals"),
-     lambda: BlockSchedule(3, (1, 16, 32), (9, 24), Fraction(1, 2), 2)),
+    (BlockSchedule, ("margin", "bounds", "free_fraction", "n_functionals"),
+     lambda: BlockSchedule(3, (1, 16, 32), Fraction(1, 2), 2)),
     (Block, ("k", "ell", "start", "split", "end", "a", "b"),
      lambda: Block(1, 0, 1, 9, 16, 12, 13)),
-    (ScheduleReport, ("checks",),
-     lambda: ScheduleReport((("first bound is 1", True, "m_1 = 1"),))),
-    (FractalSpec, ("dim", "target", "norm", "schedule", "seed"),
-     lambda: FractalSpec(2, Fraction(3, 2), LINF2, DESK, 7)),
-    (SamplePoint, ("mantissas", "precision", "role", "index"),
-     lambda: SamplePoint((1, 2), 4, "sample", 3)),
+    (FractalSpec, ("norm", "schedule", "seed"),
+     lambda: FractalSpec(LINF2, DESK, 7)),
+    (SamplePoint, ("mantissas", "precision", "index"),
+     lambda: SamplePoint((1, 2), 4, 3)),
     (PointReport, ("failures",),
      lambda: PointReport(((1, "carry", 5),))),
     (DistanceRecord, ("mantissa", "precision", "achieving", "source",
@@ -86,15 +83,14 @@ def test_keyword_construction_matches_positional(cls, fields, make):
 
 
 def test_records_differ_when_a_field_differs():
-    assert SamplePoint((1, 2), 4, "sample", 3) != SamplePoint((1, 2), 4,
-                                                              "sample", 4)
+    assert SamplePoint((1, 2), 4, 3) != SamplePoint((1, 2), 4, 4)
     assert BoxCount(4, 10, "exact") != BoxCount(4, 10, "sampled")
     assert ExactCount(4, 10, 12, 7) != ExactCount(4, 10, 12, 8)
 
 
 def test_properties_and_methods_survive():
     assert Functional((1, -1, 2), 0, 0).dim == 3
-    assert SamplePoint((1, 2, 3), 4, "pinned", 0).dim == 3
+    assert SamplePoint((1, 2, 3), 4, 0).dim == 3
     assert not PointReport(((1, "carry", 5),)).ok and PointReport(()).ok
     ec = ExactCount(4, 10, 10, 7)
     assert ec.exact and ec.count == 10
@@ -103,16 +99,17 @@ def test_properties_and_methods_survive():
     assert SlabGroup((0, 3), 1, ()).support == (1,)
     assert DESK.n_blocks == 3 and DESK.depth == DESK.bounds[-1]
     assert DESK.blocks is DESK.blocks  # computed once, then cached
+    assert DESK.splits == (9, 24, 64) and DESK.splits is DESK.splits
     spec = make_spec(2, Fraction(3, 2), LINF2, seed=7, m=[1, 16, 32, 96])
+    assert spec.dim == 2
     assert spec.plan is spec.plan  # computed once, then cached
     assert len(spec.tail_paths) == 2
 
 
 @pytest.mark.parametrize("args", [
-    ((4,), 2, "pinned", 0),      # 1.0 is not in [0, 1)
-    ((1, -1), 2, "pinned", 0),   # -1/4 is not in [0, 1)
-    ((1,), 1, "probe", 0),       # unknown role
-    ((), 2, "pinned", 0),        # no coordinate
+    ((4,), 2, 0),      # 1.0 is not in [0, 1)
+    ((1, -1), 2, 0),   # -1/4 is not in [0, 1)
+    ((), 2, 0),        # no coordinate
 ])
 def test_sample_point_refuses_bad_arguments(args):
     with pytest.raises(OutOfRange):
@@ -120,24 +117,21 @@ def test_sample_point_refuses_bad_arguments(args):
 
 
 def _spec_args(**change):
-    args = dict(dim=2, target=Fraction(3, 2), norm=LINF2, schedule=DESK,
-                seed=7)
+    args = dict(norm=LINF2, schedule=DESK, seed=7)
     args.update(change)
     return args
 
 
 @pytest.mark.parametrize("change,error", [
-    ({"norm": preset("linf", 3)}, OutOfRange),  # norm dimension
     ({"seed": -1}, OutOfRange),
     ({"seed": 1 << 64}, OutOfRange),
     ({"seed": True}, OutOfRange),
     ({"seed": 7.0}, OutOfRange),
-    ({"target": Fraction(7, 4)}, OutOfRange),  # free fraction mismatch
     ({"schedule": generate(Fraction(1, 2), 3, 3, m=[1, 16, 32, 96])},
      OutOfRange),  # cycle length != functional count
     ({"schedule": generate(Fraction(1, 2), 2, 2, m=[1, 16, 32, 96])},
      OutOfRange),  # margin below the norm's requirement
-    ({"schedule": BlockSchedule(3, (1, 2), (2,), Fraction(1, 2), 2)},
+    ({"schedule": BlockSchedule(3, (1, 2), Fraction(1, 2), 2)},
      InfeasibleSchedule),
 ])
 def test_fractal_spec_refuses_bad_arguments(change, error):
@@ -147,8 +141,7 @@ def test_fractal_spec_refuses_bad_arguments(change, error):
 
 
 @pytest.mark.parametrize("args", [
-    (3, (), (), Fraction(1, 2), 2),            # no m_1
-    (3, (1, 16, 32), (9,), Fraction(1, 2), 2),  # one split short
+    (3, (), Fraction(1, 2), 2),  # no m_1
 ])
 def test_block_schedule_refuses_bad_arguments(args):
     with pytest.raises(OutOfRange):
