@@ -109,6 +109,7 @@ def test_properties_and_methods_survive():
 @pytest.mark.parametrize("args", [
     ((4,), 2, 0),      # 1.0 is not in [0, 1)
     ((1, -1), 2, 0),   # -1/4 is not in [0, 1)
+    ((1,), 0, 0),      # precision 0 leaves only 0; 1.0 is not in [0, 1)
     ((), 2, 0),        # no coordinate
 ])
 def test_sample_point_refuses_bad_arguments(args):
@@ -123,10 +124,12 @@ def _spec_args(**change):
 
 
 @pytest.mark.parametrize("change,error", [
+    ({"norm": preset("linf", 3)}, OutOfRange),  # 3-D norm, 3-cycle
     ({"seed": -1}, OutOfRange),
     ({"seed": 1 << 64}, OutOfRange),
     ({"seed": True}, OutOfRange),
     ({"seed": 7.0}, OutOfRange),
+    ({"norm": preset("l1", 2)}, OutOfRange),  # margin 3 below l1's 4
     ({"schedule": generate(Fraction(1, 2), 3, 3, m=[1, 16, 32, 96])},
      OutOfRange),  # cycle length != functional count
     ({"schedule": generate(Fraction(1, 2), 2, 2, m=[1, 16, 32, 96])},
