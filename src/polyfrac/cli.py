@@ -6,8 +6,8 @@ to the exact configuration that produced them.  All outputs are
 byte-deterministic for a fixed config and flags.
 
 Exit codes: 0 success, 2 config or format problem or a missing or
-mismatched points.txt, 3 verification failure, 4 budget exhausted before
-any exact count finished.
+mismatched points.txt, 3 verification failure, 4 (boxdim only) budget
+exhausted before any exact count finished.
 
 Each command imports the modules only it runs (distset, dimension) when it
 starts, before reading any input, so start-up pays for what it uses.
@@ -476,9 +476,6 @@ def main(argv=None) -> int:
     except FormatError as exc:
         print(f"format error: {exc}", file=sys.stderr)
         return 2
-    except BudgetExceeded as exc:
-        print(f"budget exhausted: {exc}", file=sys.stderr)
-        return 4
     except PolyfracError as exc:
         print(f"verification error: {exc}", file=sys.stderr)
         return 3

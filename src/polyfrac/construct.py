@@ -414,16 +414,14 @@ def first_failure(points, spec: FractalSpec):
     if n < 2 or prec < spec.schedule.depth:
         return _first_unverified(points, spec)
     dim = spec.dim
-    tables = {}  # lane table per chunk length: whole chunks and the last
+    table = _lane_table(spec, prec, width, n)
     for start in range(0, len(points), n):
         chunk = points[start:start + n]
         if all(p.precision == prec and len(p.mantissas) == dim
                for p in chunk):
-            size = len(chunk)
-            if size not in tables:
-                tables[size] = _lane_table(spec, prec, width, size)
-            if not any(word for _, _, word
-                       in _lane_failures(chunk, tables[size])):
+            # spare lanes of a short last chunk repeat its first point
+            lanes = chunk + chunk[:1] * (n - len(chunk))
+            if not any(word for _, _, word in _lane_failures(lanes, table)):
                 continue
         hit = _first_unverified(chunk, spec)
         if hit:

@@ -243,7 +243,6 @@ def count_exact(system: SlabSystem, r: int, budget: int = 10**8) -> ExactCount:
         return ExactCount(r, n, n, 0)
     cap = min(max(r, g.windows[-1][1]) for g in active) + _DFS_HEADROOM
     gs = [_Group(g, cap, dim) for g in active]
-    product_rule = _product_form(active)
 
     examined = 0
     # level -> per group, {group state: its row of 2**dim child states}
@@ -338,7 +337,7 @@ def count_exact(system: SlabSystem, r: int, budget: int = 10**8) -> ExactCount:
         return memo[key]
 
     for state, mult in states.items():
-        verdict = True if product_rule else refine(state, r)
+        verdict = refine(state, r)
         if verdict:
             lower += mult
             upper += mult
@@ -350,8 +349,8 @@ def count_exact(system: SlabSystem, r: int, budget: int = 10**8) -> ExactCount:
 def _product_form(groups) -> bool:
     """Does every group pin its own coordinate with coefficient exactly 1?
 
-    Interval reasoning per coordinate is then exact, so count_exact leaves
-    no cell undecided, and decoupled_count's product formula holds."""
+    Interval reasoning per coordinate is then exact, so decoupled_count's
+    product formula holds."""
     return (all(len(g.support) == 1 and
                 g.mantissas[g.support[0]] == 1 << g.precision for g in groups)
             and len({g.support[0] for g in groups}) == len(groups))

@@ -257,24 +257,21 @@ def collapse_first_failure(x, ys, spec):
     """The first y in ys with collapse_check(x, y, spec) not ok, None when
     every pair passes; refusals as collapse_check's, pair by pair.
 
-    x is projected once and each y as it is reached.  Entry l of
-    project(x) - project(y) is (x - y) . v^l scaled to the finest
-    functional precision, so the first largest |entry| is tested as it
-    stands, against its functional's trimmed windows at that scale (built
-    once per call).
+    x is projected once and each y as it is reached; each pair is measured
+    and its trimmed windows read as in collapse_check, from window tables
+    built once per call.
     """
     sched, norm, project = spec.schedule, spec.norm, spec.norm.project
-    scale = x.precision + max(f.precision for f in norm.functionals)
-    trimmed = [[w for *_, w in _collapse_windows(sched, ell, scale)]
-               for ell in range(norm.n_functionals)]
     px, prec, dim = project(x.mantissas), x.precision, x.dim
-    deep = prec >= sched.depth
+    trimmed = [[w for *_, w in _collapse_windows(sched, ell,
+                                                  prec + f.precision)]
+               for ell, f in enumerate(norm.functionals)]
+    measure, deep = norm.measure_projection, prec >= sched.depth
     for y in ys:
         if not deep or y.precision != prec or len(y.mantissas) != dim:
             _collapse_precision(x, y, sched)  # raises: y is refused
-        keys = list(map(abs, map(sub, px, project(y.mantissas))))
-        v = max(keys)
-        for window in trimmed[keys.index(v)]:
+        v, _, ties = measure(map(sub, px, project(y.mantissas)), prec)
+        for window in trimmed[ties[0]]:
             if not _constant(v, window):
                 return y
     return None

