@@ -17,7 +17,8 @@ from __future__ import annotations
 from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import FormatError, NoSolution, OutOfRange, PrecisionExceeded
+from .errors import (CheckedRecord, FormatError, NoSolution, OutOfRange,
+                     PrecisionExceeded)
 from .norms import PolyhedralNorm, int_dot, min_margin
 from .schedule import BlockSchedule, free_fraction, generate, validate
 from .streams import BitStream, label_path
@@ -37,7 +38,7 @@ class _SpecFields(NamedTuple):
     seed: int
 
 
-class FractalSpec(_SpecFields):
+class FractalSpec(CheckedRecord, _SpecFields):
     """Everything that pins down one construction run: the dimension is
     the norm's, the target the schedule's free fraction plus dim - 1.
 
@@ -126,7 +127,7 @@ class _PointFields(NamedTuple):
     index: int
 
 
-class SamplePoint(_PointFields):
+class SamplePoint(CheckedRecord, _PointFields):
     """Coordinate i is mantissas[i] * 2**-precision, a point of [0, 1)**d.
 
     Index 0 is the pinned point; indices from 1 are samples.

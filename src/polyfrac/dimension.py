@@ -40,7 +40,8 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import BudgetExceeded, InsufficientData, OutOfRange
+from .errors import (BudgetExceeded, CheckedRecord, InsufficientData,
+                     OutOfRange)
 
 __all__ = ["SlabGroup", "SlabSystem", "slab_system", "ExactCount",
            "count_exact", "decoupled_count", "count_value_cells",
@@ -57,7 +58,7 @@ class _GroupFields(NamedTuple):
     windows: tuple  # ((a, b), ...) ascending, disjoint
 
 
-class SlabGroup(_GroupFields):
+class SlabGroup(CheckedRecord, _GroupFields):
     """One functional's slab constraints: digits of the dot product vanish
     on each (a, b] window."""
 
@@ -86,7 +87,7 @@ class _SystemFields(NamedTuple):
     groups: tuple
 
 
-class SlabSystem(_SystemFields):
+class SlabSystem(CheckedRecord, _SystemFields):
     __slots__ = ()
 
     def __new__(cls, dim, depth, groups):

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the mixin that keeps a
+checking record's refusals on every path that builds one."""
 
 
 class PolyfracError(Exception):
@@ -56,3 +57,21 @@ class BudgetExceeded(PolyfracError):
 
 class FormatError(PolyfracError):
     """Malformed or mismatched on-disk artifact."""
+
+
+class CheckedRecord:
+    """First base of a NamedTuple record whose __new__ checks its fields.
+
+    _make, and so _replace, builds through that __new__ instead of
+    tuple.__new__, and no attribute may be assigned: a cached_property
+    writes its value to the instance dict directly, not through here.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
-from .errors import InfeasibleSchedule, OutOfRange
+from .errors import CheckedRecord, InfeasibleSchedule, OutOfRange
 
 __all__ = ["Block", "BlockSchedule", "free_fraction", "generate",
            "validate"]
@@ -54,7 +54,7 @@ class Block(NamedTuple):
     b: int
 
 
-class BlockSchedule(_ScheduleFields):
+class BlockSchedule(CheckedRecord, _ScheduleFields):
     """Immutable bookkeeping for K blocks.
 
     bounds = (m_1, ..., m_{K+1}).  margin is the guard width c around each

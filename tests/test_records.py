@@ -172,3 +172,43 @@ def test_slab_system_refuses_bad_arguments(args):
     with pytest.raises(OutOfRange):
         SlabSystem(*args)
 
+
+
+
+@pytest.mark.parametrize("make,change,error", [
+    (lambda: SamplePoint((1, 2), 4, 0), {"mantissas": (-5, 99)}, OutOfRange),
+    (lambda: FractalSpec(LINF2, DESK, 7), {"seed": -1}, OutOfRange),
+    (lambda: FractalSpec(LINF2, DESK, 7),
+     {"schedule": DESK._replace(bounds=(5, 3))}, InfeasibleSchedule),
+    (lambda: DESK, {"bounds": ()}, OutOfRange),
+    (lambda: SlabGroup((1, 0), 0, ((1, 3),)), {"windows": ((3, 3),)},
+     OutOfRange),
+    (lambda: SlabSystem(2, 8, (SlabGroup((1, 0), 0, ((1, 3),)),)),
+     {"dim": 3}, OutOfRange),
+], ids=["SamplePoint", "FractalSpec-seed", "FractalSpec-schedule",
+        "BlockSchedule", "SlabGroup", "SlabSystem"])
+def test_replace_checks_like_the_constructor(make, change, error):
+    rec = make()
+    assert rec._replace() == rec and type(rec._replace()) is type(rec)
+    with pytest.raises(error):
+        rec._replace(**change)
+    with pytest.raises(error):
+        type(rec)._make(change.get(name, value)
+                        for name, value in zip(rec._fields, rec))
+
+
+@pytest.mark.parametrize("make,name", [
+    (lambda: generate(Fraction(1, 2), 3, 2, m=[1, 16, 32, 96]), "splits"),
+    (lambda: generate(Fraction(1, 2), 3, 2, m=[1, 16, 32, 96]), "blocks"),
+    (lambda: FractalSpec(LINF2, DESK, 7), "plan"),
+    (lambda: FractalSpec(LINF2, DESK, 7), "tail_paths"),
+], ids=["splits", "blocks", "plan", "tail_paths"])
+def test_derived_values_cannot_be_assigned(make, name):
+    rec = make()
+    with pytest.raises(AttributeError):  # before the value is first read
+        setattr(rec, name, ())
+    value = getattr(rec, name)
+    assert value == getattr(make(), name) and value
+    with pytest.raises(AttributeError):  # and once it is cached
+        setattr(rec, name, ())
+    assert getattr(rec, name) is value
