@@ -8,6 +8,8 @@ from fractions import Fraction
 
 import pytest
 
+from polyfrac import construct as cn
+from polyfrac import distset as ds
 from polyfrac.cli import main
 from polyfrac.construct import hex_to_mantissa, mantissa_to_hex, read_points
 from polyfrac.norms import custom_norm, min_margin, preset
@@ -107,6 +109,45 @@ def test_verify_detects_tampering(made, tmp_path, capsys):
     tamper(3)  # pinned row: no longer this config's pinned point
     assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 2
     assert "manifest mismatch" in capsys.readouterr().err
+
+
+def test_construct_writes_no_file_that_fails_a_check(desk_spec, tmp_path,
+                                                   monkeypatch, capsys):
+    # CONFIG's spec; a solver that always answers offset 0 leaves the
+    # marker unset
+    monkeypatch.setattr(cn, "_steer", lambda *args: 0)
+    cfg = write_config(tmp_path / "cfg.json")
+    k, check, place = cn.verify_point(cn.pinned_point(desk_spec),
+                                      desk_spec).failures[0]
+    out = tmp_path / "out"
+    assert main(["construct", "--config", cfg, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (f"point 0: block {k} {check} fails "
+                                       f"at place {place}\n")
+    assert not (out / "points.txt").exists()
+    assert not (out / "manifest.json").exists()
+
+
+def test_verify_names_the_first_collapse_failure(made, desk_spec,
+                                                 monkeypatch, capsys):
+    cfg, out = made  # built from CONFIG, whose spec is desk_spec
+    points, _ = read_points(out / "points.txt")
+    # the first pair whose distance functional 1 achieves; block 2 is
+    # functional 1's one block
+    j = next(rec.source[1] for rec in ds.pinned(points[0], points[1:],
+                                                desk_spec.norm)
+             if rec.achieving == 1)
+    real = ds._collapse_windows
+
+    def widened(sched, ell, scale):
+        # block 2's trimmed window takes every digit of a value below 1
+        return tuple((k, a, b, full, (0, (1 << scale) - 1) if k == 2
+                      else trimmed)
+                     for k, a, b, full, trimmed in real(sched, ell, scale))
+
+    monkeypatch.setattr(ds, "_collapse_windows", widened)
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (f"pair 0-{j}: collapse fails at "
+                                       f"block 2\n")
 
 
 @pytest.fixture(scope="module")
@@ -686,6 +727,10 @@ def test_negative_euclid_is_a_usage_error(tmp_path, capsys):
                  "--euclid", "-1"]) == 2
     err = capsys.readouterr().err
     assert "argument --euclid: must be an integer >= 0" in err
+    assert main(["distset", "--config", cfg, "--out", str(tmp_path),
+                 "--euclid", "abc"]) == 2
+    err = capsys.readouterr().err
+    assert "argument --euclid: must be an integer >= 0, not 'abc'" in err
     assert not (tmp_path / "distances.csv").exists()
 
 
@@ -768,8 +813,12 @@ def test_config_rejection(tmp_path, overrides, capsys):
      'scales must be "checkpoints" or a JSON array, not \'abc\''),
     ({"scales": {"8": 1}},
      'scales must be "checkpoints" or a JSON array, not {\'8\': 1}'),
+    # a 3-D custom table under dimension 2
+    ({"norm": {"custom": [[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]],
+                          [[0, 0], [0, 0], [1, 0]]]}},
+     "custom norm dimension != config dimension"),
 ], ids=["dimension", "norm", "K", "m-number", "m-string", "scales-string",
-        "scales-object"])
+        "scales-object", "custom-dimension"])
 def test_config_rejection_names_the_key(tmp_path, overrides, message,
                                         capsys):
     cfg = write_config(tmp_path / "cfg.json", **overrides)

@@ -150,6 +150,25 @@ def test_scale_zero_and_no_groups():
 
 @settings(deadline=None, max_examples=60)
 @given(st.data())
+def test_the_origin_cell_always_counts(data):
+    # every slab holds 0, the image of the origin under every functional,
+    # so the root cell meets every coupled system and no count is 0
+    dim = data.draw(st.integers(1, 3))
+    groups = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        m = data.draw(st.lists(st.integers(-4, 4), min_size=dim,
+                               max_size=dim).filter(any))
+        edges = sorted(data.draw(st.lists(st.integers(0, 8), min_size=2,
+                                          max_size=6, unique=True)))
+        groups.append(SlabGroup(tuple(m), data.draw(st.integers(0, 2)),
+                                tuple(zip(edges[::2], edges[1::2]))))
+    got = count_exact(SlabSystem(dim, 8, tuple(groups)),
+                      data.draw(st.integers(0, 4)))
+    assert 1 <= got.lower <= got.upper
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
 def test_one_dimensional_systems_match_enumeration(data):
     depth = data.draw(st.integers(min_value=4, max_value=10))
     v = data.draw(st.integers(min_value=-5, max_value=5).filter(bool))

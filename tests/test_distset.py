@@ -116,6 +116,7 @@ def test_pairwise_full_enumeration(desk, desk_points):
     assert len(recs) == 12 * 11 // 2
     assert [r.source for r in recs] == [
         (ys[i].index, ys[j].index) for i, j in combinations(range(12), 2)]
+    assert list(pairwise([], desk.norm)) == []
 
 
 def test_pairwise_cap_is_deterministic(desk, desk_points):

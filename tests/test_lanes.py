@@ -181,6 +181,7 @@ def test_untampered_points_pass_in_whole_chunks():
     assert cn._LANE_BITS // cn._lane_width(spec, 96) == 157
     assert cn.first_failure(points, spec) is None
     assert ds.collapse_first_failure(points[0], points[1:], spec) is None
+    assert cn.first_failure([], spec) is None
 
 
 def test_wide_points_skip_packing():

@@ -90,6 +90,9 @@ def test_dot_dimension_mismatch():
         f.dot((Dyadic(1, 1),))
     with pytest.raises(DimensionMismatch):
         preset("l1", 3).measure((Dyadic(1, 1), Dyadic(0, 0)))
+    with pytest.raises(DimensionMismatch):  # a functional of length 3
+        PolyhedralNorm(2, [Functional((1, 0), 0, 0),
+                           Functional((0, 1, 1), 0, 1)])
 
 
 @st.composite
@@ -178,6 +181,8 @@ def test_rank_deficient_rejected():
         custom_norm([[[1, 0], [1, 1]], [[2, 0], [1, 0]]])
     with pytest.raises(DegenerateNorm):
         custom_norm([])
+    with pytest.raises(DegenerateNorm):
+        PolyhedralNorm(2, [])
 
 
 def test_custom_norm_normalization():

@@ -80,10 +80,10 @@ def test_functional_cycle():
 @st.composite
 def schedules(draw):
     """generate()d schedules: explicit bound lists and the geometric rule,
-    alpha from 0 to 1, 1-4 functionals and K = 0..6 blocks."""
+    alpha from 0 to 1, margins 1-20, 1-4 functionals and K = 0..6 blocks."""
     alpha = draw(st.sampled_from([0, 1])
                  | st.fractions(0, 1, max_denominator=8))
-    margin = draw(st.integers(1, 5))
+    margin = draw(st.integers(1, 20))
     n_f = draw(st.integers(1, 4))
     K = draw(st.integers(0, 6))
     if draw(st.booleans()):
@@ -107,6 +107,13 @@ def test_block_table_matches_fields(s):
         assert all(w.ell == ell for w in part)
         assert [w.k for w in part] == sorted(w.k for w in part)
     assert sorted(sum(slices, ()), key=lambda w: w.k) == list(s.blocks)
+
+
+@given(schedules())
+def test_generated_schedules_pass_validate(s):
+    # generate widens bounds until every check holds, so it does not call
+    # validate itself
+    validate(s)
 
 
 def test_validate_reports_named_failures():
@@ -141,6 +148,8 @@ def test_generate_argument_errors():
         generate(Fraction(1, 2), 3, 0, m=[1, 16])
     with pytest.raises(OutOfRange):
         generate(Fraction(1, 2), 3, 2)  # neither bounds nor K
+    with pytest.raises(OutOfRange):
+        generate(Fraction(1, 2), 3, 2, K=3, ratio=Fraction(1, 2))
     with pytest.raises(InfeasibleSchedule):
         generate(Fraction(1, 2), 3, 2, m=[2, 16])
     with pytest.raises(InfeasibleSchedule):
