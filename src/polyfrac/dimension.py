@@ -276,14 +276,11 @@ def count_exact(system: SlabSystem, r: int, budget: int = 10**8) -> ExactCount:
             if _OUT not in child:
                 yield child, child == inside
 
-    root = []
-    for g in gs:
-        shift = g.qg - g.pv
-        st = g.classify(0, -g.negabs << shift, g.lenbase << shift)
-        if st is _OUT:
-            return ExactCount(r, 0, 0, examined)
-        root.append(st)
-    states = {tuple(root): 1}
+    # the root cell holds the origin, whose image 0 lies in every slab, so
+    # no group classifies it _OUT
+    root = tuple(g.classify(0, -g.negabs << (g.qg - g.pv),
+                            g.lenbase << (g.qg - g.pv)) for g in gs)
+    states = {root: 1}
     full = 0
     for q in range(r):
         nxt: dict = {}
