@@ -14,6 +14,7 @@ depth; place j of coordinate i is bit (depth - j) of mantissa i.
 
 from __future__ import annotations
 
+import os
 from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -138,8 +139,7 @@ class SamplePoint(CheckedRecord, _PointFields):
     def __new__(cls, mantissas, precision, index):
         if not mantissas:
             raise OutOfRange("point needs at least one coordinate")
-        top = 1 << precision
-        if not all(0 <= m < top for m in mantissas):
+        if min(mantissas) < 0 or max(mantissas) >> precision:
             raise OutOfRange("coordinates must lie in [0, 1)")
         return tuple.__new__(cls, (mantissas, precision, index))
 
@@ -475,58 +475,95 @@ def write_table(path, kind: str, manifest_hash: str, header: str, rows) -> int:
 
 
 def write_points(path, points: list, manifest_hash: str) -> None:
-    """Row 0, the pinned point, is tagged x and every later row y."""
-    pt0 = points[0]
+    """Row 0, the pinned point, is tagged x and every later row y; each
+    field is (m << pad) in exactly w = ceil(prec/4) lowercase hex digits.
+
+    Only points read_points takes back are written: one or more, of one
+    dimension and one precision >= 1, else OutOfRange before any write.
+    """
+    shapes = {(pt.dim, pt.precision) for pt in points}
+    if len(shapes) != 1 or min(shapes)[1] < 1:
+        raise OutOfRange("a points file holds one or more points of one "
+                         "dimension and one precision >= 1")
+    [(dim, prec)] = shapes
+    w = _hex_width(prec)
+    pad, cut, nb = 4 * w - prec, w & 1, (w + 1) >> 1
     write_table(path, "points", manifest_hash,
-                f"d={pt0.dim} prec={pt0.precision} count={len(points)}",
+                f"d={dim} prec={prec} count={len(points)}",
                 (" ".join(["y" if row else "x",
-                           *(mantissa_to_hex(m, pt.precision)
+                           *((m << pad).to_bytes(nb, "big").hex()[cut:]
                              for m in pt.mantissas)])
                  for row, pt in enumerate(points)))
 
 
 def read_points(path) -> tuple[list, str]:
-    """Points plus the manifest hash they were written under.
+    """Points plus the manifest hash they were written under, read one row
+    at a time.
 
-    Row 0 must be tagged x and every later row y, as write_points tags
-    them; point i is row i.
+    Each row is exactly as write_points writes it: its tag, then per
+    coordinate one space and w = ceil(prec/4) lowercase hex digits, then
+    "\n".  Row 0 must be tagged x and every later row y; point i is row i.
     """
-    try:
-        with open(path, encoding="ascii") as fh:
-            lines = fh.read().splitlines()
-    except UnicodeDecodeError:
-        raise FormatError(f"{path} is not an ASCII points file") from None
-    if not lines or lines[0] != "polyfrac-points v1":
-        raise FormatError("not a polyfrac points file")
-    mhash = lines[1][len("# manifest "):] if len(lines) > 2 else ""
-    # exactly "# manifest <one token>", as write_table writes it
-    if lines[1:2] != [f"# manifest {mhash}"] or mhash.split() != [mhash]:
-        raise FormatError("missing manifest line")
-    try:
-        dim, prec, count = (int(field.partition("=")[2])
-                            for field in lines[2].split(" "))
-    except ValueError:
-        raise FormatError("malformed header line") from None
-    # only the header write_points renders: keys d, prec, count in order,
-    # values with no sign, leading zero or other spelling int() takes
-    if lines[2] != f"d={dim} prec={prec} count={count}":
-        raise FormatError("malformed header line")
-    if dim < 1 or prec < 1:
-        raise FormatError("header needs d >= 1 and prec >= 1")
-    if count < 1:
-        raise FormatError("points file is empty")
-    body = lines[3:]
-    if len(body) != count:
-        raise FormatError(f"expected {count} points, found {len(body)}")
-    points = []
-    for pos, line in enumerate(body):
-        fields = line.split()
-        if len(fields) != dim + 1 or fields[0] not in ("x", "y"):
-            raise FormatError(f"malformed point line {pos + 1}")
-        if (fields[0] == "x") != (pos == 0):
-            rule = "only row 0 may be" if pos else "row 0 must be x"
-            raise FormatError(f"points file row {pos} is tagged {fields[0]}: "
-                              f"{rule}")
-        mants = tuple(hex_to_mantissa(s, prec) for s in fields[1:])
-        points.append(SamplePoint(mants, prec, pos))
+    with open(path, "rb") as fh:
+        try:
+            magic, mline, header = (fh.readline().decode("ascii")
+                                    for _ in range(3))
+        except UnicodeDecodeError:
+            raise FormatError(f"{path} is not an ASCII points file") from None
+        if magic != "polyfrac-points v1\n":
+            raise FormatError("not a polyfrac points file")
+        mhash = mline[len("# manifest "):-1]
+        # exactly "# manifest <one token>", as write_table writes it
+        if mline != f"# manifest {mhash}\n" or mhash.split() != [mhash]:
+            raise FormatError("missing manifest line")
+        try:
+            dim, prec, count = (int(field.partition("=")[2])
+                                for field in header[:-1].split(" "))
+        except ValueError:
+            raise FormatError("malformed header line") from None
+        # only the header write_points renders: keys d, prec, count in
+        # order, values with no sign, leading zero or other spelling int()
+        # takes
+        if header != f"d={dim} prec={prec} count={count}\n":
+            raise FormatError("malformed header line")
+        if dim < 1 or prec < 1:
+            raise FormatError("header needs d >= 1 and prec >= 1")
+        if count < 1:
+            raise FormatError("points file is empty")
+        w = _hex_width(prec)
+        pad, step, size = 4 * w - prec, w + 1, dim * (w + 1) + 2
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        # a row longer than the rest of the file is refused here, before
+        # the d-sized constants below are built for it
+        if size > left:
+            raise FormatError(f"expected {count} points of {size} bytes, "
+                              f"found {left} bytes")
+        # row[1::step] is every separator and the newline; with those in
+        # place, deleting the hex digits leaves the tag and them alone
+        seps = b" " * dim + b"\n"
+        tagged = (b"x" + seps, b"y" + seps)
+        bases, low = (16,) * dim, (1 << pad) - 1
+        points = []
+        for pos in range(count):
+            row = fh.readline(size)
+            shaped = len(row) == size and row[1::step] == seps
+            rest = row.translate(None, _HEX_DIGITS)
+            if not shaped or rest != tagged[pos > 0]:
+                if not row:
+                    raise FormatError(f"expected {count} points, found {pos}")
+                if shaped and rest == tagged[pos == 0]:
+                    tag, rule = (("y", "row 0 must be x") if pos == 0
+                                 else ("x", "only row 0 may be"))
+                    raise FormatError(f"points file row {pos} is tagged "
+                                      f"{tag}: {rule}")
+                raise FormatError(f"malformed point line {pos + 1}")
+            mants = tuple(map(int, row[2:-1].split(b" "), bases))
+            if pad:
+                if any(m & low for m in mants):
+                    raise FormatError("nonzero padding bits in mantissa field")
+                mants = tuple(m >> pad for m in mants)
+            points.append(SamplePoint(mants, prec, pos))
+        extra = sum(1 for _ in fh)
+    if extra:
+        raise FormatError(f"expected {count} points, found {count + extra}")
     return points, mhash

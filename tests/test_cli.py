@@ -645,6 +645,24 @@ def test_construct_streams_points_file(tmp_path, capsys):
     assert peak < (tmp_path / "points.txt").stat().st_size
 
 
+def test_read_points_streams_points_file(tmp_path):
+    # read_points reads points.txt one row at a time: on the same deep file
+    # its traced peak stays below the file, which a reader holding the text,
+    # or its lines, exceeds
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(DEEP_CONFIG, samples=200)))
+    construct(str(cfg), tmp_path)
+    path = tmp_path / "points.txt"
+    tracemalloc.start()
+    try:
+        points, _ = read_points(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(points) == 201
+    assert peak < path.stat().st_size
+
+
 # the pairwise benchmark workload's shape at 200 samples
 PAIRWISE_CONFIG = {"dimension": 3, "s": "9/4", "norm": {"preset": "l1"},
                    "schedule": {"c": "auto", "m": [1, 16, 32, 96]},

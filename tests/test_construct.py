@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from polyfrac.construct import (FractalSpec, SamplePoint, _marker, _steer,
@@ -399,6 +399,82 @@ def test_points_file_round_trip(tmp_path, desk):
         ["x", "y", "y", "y"]
 
 
+@st.composite
+def _point_sets(draw):
+    prec = draw(st.integers(min_value=1, max_value=200))
+    dim = draw(st.integers(min_value=1, max_value=4))
+    coord = st.integers(min_value=0, max_value=(1 << prec) - 1)
+    rows = draw(st.lists(st.tuples(*[coord] * dim), min_size=1, max_size=4))
+    return [SamplePoint(m, prec, i) for i, m in enumerate(rows)]
+
+
+@settings(deadline=None)
+@given(pts=_point_sets())
+def test_points_file_round_trips_every_width(tmp_path_factory, pts):
+    # odd widths and pad != 0, which no benchmark depth (96, 11520) has
+    path = tmp_path_factory.getbasetemp() / "round_trip.txt"
+    write_points(path, pts, "cafe")
+    assert read_points(path) == (pts, "cafe")
+    prec = pts[0].precision
+    w = (prec + 3) // 4
+    rows = path.read_text().splitlines()[3:]
+    assert rows == [" ".join(["y" if i else "x",
+                              *(format(m << (4 * w - prec), f"0{w}x")
+                                for m in pt.mantissas)])
+                    for i, pt in enumerate(pts)]
+
+
+@pytest.mark.parametrize("pts", [
+    [SamplePoint((1, 2), 4, 0), SamplePoint((3,), 4, 1)],
+    [SamplePoint((1, 2), 4, 0), SamplePoint((5, 6), 9, 1)],
+    [SamplePoint((0,), 0, 0)],
+    [],
+], ids=["dimension", "precision", "prec-0", "empty"])
+def test_write_points_refuses_what_read_points_refuses(tmp_path, pts):
+    # written, these would go out under point 0's header (or none) in a
+    # file that read_points refuses
+    path = tmp_path / "points.txt"
+    with pytest.raises(OutOfRange):
+        write_points(path, pts, "cafe")
+    assert not path.exists()
+
+
+_CORRUPT_BYTES = b" \t\rXG_+-\xff"
+
+
+@pytest.fixture(scope="module")
+def points_files(tmp_path_factory, desk):
+    # the desk depth (w = 24, pad 0) and an odd width with a padding bit
+    # (w = 3, pad 1)
+    root = tmp_path_factory.mktemp("corrupt")
+    files = []
+    for name, pts in (
+            ("desk", [pinned_point(desk)] + sample_points(desk, 3)),
+            ("odd", [SamplePoint((5, 0, 2047), 11, 0),
+                     SamplePoint((1, 1023, 77), 11, 1)])):
+        write_points(root / name, pts, "cafe")
+        blob = (root / name).read_bytes()
+        body = sum(len(line) for line in blob.splitlines(True)[:3])
+        files.append((root / name, blob, body))
+    return files
+
+
+@settings(deadline=None)
+@given(which=st.sampled_from([0, 1]), at=st.integers(min_value=0),
+       byte=st.sampled_from(_CORRUPT_BYTES))
+@example(which=0, at=1, byte=ord("\t"))  # the separator after row 0's tag
+@example(which=1, at=13, byte=ord("\r"))  # row 0's newline (w = 3, d = 3)
+def test_points_file_refuses_any_corrupt_body_byte(points_files, which, at,
+                                                    byte):
+    path, blob, body = points_files[which]
+    at = body + at % (len(blob) - body)
+    assume(byte != blob[at])
+    bad = path.with_suffix(".bad")
+    bad.write_bytes(blob[:at] + bytes([byte]) + blob[at + 1:])
+    with pytest.raises(FormatError):
+        read_points(bad)
+
+
 def test_points_file_manifest_line_is_one_token(tmp_path, desk):
     # "# manifest " once read as hash "manifest", and "# manifest a b" as
     # "b"; only the line write_table writes names a hash
@@ -418,8 +494,8 @@ def test_points_file_rejects_malformed(tmp_path, desk):
     write_points(path, [pinned_point(desk)], "cafe")
     good = path.read_text().splitlines()
 
-    def reject(lines):
-        path.write_text("\n".join(lines) + "\n")
+    def reject(lines, end="\n"):
+        path.write_text("\n".join(lines) + end)
         with pytest.raises(FormatError):
             read_points(path)
 
@@ -437,9 +513,25 @@ def test_points_file_rejects_malformed(tmp_path, desk):
     reject(good[:2] + ["d=0 prec=96 count=1", "x"])
     reject(good[:2] + ["d=2 prec=0 count=1"] + good[3:])
     reject(good[:2] + ["d=2 prec=-4 count=1"] + good[3:])
+    reject(good[:2] + [f"d={2**62} prec=96 count=1"] + good[3:])
     reject(good[:3] + ["z " + good[3].split(" ", 1)[1]])  # unknown tag
     reject(good[:3] + [good[3] + " ff"])  # extra column
     reject(good[:3] + [good[3][:-1] + "g"])  # invalid hex digit
+    # rows are read exactly as written: a reader built on splitlines() and
+    # split() took each of these
+    reject([line + "\r" for line in good])  # CRLF endings
+    reject(good[:3] + [good[3] + "\r"])
+    reject(good[:3] + [good[3].replace(" ", "\t", 1)])
+    reject(good[:3] + [good[3].replace(" ", "  ", 1)])
+    reject(good[:3] + [good[3] + " "])  # trailing space
+    reject(good, end="")  # no final newline
+    # ... and this ASCII separator, which str.split() takes as whitespace
+    reject(good[:3] + [good[3].replace(" ", "\x1f", 1)])
+    # a non-ASCII byte in a row, refused as it was by a whole-file decode
+    path.write_bytes("\n".join(good[:3]).encode() + b"\n"
+                     + good[3].encode().replace(b" ", b"\xa0", 1) + b"\n")
+    with pytest.raises(FormatError, match="^malformed point line 1$"):
+        read_points(path)
     path.write_bytes(b"\xff\xfe\n")  # not ASCII, nor text in most codecs
     with pytest.raises(FormatError):
         read_points(path)
