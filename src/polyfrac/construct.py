@@ -448,21 +448,6 @@ def mantissa_to_hex(m: int, prec: int) -> str:
     return v.to_bytes((n + 1) >> 1, "big").hex()[n & 1:]
 
 
-def hex_to_mantissa(s: str, prec: int) -> int:
-    w = _hex_width(prec)
-    if len(s) != w:
-        raise FormatError(f"expected {w} hex digits, got {len(s)}")
-    # a field is w lowercase hex digits and nothing else; int(s, 16) alone
-    # also takes "0x1f", "f_ff", "-fff", "FFFF" and non-ASCII digits
-    if not s or s.encode("ascii", "replace").translate(None, _HEX_DIGITS):
-        raise FormatError(f"bad hex field {s!r}")
-    v = int(s, 16)
-    pad = 4 * w - prec
-    if v & ((1 << pad) - 1):
-        raise FormatError("nonzero padding bits in mantissa field")
-    return v >> pad
-
-
 def write_table(path, kind: str, manifest_hash: str, header: str, rows) -> int:
     """Write table ``polyfrac-<kind> v1``, its manifest line and header, then
     each row as rows yields it, holding no row list; returns the row count."""
@@ -486,13 +471,10 @@ def write_points(path, points: list, manifest_hash: str) -> None:
         raise OutOfRange("a points file holds one or more points of one "
                          "dimension and one precision >= 1")
     [(dim, prec)] = shapes
-    w = _hex_width(prec)
-    pad, cut, nb = 4 * w - prec, w & 1, (w + 1) >> 1
     write_table(path, "points", manifest_hash,
                 f"d={dim} prec={prec} count={len(points)}",
                 (" ".join(["y" if row else "x",
-                           *((m << pad).to_bytes(nb, "big").hex()[cut:]
-                             for m in pt.mantissas)])
+                           *(mantissa_to_hex(m, prec) for m in pt.mantissas)])
                  for row, pt in enumerate(points)))
 
 
@@ -533,9 +515,9 @@ def read_points(path) -> tuple[list, str]:
         w = _hex_width(prec)
         pad, step, size = 4 * w - prec, w + 1, dim * (w + 1) + 2
         left = os.fstat(fh.fileno()).st_size - fh.tell()
-        # a row longer than the rest of the file is refused here, before
-        # the d-sized constants below are built for it
-        if size > left:
+        # every row is size bytes, so a body of any other length is refused
+        # here, before the d-sized constants below are built for it
+        if left != count * size:
             raise FormatError(f"expected {count} points of {size} bytes, "
                               f"found {left} bytes")
         # row[1::step] is every separator and the newline; with those in
@@ -549,8 +531,6 @@ def read_points(path) -> tuple[list, str]:
             shaped = len(row) == size and row[1::step] == seps
             rest = row.translate(None, _HEX_DIGITS)
             if not shaped or rest != tagged[pos > 0]:
-                if not row:
-                    raise FormatError(f"expected {count} points, found {pos}")
                 if shaped and rest == tagged[pos == 0]:
                     tag, rule = (("y", "row 0 must be x") if pos == 0
                                  else ("x", "only row 0 may be"))
@@ -563,7 +543,4 @@ def read_points(path) -> tuple[list, str]:
                     raise FormatError("nonzero padding bits in mantissa field")
                 mants = tuple(m >> pad for m in mants)
             points.append(SamplePoint(mants, prec, pos))
-        extra = sum(1 for _ in fh)
-    if extra:
-        raise FormatError(f"expected {count} points, found {count + extra}")
     return points, mhash

@@ -11,7 +11,7 @@ import pytest
 from polyfrac import construct as cn
 from polyfrac import distset as ds
 from polyfrac.cli import main
-from polyfrac.construct import hex_to_mantissa, mantissa_to_hex, read_points
+from polyfrac.construct import mantissa_to_hex, read_points
 from polyfrac.norms import custom_norm, min_margin, preset
 from polyfrac.schedule import free_fraction, generate
 
@@ -95,7 +95,7 @@ def test_verify_detects_tampering(made, tmp_path, capsys):
 
     def tamper(row):
         fields = lines[row].split()
-        m = hex_to_mantissa(fields[1], 96)
+        m = int(fields[1], 16)  # pad 0 at precision 96
         place = next(j for j in range(69, 92) if not (m >> (96 - j)) & 1)
         fields[1] = mantissa_to_hex(m | 1 << (96 - place), 96)
         bad = lines[:row] + [" ".join(fields)] + lines[row + 1:]
@@ -171,7 +171,7 @@ def test_verify_names_the_first_tampered_point_across_chunks(made_400,
         places = {}
         for i in indices:
             fields = bad[3 + i].split()
-            m = hex_to_mantissa(fields[1], 96)
+            m = int(fields[1], 16)  # pad 0 at precision 96
             places[i] = next(j for j in range(69, 92)
                              if not (m >> (96 - j)) & 1)
             fields[1] = mantissa_to_hex(m | 1 << (96 - places[i]), 96)
@@ -267,7 +267,7 @@ def test_distset_pinned_with_euclid(tmp_path):
         assert r[1] in ("0", "1")
         assert len(r[2]) == 24 and r[3] == "96"  # prec 96 -> 24 hex digits
         assert len(r[4]) == 4 and r[5] == "16"
-        assert hex_to_mantissa(r[2], 96) >= 0
+        assert int(r[2], 16) >= 0
 
 
 def test_distset_pairwise_cap(tmp_path):
@@ -702,8 +702,8 @@ def test_pairwise_distances_golden_digest(tmp_path):
 def test_distances_fields_decode(tmp_path):
     # README rule: a field at precision p is the mantissa << pad in lowercase
     # hex, pad = 4 * ceil(p / 4) - p, one digit wider when the value is >= 1;
-    # at --euclid 0 (pad 0) it is the integer part.  hex_to_mantissa, the
-    # points-file reader, is not the reader here.
+    # at --euclid 0 (pad 0) it is the integer part.  Unlike a points.txt
+    # field, a field here has no fixed width.
     cfg = write_config(tmp_path / "cfg.json", norm=TIED_NORM, samples=200,
                        scales=[8, 12], budget=None)
     construct(cfg, tmp_path)

@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from polyfrac.construct import (FractalSpec, SamplePoint, _marker, _steer,
-                                build_point, hex_to_mantissa, make_spec,
+                                build_point, make_spec,
                                 mantissa_to_hex, pinned_point, read_points,
                                 sample_points, solve_pivot_offset,
                                 verify_point, write_points)
@@ -343,7 +343,9 @@ def test_sample_count_validation(desk):
        st.data())
 def test_hex_round_trip(prec, data):
     m = data.draw(st.integers(min_value=0, max_value=(1 << prec) - 1))
-    assert hex_to_mantissa(mantissa_to_hex(m, prec), prec) == m
+    w = (prec + 3) // 4
+    field = mantissa_to_hex(m, prec)
+    assert len(field) == w and int(field, 16) >> (4 * w - prec) == m
 
 
 @settings(deadline=None)
@@ -366,23 +368,20 @@ def test_hex_matches_format(prec, data):
 def test_hex_frozen():
     assert mantissa_to_hex(0b1011001, 7) == "b2"
     assert mantissa_to_hex(0, 0) == "0"  # a zero-width field is one digit
-    assert hex_to_mantissa("b2", 7) == 0b1011001
-    with pytest.raises(FormatError):
-        hex_to_mantissa("b3", 7)  # padding bit set
-    with pytest.raises(FormatError):
-        hex_to_mantissa("b", 7)
-    with pytest.raises(FormatError):
-        hex_to_mantissa("zz", 7)
 
 
 @pytest.mark.parametrize("field", ["0x1f", "f_ff", "+fff", "-fff", "FFFF",
                                    "Ffff", " fff", "fff\n", "٣fff"])
-def test_hex_rejects_noncanonical(field):
-    # exactly four lowercase hex digits at precision 16; int(s, 16) takes
-    # every field above
-    assert hex_to_mantissa("0fff", 16) == 0xfff
+def test_hex_rejects_noncanonical(tmp_path, field):
+    # a points-file field at precision 16 is exactly four lowercase hex
+    # digits; int(s, 16) takes every field above
+    path = tmp_path / "points.txt"
+    head = "polyfrac-points v1\n# manifest cafe\nd=1 prec=16 count=1\n"
+    path.write_text(head + "x 0fff\n")
+    assert read_points(path)[0][0].mantissas == (0xfff,)
+    path.write_bytes((head + f"x {field}\n").encode())
     with pytest.raises(FormatError):
-        hex_to_mantissa(field, 16)
+        read_points(path)
 
 
 def test_points_file_round_trip(tmp_path, desk):
@@ -502,6 +501,7 @@ def test_points_file_rejects_malformed(tmp_path, desk):
     reject(["polyfrac-points v2"] + good[1:])
     reject([good[0], "# manifesto cafe"] + good[2:])
     reject(good[:2] + ["d=2 prec=96 count=2"] + good[3:])  # count mismatch
+    reject(good + ["y" + good[3][1:]])  # a row past count
     reject(good[:2] + ["d=2 prec=96"] + good[3:])
     # headers other than the one write_points renders are not reinterpreted
     reject(good[:2] + ["d=3 prec=96 count=1 d=2"] + good[3:])
@@ -517,6 +517,14 @@ def test_points_file_rejects_malformed(tmp_path, desk):
     reject(good[:3] + ["z " + good[3].split(" ", 1)[1]])  # unknown tag
     reject(good[:3] + [good[3] + " ff"])  # extra column
     reject(good[:3] + [good[3][:-1] + "g"])  # invalid hex digit
+    # a field is exactly w = ceil(prec/4) hex digits with zero padding bits
+    head = [good[0], good[1], "d=1 prec=7 count=1"]
+    path.write_text("\n".join(head + ["x b2"]) + "\n")
+    assert read_points(path)[0][0].mantissas == (0b1011001,)
+    reject(head + ["x b3"])  # padding bit set
+    reject(head + ["x b"])
+    reject(head + ["x b20"])
+    reject(head + ["x zz"])
     # rows are read exactly as written: a reader built on splitlines() and
     # split() took each of these
     reject([line + "\r" for line in good])  # CRLF endings
