@@ -387,10 +387,9 @@ def cmd_verify(run: _Run, args) -> int:
     if not _all_verified(points, run.spec):
         return 3
     x = points[0]
-    pt = ds.collapse_first_failure(x, points[1:], run.spec)
-    if pt is not None:
-        rep = ds.collapse_check(x, pt, run.spec)
-        bad = next(b.block for b in rep.blocks if not b.constant_trimmed)
+    failed = ds.collapse_first_failure(x, points[1:], run.spec)
+    if failed is not None:
+        pt, bad = failed
         print(f"pair {x.index}-{pt.index}: collapse fails at block {bad}",
               file=sys.stderr)
         return 3

@@ -18,10 +18,10 @@ import os
 from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import (CheckedRecord, FormatError, NoSolution, OutOfRange,
-                     PrecisionExceeded)
+from .errors import (CheckedRecord, DimensionMismatch, FormatError,
+                     NoSolution, OutOfRange, PrecisionExceeded)
 from .norms import PolyhedralNorm, int_dot, min_margin
-from .schedule import BlockSchedule, free_fraction, generate, validate
+from .schedule import BlockSchedule, free_fraction, generate
 from .streams import BitStream, label_path
 
 if TYPE_CHECKING:
@@ -56,7 +56,6 @@ class FractalSpec(CheckedRecord, _SpecFields):
         if schedule.margin < c:
             raise OutOfRange(
                 f"margin {schedule.margin} below norm requirement {c}")
-        validate(schedule)
         return tuple.__new__(cls, (norm, schedule, seed))
 
     @property
@@ -260,9 +259,13 @@ def verify_point(point: SamplePoint, spec: FractalSpec) -> PointReport:
     k's check: "membership" (a digit of the full dot product with the
     block's functional is nonzero on its window), "carry" (that product and
     the one truncated at the block end differ in floor there) or "pattern"
-    (the marker residue the solver installed is missing).
+    (the marker residue the solver installed is missing).  A point of
+    another dimension than the spec's is DimensionMismatch.
     """
     mants, prec = point.mantissas, point.precision
+    if len(mants) != spec.dim:
+        raise DimensionMismatch(
+            f"point has {len(mants)} coordinates, spec dimension {spec.dim}")
     fulls = {}  # the full dot product per functional
     failures = []
     for k, coeffs, pv, _, m_hi, a, b, _, _, marker, _ in spec.plan:
@@ -404,8 +407,9 @@ def first_failure(points, spec: FractalSpec):
     Chunks of points are checked in packed lanes (_lane_failures).  A chunk
     that fails, or whose points do not share the spec's dimension and one
     precision at or past the schedule depth, is re-run point by point, so
-    verify_point alone writes every report and raises PrecisionExceeded
-    where it would.  Chunks of one point (wide points) skip the packing.
+    verify_point alone writes every report and raises PrecisionExceeded or
+    DimensionMismatch where it would.  Chunks of one point (wide points)
+    skip the packing.
     """
     if not points:
         return None

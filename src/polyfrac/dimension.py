@@ -403,15 +403,28 @@ def sampled_point_series(points, scales) -> tuple:
                     len(points), scales)
 
 
-class ComplexityProfile(NamedTuple):
+class _ProfileFields(NamedTuple):
+    segments: tuple  # ((lo, hi, slope), ...) contiguous from 0
+
+
+class ComplexityProfile(CheckedRecord, _ProfileFields):
     """Piecewise-linear digit-complexity curve with integer breakpoints.
 
-    value_at(r) and ratio(r) = P(r)/r evaluate one place; values() returns
-    the whole curve P(0..depth) in one pass, for callers that walk every
-    place.
+    The segments run contiguously from 0, each of positive length; the
+    constructor refuses any other list.  value_at(r) and
+    ratio(r) = P(r)/r evaluate one place; values() returns the whole curve
+    P(0..depth) in one pass, for callers that walk every place.
     """
 
-    segments: tuple  # ((lo, hi, slope), ...) contiguous from 0
+    __slots__ = ()
+
+    def __new__(cls, segments):
+        starts = [0] + [hi for _, hi, _ in segments]
+        if not segments or any(lo != start or hi <= lo for (lo, hi, _), start
+                               in zip(segments, starts)):
+            raise OutOfRange(f"segments {segments} do not run contiguously "
+                             "from 0 with positive lengths")
+        return tuple.__new__(cls, (segments,))
 
     @property
     def depth(self) -> int:
@@ -420,29 +433,16 @@ class ComplexityProfile(NamedTuple):
     def value_at(self, r: int) -> int:
         if not 0 <= r <= self.depth:
             raise OutOfRange(f"scale {r} outside [0, {self.depth}]")
-        total = 0
-        for lo, hi, s in self.segments:
-            if r <= lo:
-                break
-            total += s * (min(r, hi) - lo)
-        return total
+        return sum(s * (min(r, hi) - lo) for lo, hi, s in self.segments
+                   if lo < r)
 
     def values(self) -> list:
-        """[P(0), ..., P(depth)], equal to value_at at every place.
-
-        value_at stops at the first segment that starts at or past r, so a
-        segment counts only above the largest start up to its own.
-        """
-        depth = self.depth
-        steps = [0] * (depth + 1)  # steps[r] = P(r) - P(r - 1), P(-1) = 0
-        top = -1
+        """[P(0), ..., P(depth)]: the prefix sums of the slope at each
+        place."""
+        slopes = [0]
         for lo, hi, s in self.segments:
-            top = max(top, lo)
-            if top < depth:
-                steps[top + 1] += s * (min(top + 1, hi) - lo)
-                for r in range(top + 2, min(hi, depth) + 1):
-                    steps[r] += s
-        return list(itertools.accumulate(steps))
+            slopes += [s] * (hi - lo)
+        return list(itertools.accumulate(slopes))
 
     def ratio(self, r: int) -> Fraction:
         if r < 1:

@@ -254,8 +254,9 @@ def collapse_check(x, y, spec) -> CollapseReport:
 
 
 def collapse_first_failure(x, ys, spec):
-    """The first y in ys with collapse_check(x, y, spec) not ok, None when
-    every pair passes; refusals as collapse_check's, pair by pair.
+    """(y, k) for the first y in ys with collapse_check(x, y, spec) not ok,
+    k the first of its blocks whose trimmed window is not constant; None
+    when every pair passes.  Refusals as collapse_check's, pair by pair.
 
     x is projected once and each y as it is reached; each pair is measured
     and its trimmed windows read as in collapse_check, from window tables
@@ -263,17 +264,17 @@ def collapse_first_failure(x, ys, spec):
     """
     sched, norm, project = spec.schedule, spec.norm, spec.norm.project
     px, prec, dim = project(x.mantissas), x.precision, x.dim
-    trimmed = [[w for *_, w in _collapse_windows(sched, ell,
-                                                  prec + f.precision)]
+    trimmed = [[(k, w) for k, *_, w in _collapse_windows(sched, ell,
+                                                          prec + f.precision)]
                for ell, f in enumerate(norm.functionals)]
     measure, deep = norm.measure_projection, prec >= sched.depth
     for y in ys:
         if not deep or y.precision != prec or len(y.mantissas) != dim:
             _collapse_precision(x, y, sched)  # raises: y is refused
         v, _, ties = measure(map(sub, px, project(y.mantissas)), prec)
-        for window in trimmed[ties[0]]:
+        for k, window in trimmed[ties[0]]:
             if not _constant(v, window):
-                return y
+                return y, k
     return None
 
 

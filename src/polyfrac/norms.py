@@ -9,11 +9,13 @@ digits into that coordinate.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
+from itertools import product
 from operator import mul
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import (BadPivot, DegenerateNorm, DimensionMismatch,
-                     NonDyadicCoefficient, ZeroVector)
+from .errors import (BadPivot, CheckedRecord, DegenerateNorm,
+                     DimensionMismatch, NonDyadicCoefficient, ZeroVector)
 
 if TYPE_CHECKING:
     from .dyadic import Dyadic
@@ -53,40 +55,51 @@ class Functional(NamedTuple):
                               self.mantissas), px + self.precision)
 
 
-class PolyhedralNorm:
-    """max_l |x . v^l| over a full-rank family of dyadic functionals."""
+class _NormFields(NamedTuple):
+    dim: int
+    functionals: tuple[Functional, ...]
 
-    def __init__(self, dim: int, functionals: list[Functional]):
-        self.dim = dim
-        self.functionals = tuple(functionals)
-        self.validate()
-        # every functional's coefficients at the finest functional
-        # precision, 2**shift times its own, so that the dot products of
-        # functionals of any precision compare as integers
-        top = max(f.precision for f in self.functionals)
-        self._shifts = tuple(top - f.precision for f in self.functionals)
-        self._coeffs = tuple(tuple(m << shift for m in f.mantissas)
-                             for f, shift in zip(self.functionals,
-                                                 self._shifts))
+
+class PolyhedralNorm(CheckedRecord, _NormFields):
+    """max_l |x . v^l| over a full-rank family of dyadic functionals.
+
+    The constructor refuses a family without positive pivots or of rank
+    below dim.  No __slots__: the instance dict holds the cached shifts
+    and coefficient table.
+    """
+
+    def __new__(cls, dim, functionals):
+        functionals = tuple(functionals)
+        if dim < 1 or not functionals:
+            raise DegenerateNorm("need dim >= 1 and at least one functional")
+        for f in functionals:
+            if f.dim != dim:
+                raise DimensionMismatch("functional length != dim")
+            if not 0 <= f.pivot < dim or f.mantissas[f.pivot] <= 0:
+                raise BadPivot(f"functional {f.mantissas} lacks a positive "
+                               f"pivot coefficient at index {f.pivot}")
+        rank = _rank([[Fraction(m, 1 << f.precision) for m in f.mantissas]
+                      for f in functionals])
+        if rank < dim:
+            raise DegenerateNorm(f"functional family has rank {rank} < {dim}")
+        return tuple.__new__(cls, (dim, functionals))
 
     @property
     def n_functionals(self) -> int:
         return len(self.functionals)
 
-    def validate(self) -> None:
-        """Check pivots and full rank; raises on failure."""
-        if self.dim < 1 or not self.functionals:
-            raise DegenerateNorm("need dim >= 1 and at least one functional")
-        for f in self.functionals:
-            if f.dim != self.dim:
-                raise DimensionMismatch("functional length != dim")
-            if not 0 <= f.pivot < self.dim or f.mantissas[f.pivot] <= 0:
-                raise BadPivot(f"functional {f.mantissas} lacks a positive "
-                               f"pivot coefficient at index {f.pivot}")
-        rank = _rank([[Fraction(m, 1 << f.precision) for m in f.mantissas]
-                      for f in self.functionals])
-        if rank < self.dim:
-            raise DegenerateNorm(f"functional family has rank {rank} < {self.dim}")
+    @cached_property
+    def _shifts(self) -> tuple[int, ...]:
+        # per functional, the finest functional precision less its own
+        top = max(f.precision for f in self.functionals)
+        return tuple(top - f.precision for f in self.functionals)
+
+    @cached_property
+    def _coeffs(self) -> tuple[tuple[int, ...], ...]:
+        # the coefficients at that finest precision, so that the dot
+        # products of functionals of any precision compare as integers
+        return tuple(tuple(m << shift for m in f.mantissas)
+                     for f, shift in zip(self.functionals, self._shifts))
 
     def measure(self, x) -> tuple[Dyadic, tuple[int, ...]]:
         """(||x||, ascending indices of every functional attaining it).
@@ -95,10 +108,7 @@ class PolyhedralNorm:
         coordinate precision first.  Only tests call it.
         """
         from .dyadic import Dyadic
-        if len(x) != self.dim:
-            raise DimensionMismatch(
-                f"vector length {len(x)} != dimension {self.dim}")
-        px = max(v.precision for v in x)
+        px = max((v.precision for v in x), default=0)
         mantissa, precision, ties = self.measure_projection(
             self.project([v.mantissa << (px - v.precision) for v in x]), px)
         return Dyadic(mantissa, precision), ties
@@ -109,8 +119,11 @@ class PolyhedralNorm:
 
         Each is linear, so project(x - y) is project(x) - project(y)
         entry by entry: a distance needs the two points' projections only.
-        mants must have length dim.
+        DimensionMismatch unless mants has length dim.
         """
+        if len(mants) != self.dim:
+            raise DimensionMismatch(
+                f"vector length {len(mants)} != dimension {self.dim}")
         return [int_dot(mants, c) for c in self._coeffs]
 
     def measure_projection(self, proj, prec: int
@@ -152,28 +165,19 @@ class PolyhedralNorm:
 
 
 def _rank(rows: list[list[Fraction]]) -> int:
-    """Rank over the rationals by Gaussian elimination."""
-    rows = [row[:] for row in rows]
-    ncols = len(rows[0]) if rows else 0
+    """Rank over the rationals by Gaussian elimination: each pivot row
+    leaves rows and clears its column from the rows that stay."""
     rank = 0
-    for col in range(ncols):
-        pivot_row = None
-        for r in range(rank, len(rows)):
-            if rows[r][col] != 0:
-                pivot_row = r
-                break
-        if pivot_row is None:
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((row for row in rows if row[col]), None)
+        if pivot is None:
             continue
-        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        prow = rows[rank]
-        inv = 1 / prow[col]
-        for r in range(rank + 1, len(rows)):
-            factor = rows[r][col] * inv
-            if factor:
-                rows[r] = [a - factor * b for a, b in zip(rows[r], prow)]
+        rows.remove(pivot)
+        for i, row in enumerate(rows):
+            if row[col]:
+                factor = row[col] / pivot[col]
+                rows[i] = [a - factor * b for a, b in zip(row, pivot)]
         rank += 1
-        if rank == ncols:
-            break
     return rank
 
 
@@ -196,12 +200,8 @@ def preset(name: str, dim: int) -> PolyhedralNorm:
                  for i in range(dim)]
     elif name == "l1":
         # 2**(dim-1) functionals (1, +-1, ..., +-1); max |x.v| equals sum|x_i|
-        funcs = []
-        for bits in range(1 << (dim - 1)):
-            coeffs = [1]
-            for j in range(dim - 1):
-                coeffs.append(1 if not (bits >> (dim - 2 - j)) & 1 else -1)
-            funcs.append(Functional(tuple(coeffs), 0, 0))
+        funcs = [Functional((1, *signs), 0, 0)
+                 for signs in product((1, -1), repeat=dim - 1)]
     else:
         raise ValueError(f"unknown preset {name!r}")
     return PolyhedralNorm(dim, funcs)

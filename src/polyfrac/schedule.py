@@ -19,8 +19,7 @@ from typing import NamedTuple
 
 from .errors import CheckedRecord, InfeasibleSchedule, OutOfRange
 
-__all__ = ["Block", "BlockSchedule", "free_fraction", "generate",
-           "validate"]
+__all__ = ["Block", "BlockSchedule", "free_fraction", "generate"]
 
 
 def free_fraction(s, d: int) -> Fraction:
@@ -61,13 +60,38 @@ class BlockSchedule(CheckedRecord, _ScheduleFields):
     window; n_functionals is the cycle length.  The splits follow from the
     bounds and the free fraction.  No __slots__: the instance dict holds
     the cached splits and block table.
+
+    The constructor checks every structural constraint and raises
+    InfeasibleSchedule naming each failed check, in order, joined by "; ".
     """
 
     def __new__(cls, margin, bounds, free_fraction, n_functionals):
         if not bounds:
             raise OutOfRange("bounds must contain at least m_1")
-        return tuple.__new__(cls, (margin, bounds, free_fraction,
-                                   n_functionals))
+        if n_functionals < 1:  # the block table cycles modulo it
+            raise OutOfRange("need at least one functional")
+        s = tuple.__new__(cls, (margin, bounds, free_fraction,
+                                n_functionals))
+        c, m, alpha = margin, bounds, free_fraction
+        checks = [
+            (m[0] == 1, f"first bound is 1: m_1 = {m[0]}"),
+            (all(a < b for a, b in zip(m, m[1:])),
+             f"bounds strictly increasing: m = {list(m)}"),
+            (c >= 1, f"margin positive: c = {c}"),
+            (0 <= alpha <= 1, f"free fraction in [0, 1]: alpha = {alpha}")]
+        if len(m) > 1:
+            checks.append((2 * c < m[1], "margin fits below first block "
+                           f"end: 2c = {2 * c} vs m_2 = {m[1]}"))
+        checks += [(k * start <= end, f"growth at block {k}: {k}*m_{k} = "
+                    f"{k * start} vs m_{k + 1} = {end}")
+                   for k, _, start, _, end, _, _ in s.blocks]
+        if alpha < 1:  # alpha = 1 leaves no constrained places by design
+            checks += [(a < b, f"window at block {k} nonempty: ({a}, {b}]")
+                       for k, *_, a, b in s.blocks]
+        failures = [text for passed, text in checks if not passed]
+        if failures:
+            raise InfeasibleSchedule("; ".join(failures))
+        return s
 
     @cached_property
     def splits(self) -> tuple[int, ...]:
@@ -99,35 +123,6 @@ class BlockSchedule(CheckedRecord, _ScheduleFields):
         return self.blocks[ell::self.n_functionals]
 
 
-def validate(schedule: BlockSchedule) -> None:
-    """Check every structural constraint; raise InfeasibleSchedule naming
-    each failed check, in order."""
-    s = schedule
-    checks = []
-    checks.append(("first bound is 1", s.bounds[0] == 1, f"m_1 = {s.bounds[0]}"))
-    increasing = all(a < b for a, b in zip(s.bounds, s.bounds[1:]))
-    checks.append(("bounds strictly increasing", increasing, f"m = {list(s.bounds)}"))
-    checks.append(("margin positive", s.margin >= 1, f"c = {s.margin}"))
-    checks.append(("free fraction in [0, 1]", 0 <= s.free_fraction <= 1,
-                   f"alpha = {s.free_fraction}"))
-    if s.n_blocks >= 1:
-        ok = 2 * s.margin < s.bounds[1]
-        checks.append(("margin fits below first block end", ok,
-                       f"2c = {2 * s.margin} vs m_2 = {s.bounds[1]}"))
-    for k, _, start, _, end, _, _ in s.blocks:
-        checks.append((f"growth at block {k}", k * start <= end,
-                       f"{k}*m_{k} = {k * start} vs m_{k + 1} = {end}"))
-    if s.free_fraction < 1:
-        # alpha = 1 leaves no constrained places; windows are empty by design
-        for k, _, _, _, _, a, b in s.blocks:
-            checks.append((f"window at block {k} nonempty", a < b,
-                           f"({a}, {b}]"))
-    failures = [f"{name}: {detail}" for name, passed, detail in checks
-                if not passed]
-    if failures:
-        raise InfeasibleSchedule("; ".join(failures))
-
-
 def _min_block_length(alpha: Fraction, margin: int) -> int:
     # smallest L with L - ceil(alpha*L) = floor((1 - alpha)*L) >= 2c + 1,
     # so the window is nonempty; alpha < 1
@@ -138,11 +133,11 @@ def generate(alpha, margin: int, n_functionals: int, *, m=None, K=None,
              ratio=None) -> BlockSchedule:
     """Build a schedule from an explicit bound list or a geometric rule.
 
-    An explicit list is widened: each bound is pushed up just far enough to
-    restore the growth and window constraints, which is how target
-    dimensions close to d-1 get workable windows.  The geometric rule grows
-    each bound by max(k*m_k, ceil(ratio*m_k)) and window feasibility.
-    Either way the result passes validate by construction.
+    Each block k has a target, m_{k+1} from the list or
+    ceil(ratio * m_k) by the rule, and its bound is widened just far
+    enough past the target to restore the growth and window constraints,
+    which is how target dimensions close to d-1 get workable windows.
+    Either way the result passes BlockSchedule's checks by construction.
     """
     alpha = Fraction(alpha)
     if not 0 <= alpha <= 1:
@@ -158,22 +153,20 @@ def generate(alpha, margin: int, n_functionals: int, *, m=None, K=None,
             raise InfeasibleSchedule("bound list must start at m_1 = 1")
         if any(a >= b for a, b in zip(base, base[1:])):
             raise InfeasibleSchedule("bound list must be strictly increasing")
-        bounds = [1]
-        for k in range(1, len(base)):
-            bounds.append(max(base[k], k * bounds[-1],
-                              _floor_for_block(bounds[-1], k, alpha, margin)))
+        n_blocks = len(base) - 1
     else:
         if K is None or K < 0:
             raise OutOfRange("geometric rule needs a block count K >= 0")
         ratio = Fraction(ratio if ratio is not None else 2)
         if ratio < 1:
             raise OutOfRange("geometric ratio must be >= 1")
-        bounds = [1]
-        for k in range(1, K + 1):
-            nxt = max(k * bounds[-1], math.ceil(ratio * bounds[-1]))
-            nxt = max(nxt, _floor_for_block(bounds[-1], k, alpha, margin))
-            bounds.append(nxt)
-
+        n_blocks = K
+    bounds = [1]
+    for k in range(1, n_blocks + 1):
+        prev = bounds[-1]
+        target = base[k] if m is not None else math.ceil(ratio * prev)
+        bounds.append(max(target, k * prev,
+                          _floor_for_block(prev, k, alpha, margin)))
     return BlockSchedule(margin, tuple(bounds), alpha, n_functionals)
 
 

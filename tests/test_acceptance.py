@@ -243,10 +243,13 @@ def test_07_property_suites(desk_spec, tmp_path):
         c = min_margin(norm)
         assert margin_ok(norm, c) and not margin_ok(norm, c - 1)
 
+    # generate's output passes BlockSchedule's checks, run again here
     for alpha in (0, Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), 1):
         for margin in (3, 4):
-            sch.validate(sch.generate(alpha, margin, 2, m=[1, 16, 32, 96]))
-    sch.validate(sch.generate(Fraction(1, 2), 3, 2, K=4))
+            sched = sch.generate(alpha, margin, 2, m=[1, 16, 32, 96])
+            assert sch.BlockSchedule(*sched) == sched
+    sched = sch.generate(Fraction(1, 2), 3, 2, K=4)
+    assert sch.BlockSchedule(*sched) == sched
 
     spec = desk_spec
     point = build_point(spec, 5)

@@ -10,7 +10,7 @@ import pytest
 
 from polyfrac import construct as cn
 from polyfrac import distset as ds
-from polyfrac.cli import main
+from polyfrac.cli import _resolve, main
 from polyfrac.construct import mantissa_to_hex, read_points
 from polyfrac.norms import custom_norm, min_margin, preset
 from polyfrac.schedule import free_fraction, generate
@@ -842,6 +842,19 @@ def test_config_rejection_names_the_key(tmp_path, overrides, message,
     cfg = write_config(tmp_path / "cfg.json", **overrides)
     assert main(["profile", "--config", cfg, "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize("norm", [{"preset": "l1"}, HEX_NORM],
+                         ids=["preset", "custom"])
+def test_one_config_resolves_to_equal_specs(norm):
+    # norms compare by value, so two resolutions of one config build
+    # distinct but equal specs that hash alike
+    cfg = {**CONFIG, "norm": norm, "schedule": {"c": "auto", "K": 3,
+                                                "rule": "geometric"}}
+    a, b = (_resolve(json.loads(json.dumps(cfg))).spec for _ in range(2))
+    assert a.norm is not b.norm
+    assert a == b and hash(a) == hash(b)
+    assert {a: 1}[b] == 1
 
 
 def test_margin_error_names_integer_rule(tmp_path, capsys):

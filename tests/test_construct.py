@@ -7,13 +7,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from polyfrac.construct import (FractalSpec, SamplePoint, _marker, _steer,
-                                build_point, make_spec,
+                                build_point, first_failure, make_spec,
                                 mantissa_to_hex, pinned_point, read_points,
                                 sample_points, solve_pivot_offset,
                                 verify_point, write_points)
 from polyfrac.dyadic import Dyadic
-from polyfrac.errors import (FormatError, NoSolution, OutOfRange,
-                             PrecisionExceeded)
+from polyfrac.errors import (DimensionMismatch, FormatError, NoSolution,
+                             OutOfRange, PrecisionExceeded)
 from polyfrac.norms import preset
 from polyfrac.schedule import generate
 
@@ -302,6 +302,20 @@ def test_shallow_point_raises(desk):
     # blocks 1 and 2 end within 32 places; block 3 needs 96
     with pytest.raises(PrecisionExceeded, match="block 3 needs 96"):
         verify_point(shallow, desk)
+
+
+@pytest.mark.parametrize("extra", [(0,), (1 << 95, 0), None],
+                         ids=["3-coordinates", "4-coordinates", "1-coordinate"])
+def test_wrong_dimension_points_refused(desk, extra):
+    # a dot product over map(mul) stops at the shorter side, so a point of
+    # another dimension would be checked on its first coordinates alone
+    pts = [pinned_point(desk)] + sample_points(desk, 3)
+    pts = [p._replace(mantissas=p.mantissas[:1] if extra is None
+                      else p.mantissas + extra) for p in pts]
+    with pytest.raises(DimensionMismatch):
+        verify_point(pts[1], desk)
+    with pytest.raises(DimensionMismatch):
+        first_failure(pts, desk)
 
 
 def test_spec_validation():

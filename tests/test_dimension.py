@@ -508,17 +508,39 @@ def test_profile_values_match_value_at(dim, name, alpha, K, ratio):
 
 
 @settings(deadline=None, max_examples=100)
-@given(st.lists(st.tuples(st.integers(-2, 12), st.integers(-2, 12),
-                          st.integers(-3, 3)), min_size=1, max_size=5))
-def test_profile_values_any_segment_list(segments):
-    # unsorted, overlapping, gapped and reversed segments included, and
-    # negative values for the ratio text
+@given(st.lists(st.tuples(st.integers(1, 12), st.integers(-3, 3)),
+                min_size=1, max_size=5))
+def test_profile_values_any_segment_list(parts):
+    # any contiguous list from 0, negative slopes included for the ratio
+    # text, against a place-by-place sum of slopes
+    segments, lo = [], 0
+    for length, slope in parts:
+        segments.append((lo, lo + length, slope))
+        lo += length
     prof = ComplexityProfile(tuple(segments))
+    slopes = [s for lo, hi, s in segments for _ in range(lo, hi)]
     got = prof.values()
+    assert got == [sum(slopes[:r]) for r in range(prof.depth + 1)]
     assert got == [prof.value_at(r) for r in range(prof.depth + 1)]
     for r in range(1, prof.depth + 1):
         q = prof.ratio(r)
         assert _ratio_text(got[r], r) == f"{q.numerator}/{q.denominator}"
+
+
+@pytest.mark.parametrize("segments", [
+    (),                                  # no segment
+    ((1, 4, 1),),                        # not from 0
+    ((-2, 4, 1),),                       # below 0
+    ((0, 4, 1), (6, 9, 2)),              # gapped
+    ((0, 4, 1), (3, 9, 2)),              # overlapping
+    ((4, 9, 2), (0, 4, 1)),              # unsorted
+    ((0, 4, 1), (9, 4, 2)),              # reversed
+    ((0, 4, 1), (4, 4, 2), (4, 9, 1)),   # empty
+], ids=["none", "late-start", "negative", "gapped", "overlapping",
+        "unsorted", "reversed", "empty"])
+def test_profile_refuses_noncontiguous_segments(segments):
+    with pytest.raises(OutOfRange):
+        ComplexityProfile(segments)
 
 
 def _curve_digest(prof) -> str:

@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 from polyfrac.construct import (SamplePoint, make_spec, pinned_point,
                                 sample_points)
 from polyfrac.distset import (CollapseReport, DistanceRecord, _unrank_pair,
-                              collapse_check, delta_mantissas,
+                              collapse_check, collapse_first_failure,
+                              delta_mantissas,
                               estimation_values, euclid_floor,
                               euclid_floor_mantissa, pairwise, pinned)
 from polyfrac.dyadic import Dyadic
-from polyfrac.errors import OutOfRange, PrecisionExceeded
-from polyfrac.norms import preset
+from polyfrac.errors import DimensionMismatch, OutOfRange, PrecisionExceeded
+from polyfrac.norms import PolyhedralNorm, preset
 
 
 @pytest.fixture(scope="module")
@@ -90,6 +91,26 @@ def test_mismatched_last_point_rejected(desk, desk_points):
             collapse_check(x, bad, desk)
 
 
+@pytest.mark.parametrize("extra", [(0,), None],
+                         ids=["3-coordinates", "1-coordinate"])
+def test_wrong_dimension_points_refused(desk, desk_points, extra):
+    # points of one shape, but not the norm's: a dot product over
+    # map(mul) stops at the shorter side, so each path must refuse them
+    x, *ys = [p._replace(mantissas=p.mantissas[:1] if extra is None
+                         else p.mantissas + extra)
+              for p in (desk_points[0], *desk_points[1])]
+    with pytest.raises(DimensionMismatch):
+        pinned(x, ys, desk.norm)
+    with pytest.raises(DimensionMismatch):
+        pairwise(ys, desk.norm)
+    with pytest.raises(DimensionMismatch):
+        pairwise(ys, desk.norm, cap=3, seed=5)
+    with pytest.raises(DimensionMismatch):
+        collapse_check(x, ys[0], desk)
+    with pytest.raises(DimensionMismatch):
+        collapse_first_failure(x, ys, desk)
+
+
 def test_negative_places_and_cap_refused_at_call_time(desk, desk_points):
     # euclid=-3 read floor 0 on every record and cap=-1 drew no pair; both
     # are refused before any record is measured, lazy pairwise included
@@ -138,13 +159,14 @@ def test_pairwise_is_lazy(desk, monkeypatch):
     # alone (test_mismatched_last_point_rejected keeps the checks eager)
     ys = sample_points(desk, 1000)
     measured = []
-    measure = desk.norm.measure_projection
+    measure = PolyhedralNorm.measure_projection
 
-    def counting(proj, prec):
+    def counting(norm, proj, prec):
         measured.append(prec)
-        return measure(proj, prec)
+        return measure(norm, proj, prec)
 
-    monkeypatch.setattr(desk.norm, "measure_projection", counting)
+    # a norm is immutable, so the count goes on its class
+    monkeypatch.setattr(PolyhedralNorm, "measure_projection", counting)
     recs = pairwise(ys, desk.norm)
     assert isinstance(recs, Iterator)
     first = next(recs)
@@ -161,13 +183,14 @@ def test_pinned_is_lazy(desk, monkeypatch):
     x = pinned_point(desk)
     ys = sample_points(desk, 1000)
     measured = []
-    measure = desk.norm.measure_projection
+    measure = PolyhedralNorm.measure_projection
 
-    def counting(proj, prec):
+    def counting(norm, proj, prec):
         measured.append(prec)
-        return measure(proj, prec)
+        return measure(norm, proj, prec)
 
-    monkeypatch.setattr(desk.norm, "measure_projection", counting)
+    # a norm is immutable, so the count goes on its class
+    monkeypatch.setattr(PolyhedralNorm, "measure_projection", counting)
     recs = pinned(x, ys, desk.norm)
     assert isinstance(recs, Iterator)
     first = next(recs)

@@ -2,10 +2,10 @@
 
 construct.first_failure checks chunks of points in packed lanes, and
 distset.collapse_first_failure scans pinned pairs from projections.  Both
-must name exactly the point a plain loop over verify_point, or over
-collapse_check, names; the lane words must also flag exactly the points
-verify_point fails, check by check, so that no lane check can be dropped
-or narrowed without a test failing here.
+must name exactly the point (and, for collapse, the block) a plain loop
+over verify_point, or over collapse_check, names; the lane words must also
+flag exactly the points verify_point fails, check by check, so that no lane
+check can be dropped or narrowed without a test failing here.
 """
 
 import random
@@ -45,8 +45,12 @@ def plain_first_failure(points, spec):
 
 
 def plain_collapse_failure(x, ys, spec):
-    return next((y for y in ys if not ds.collapse_check(x, y, spec).ok),
-                None)
+    for y in ys:
+        report = ds.collapse_check(x, y, spec)
+        if not report.ok:
+            return y, next(b.block for b in report.blocks
+                           if not b.constant_trimmed)
+    return None
 
 
 @st.composite

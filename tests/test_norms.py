@@ -90,6 +90,13 @@ def test_dot_dimension_mismatch():
         f.dot((Dyadic(1, 1),))
     with pytest.raises(DimensionMismatch):
         preset("l1", 3).measure((Dyadic(1, 1), Dyadic(0, 0)))
+    with pytest.raises(DimensionMismatch):
+        preset("l1", 3).measure(())
+    # project takes integer vectors of the norm's length only: map(mul)
+    # would drop the extra coordinates or the missing functional entries
+    for mants in ([1, 2], [1, 2, 3, 4], []):
+        with pytest.raises(DimensionMismatch):
+            preset("l1", 3).project(mants)
     with pytest.raises(DimensionMismatch):  # a functional of length 3
         PolyhedralNorm(2, [Functional((1, 0), 0, 0),
                            Functional((0, 1, 1), 0, 1)])

@@ -9,8 +9,8 @@ from polyfrac.construct import FractalSpec, PointReport, SamplePoint, make_spec
 from polyfrac.dimension import (BoxCount, ComplexityProfile, ExactCount,
                                 FalconerReport, SlabGroup, SlabSystem)
 from polyfrac.distset import BlockCollapse, CollapseReport, DistanceRecord
-from polyfrac.errors import InfeasibleSchedule, OutOfRange
-from polyfrac.norms import Functional, preset
+from polyfrac.errors import DegenerateNorm, InfeasibleSchedule, OutOfRange
+from polyfrac.norms import Functional, PolyhedralNorm, preset
 from polyfrac.schedule import Block, BlockSchedule, generate
 
 LINF2 = preset("linf", 2)
@@ -20,12 +20,14 @@ DESK = generate(Fraction(1, 2), 3, 2, m=[1, 16, 32, 96])
 RECORDS = [
     (Functional, ("mantissas", "precision", "pivot"),
      lambda: Functional((1, -1), 0, 0)),
+    (PolyhedralNorm, ("dim", "functionals"),
+     lambda: preset("linf", 2)),
     (BlockSchedule, ("margin", "bounds", "free_fraction", "n_functionals"),
      lambda: BlockSchedule(3, (1, 16, 32), Fraction(1, 2), 2)),
     (Block, ("k", "ell", "start", "split", "end", "a", "b"),
      lambda: Block(1, 0, 1, 9, 16, 12, 13)),
     (FractalSpec, ("norm", "schedule", "seed"),
-     lambda: FractalSpec(LINF2, DESK, 7)),
+     lambda: FractalSpec(preset("linf", 2), DESK, 7)),
     (SamplePoint, ("mantissas", "precision", "index"),
      lambda: SamplePoint((1, 2), 4, 3)),
     (PointReport, ("failures",),
@@ -134,8 +136,6 @@ def _spec_args(**change):
      OutOfRange),  # cycle length != functional count
     ({"schedule": generate(Fraction(1, 2), 2, 2, m=[1, 16, 32, 96])},
      OutOfRange),  # margin below the norm's requirement
-    ({"schedule": BlockSchedule(3, (1, 2), Fraction(1, 2), 2)},
-     InfeasibleSchedule),
 ])
 def test_fractal_spec_refuses_bad_arguments(change, error):
     FractalSpec(**_spec_args())
@@ -144,11 +144,34 @@ def test_fractal_spec_refuses_bad_arguments(change, error):
 
 
 @pytest.mark.parametrize("args", [
-    (3, (), Fraction(1, 2), 2),  # no m_1
+    (3, (), Fraction(1, 2), 2),       # no m_1
+    (3, (1, 16), Fraction(1, 2), 0),  # no functional to cycle through
 ])
 def test_block_schedule_refuses_bad_arguments(args):
     with pytest.raises(OutOfRange):
         BlockSchedule(*args)
+
+
+@pytest.mark.parametrize("args,message", [
+    ((3, (1, 2), Fraction(1, 2), 2),
+     "margin fits below first block end: 2c = 6 vs m_2 = 2; "
+     "window at block 1 nonempty: (5, -1]"),
+    ((3, (5, 3), Fraction(1, 2), 2),
+     "first bound is 1: m_1 = 5; bounds strictly increasing: m = [5, 3]; "
+     "margin fits below first block end: 2c = 6 vs m_2 = 3; "
+     "growth at block 1: 1*m_1 = 5 vs m_2 = 3; "
+     "window at block 1 nonempty: (7, 0]"),
+    ((0, (1, 16), Fraction(3, 2), 1),
+     "margin positive: c = 0; free fraction in [0, 1]: alpha = 3/2"),
+    ((3, (1, 16, 17), Fraction(1, 2), 2),
+     "growth at block 2: 2*m_2 = 32 vs m_3 = 17; "
+     "window at block 2 nonempty: (20, 14]"),
+], ids=["short-first-block", "descending", "margin-alpha", "growth-window"])
+def test_block_schedule_refuses_infeasible_bounds(args, message):
+    # every failed check, in order, joined by "; "
+    with pytest.raises(InfeasibleSchedule) as info:
+        BlockSchedule(*args)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("args", [
@@ -178,15 +201,22 @@ def test_slab_system_refuses_bad_arguments(args):
 @pytest.mark.parametrize("make,change,error", [
     (lambda: SamplePoint((1, 2), 4, 0), {"mantissas": (-5, 99)}, OutOfRange),
     (lambda: FractalSpec(LINF2, DESK, 7), {"seed": -1}, OutOfRange),
-    (lambda: FractalSpec(LINF2, DESK, 7),
-     {"schedule": DESK._replace(bounds=(5, 3))}, InfeasibleSchedule),
+    (lambda: FractalSpec(LINF2, DESK, 7),  # margin 2 below linf's 3
+     {"schedule": generate(Fraction(1, 2), 2, 2, m=[1, 16, 32, 96])},
+     OutOfRange),
     (lambda: DESK, {"bounds": ()}, OutOfRange),
+    (lambda: DESK, {"bounds": (5, 3)}, InfeasibleSchedule),
+    (lambda: LINF2, {"functionals": LINF2.functionals[:1] * 2},
+     DegenerateNorm),
+    (lambda: ComplexityProfile(((0, 4, 1), (4, 9, 2))),
+     {"segments": ((0, 4, 1), (5, 9, 2))}, OutOfRange),
     (lambda: SlabGroup((1, 0), 0, ((1, 3),)), {"windows": ((3, 3),)},
      OutOfRange),
     (lambda: SlabSystem(2, 8, (SlabGroup((1, 0), 0, ((1, 3),)),)),
      {"dim": 3}, OutOfRange),
 ], ids=["SamplePoint", "FractalSpec-seed", "FractalSpec-schedule",
-        "BlockSchedule", "SlabGroup", "SlabSystem"])
+        "BlockSchedule", "BlockSchedule-bounds", "PolyhedralNorm",
+        "ComplexityProfile", "SlabGroup", "SlabSystem"])
 def test_replace_checks_like_the_constructor(make, change, error):
     rec = make()
     assert rec._replace() == rec and type(rec._replace()) is type(rec)
@@ -202,7 +232,9 @@ def test_replace_checks_like_the_constructor(make, change, error):
     (lambda: generate(Fraction(1, 2), 3, 2, m=[1, 16, 32, 96]), "blocks"),
     (lambda: FractalSpec(LINF2, DESK, 7), "plan"),
     (lambda: FractalSpec(LINF2, DESK, 7), "tail_paths"),
-], ids=["splits", "blocks", "plan", "tail_paths"])
+    (lambda: preset("l1", 2), "_shifts"),
+    (lambda: preset("l1", 2), "_coeffs"),
+], ids=["splits", "blocks", "plan", "tail_paths", "_shifts", "_coeffs"])
 def test_derived_values_cannot_be_assigned(make, name):
     rec = make()
     with pytest.raises(AttributeError):  # before the value is first read

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from polyfrac.errors import InfeasibleSchedule, OutOfRange
 from polyfrac.schedule import (BlockSchedule, _min_block_length,
-                               free_fraction, generate, validate)
+                               free_fraction, generate)
 
 def desk():
     return generate(Fraction(1, 2), 3, 2, m=[1, 16, 32, 96])
@@ -32,7 +32,7 @@ def test_desk_schedule_frozen():
     assert s.depth == 96
     assert s.n_blocks == 3
     assert [(w.a, w.b) for w in s.blocks] == [(12, 13), (27, 29), (67, 93)]
-    validate(s)
+    assert BlockSchedule(*s) == s  # the constructor's checks pass
 
 
 @pytest.mark.parametrize("alpha,margin,expect_m,expect_n", [
@@ -44,7 +44,7 @@ def test_widening_frozen(alpha, margin, expect_m, expect_n):
     s = generate(alpha, margin, 2, m=[1, 16, 32, 96])
     assert s.bounds == expect_m
     assert s.splits == expect_n
-    validate(s)
+    assert BlockSchedule(*s) == s
 
 
 def test_widening_keeps_feasible_bounds():
@@ -55,7 +55,7 @@ def test_widening_keeps_feasible_bounds():
 def test_alpha_one_windows_vacuous():
     s = generate(1, 3, 2, m=[1, 16, 32, 96])
     assert s.splits == (16, 32, 96)
-    validate(s)
+    assert BlockSchedule(*s) == s
     assert s.blocks[0].a >= s.blocks[0].b  # nothing constrained
 
 
@@ -111,15 +111,14 @@ def test_block_table_matches_fields(s):
 
 @given(schedules())
 def test_generated_schedules_pass_validate(s):
-    # generate widens bounds until every check holds, so it does not call
-    # validate itself
-    validate(s)
+    # generate widens bounds until every check holds; rebuilding the
+    # schedule runs the constructor's checks again
+    assert BlockSchedule(*s) == s
 
 
 def test_validate_reports_named_failures():
-    bad = BlockSchedule(3, (1, 6, 24), Fraction(1, 2), 2)
     with pytest.raises(InfeasibleSchedule) as info:
-        validate(bad)
+        BlockSchedule(3, (1, 6, 24), Fraction(1, 2), 2)
     # every failed check, in order, joined by "; "
     assert str(info.value) == ("margin fits below first block end: 2c = 6 "
                                "vs m_2 = 6; window at block 1 nonempty: "
@@ -129,7 +128,7 @@ def test_validate_reports_named_failures():
 def test_geometric_rule_frozen():
     s = generate(Fraction(1, 2), 3, 2, K=4, ratio=2)
     assert s.bounds == (1, 15, 30, 90, 360)
-    validate(s)
+    assert BlockSchedule(*s) == s
 
 
 def test_geometric_rule_growth_property():
