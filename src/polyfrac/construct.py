@@ -77,8 +77,7 @@ class FractalSpec(CheckedRecord, _SpecFields):
             # solve (n < m_hi); otherwise the window is empty and unchecked
             marker = _marker(m_hi - 1 + f.precision, a, b) if a < b else None
             plan.append(_Block(k, f.mantissas, f.precision, f.pivot, m_hi, a,
-                               b, draws, depth - m_hi + 1, marker,
-                               1 << (m_hi - n)))
+                               b, draws, depth - m_hi + 1, marker))
         return tuple(plan)
 
     @cached_property
@@ -107,7 +106,6 @@ class _Block(NamedTuple):
                     # random digit run
     shift: int      # shift of place m_hi - 1 in a depth-place mantissa
     marker: tuple | None  # of the sum truncated there; None: empty window
-    cap: int        # bound on the pivot offset
 
 
 def make_spec(dim: int, target, norm: PolyhedralNorm, seed: int, *, m=None,
@@ -149,33 +147,31 @@ class SamplePoint(CheckedRecord, _PointFields):
 
 # -- pivot digit solver ----------------------------------------------------
 
-def _marker(scale: int, a: int, b: int) -> tuple[int, int, int, int]:
-    """(e, mask, lo, width) at scale: a sum s * 2**-scale sits on the marker
-    residue when s mod 2**e lies in [lo, lo + width), i.e. its digits are
-    zero on (a, b], then 1 at place b + 1, then 0 at place b + 2.
-
-    The modulus is a power of two, so every reduction by it is a mask or a
-    shift: on a depth-11520 sum, s & mask (mask = 2**e - 1, built once
-    here) is ~100x faster than s % 2**e.
+def _marker(scale: int, a: int, b: int) -> tuple[int, int, int]:
+    """(mask, lo, width) at scale: a sum s * 2**-scale sits on the marker
+    residue when s & mask, its residue mod 2**(scale - a), lies in
+    [lo, lo + width): digits 0 on (a, b], 1 at place b + 1, 0 at b + 2.
+    A power-of-two modulus makes each reduction a mask: on a depth-11520
+    sum, s & mask is ~100x faster than s % (mask + 1).
     """
-    e = scale - a
-    return e, (1 << e) - 1, 1 << (scale - b - 1), 1 << (scale - b - 2)
+    return (1 << (scale - a)) - 1, 1 << (scale - b - 1), 1 << (scale - b - 2)
 
 
-def _steer(s0: int, step: int, marker: tuple, max_offsets: int) -> int:
+def _steer(s0: int, step: int, marker: tuple) -> int:
     """Smallest u >= 0 with s0 + u*step on the marker residue.
 
-    Requires step <= width; then the first offset reaching the first band
-    that ends above s0 mod 2**e lands in it, so only the cap can fail.
+    For step <= width, the first offset reaching the first band that ends
+    above s0 & mask lands in it, so u < (mask + 1) / step + 1.  build_point
+    steers block k (pivot mantissa v_p at precision p) with step = v_p,
+    mask + 1 = 2**(m_{k+1} - 1 + p - n_k - c) and width = 2**(p + c - 3).
+    A spec's margin c passes margin_ok: sum |v_i| <= 2**(c - 3 + p), so
+    step <= width, and v_p * 2**(c - 3) >= 2**p, so u <= 2**(m_{k+1} - n_k
+    - 4), inside the pivot run [n_k, m_{k+1}): build_point cannot raise.
     """
-    e, mask, lo, width = marker
+    mask, lo, width = marker
     rho = s0 & mask
-    target = lo if rho < lo + width else lo + (1 << e)
-    u = max(0, -((rho - target) // step))
-    if u < max_offsets:
-        return u
-    raise NoSolution(
-        f"no admissible offset below 2**{max_offsets.bit_length() - 1}")
+    target = lo if rho < lo + width else lo + mask + 1
+    return max(0, -((rho - target) // step))
 
 
 def solve_pivot_offset(partial_sum: Dyadic, pivot_coeff: Dyadic, split: int,
@@ -185,23 +181,26 @@ def solve_pivot_offset(partial_sum: Dyadic, pivot_coeff: Dyadic, split: int,
 
     partial_sum is the dot sum truncated at place block_end - 1 with the
     unknown pivot digits still zero.  Bit t of U is the digit at place
-    (block_end - 1) - t.  Raises NoSolution only when the margin or window
-    preconditions are violated.
+    (block_end - 1) - t.  Its inputs can leave _steer's bound: NoSolution
+    when the step is wider than the band or no offset below
+    2**(block_end - split) lands.
     """
     if pivot_coeff.mantissa <= 0:
         raise OutOfRange("pivot coefficient must be positive")
-    a = split + margin
-    b = block_end - margin
+    a, b = split + margin, block_end - margin
     if a >= b:
         return 0
     t = block_end - 1
     scale = max(partial_sum.precision, t + pivot_coeff.precision, b + 2)
     marker = _marker(scale, a, b)
     step = pivot_coeff.mantissa << (scale - t - pivot_coeff.precision)
-    if step > marker[3]:  # a step wider than the landing band can skip it
+    if step > marker[2]:  # a step wider than the landing band can skip it
         raise NoSolution("pivot coefficient too large for the margin")
-    return _steer(partial_sum.mantissa << (scale - partial_sum.precision),
-                  step, marker, 1 << (block_end - split))
+    s0 = partial_sum.mantissa << (scale - partial_sum.precision)
+    u = _steer(s0, step, marker)
+    if u >> (block_end - split):
+        raise NoSolution(f"no admissible offset below 2**{block_end - split}")
+    return u
 
 
 # -- point construction ----------------------------------------------------
@@ -209,13 +208,13 @@ def solve_pivot_offset(partial_sum: Dyadic, pivot_coeff: Dyadic, split: int,
 def build_point(spec: FractalSpec, index: int = 0) -> SamplePoint:
     mants = [0] * spec.dim
     stream = BitStream(spec.seed, "point", index, "coord")
-    for _, coeffs, _, pivot, _, _, _, draws, shift, marker, cap in spec.plan:
+    for _, coeffs, _, pivot, _, _, _, draws, shift, marker in spec.plan:
         for i, nbits, at, path in draws:
             mants[i] |= stream.draw(nbits, path) << at
         if marker:
             # the pivot's unsolved places are still zero
             s0 = int_dot([m >> shift for m in mants], coeffs)
-            mants[pivot] |= _steer(s0, coeffs[pivot], marker, cap) << shift
+            mants[pivot] |= _steer(s0, coeffs[pivot], marker) << shift
     for i, path in enumerate(spec.tail_paths):
         mants[i] |= stream.draw(1, path)
     return SamplePoint(tuple(mants), spec.schedule.depth, index)
@@ -268,7 +267,7 @@ def verify_point(point: SamplePoint, spec: FractalSpec) -> PointReport:
             f"point has {len(mants)} coordinates, spec dimension {spec.dim}")
     fulls = {}  # the full dot product per functional
     failures = []
-    for k, coeffs, pv, _, m_hi, a, b, _, _, marker, _ in spec.plan:
+    for k, coeffs, pv, _, m_hi, a, b, _, _, marker in spec.plan:
         if prec < m_hi:
             raise PrecisionExceeded(
                 f"block {k} needs {m_hi} stored places, point has {prec}")
@@ -289,7 +288,7 @@ def verify_point(point: SamplePoint, spec: FractalSpec) -> PointReport:
             # floors that differ at one place differ at every finer place
             failures.append((k, "carry", b - next(
                 s for s in reversed(range(span)) if top >> s != low >> s)))
-        _, mask, lo, width = marker
+        mask, lo, width = marker
         marked = int_dot([m >> 1 for m in cut], coeffs) & mask
         if not lo <= marked < lo + width:
             failures.append((k, "pattern", b + 1))  # marker place
@@ -347,10 +346,10 @@ def _lane_table(spec: FractalSpec, prec: int, width: int, n: int) -> tuple:
         return int.from_bytes(lane.to_bytes(nbytes, "little") * n, "little")
 
     rows = []
-    for k, coeffs, pv, _, m_hi, a, b, _, _, marker, _ in spec.plan:
+    for k, coeffs, pv, _, m_hi, a, b, _, _, marker in spec.plan:
         if not marker:
             continue
-        _, mask, lo, band = marker
+        mask, lo, band = marker
         r = prec - m_hi   # mantissa bits below place m_hi
         t = prec + pv - b  # bit of window place b in a full sum
         rows.append((

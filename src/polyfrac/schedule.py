@@ -32,6 +32,10 @@ def free_fraction(s, d: int) -> Fraction:
     return s - (d - 1)
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 class _ScheduleFields(NamedTuple):
     margin: int
     bounds: tuple[int, ...]
@@ -68,6 +72,12 @@ class BlockSchedule(CheckedRecord, _ScheduleFields):
     def __new__(cls, margin, bounds, free_fraction, n_functionals):
         if not bounds:
             raise OutOfRange("bounds must contain at least m_1")
+        # place arithmetic (shifts, block lengths) needs exact integers
+        if (not all(_is_int(v) for v in (margin, n_functionals, *bounds))
+                or not (_is_int(free_fraction)
+                        or isinstance(free_fraction, Fraction))):
+            raise OutOfRange("margin, bounds and n_functionals must be ints "
+                             "and the free fraction an int or a Fraction")
         if n_functionals < 1:  # the block table cycles modulo it
             raise OutOfRange("need at least one functional")
         s = tuple.__new__(cls, (margin, bounds, free_fraction,

@@ -35,11 +35,11 @@ def ensemble():
 
 
 @st.composite
-def polyhedral_specs(draw):
+def polyhedral_specs(draw, K=4):
     """Specs over random polyhedral norms: d = 2-3, d..d+3 functionals with
     coefficients m * 2**-p, m in [-4, 4] and p in 0..2, target s = d - 1 +
-    j/8 and a geometric schedule of K = 4 blocks.  Only tables that define
-    no norm (an all-zero row, rank below d) are assumed away."""
+    j/8 and a geometric schedule of K blocks.  Only tables that define no
+    norm (an all-zero row, rank below d) are assumed away."""
     d = draw(st.integers(2, 3))
     entry = st.tuples(st.integers(-4, 4), st.integers(0, 2))
     row = st.lists(entry, min_size=d, max_size=d)
@@ -49,4 +49,4 @@ def polyhedral_specs(draw):
     except (BadPivot, DegenerateNorm):
         assume(False)
     s = Fraction(8 * (d - 1) + draw(st.integers(0, 8)), 8)
-    return make_spec(d, s, norm, seed=draw(st.integers(0, 2**16)), K=4)
+    return make_spec(d, s, norm, seed=draw(st.integers(0, 2**16)), K=K)

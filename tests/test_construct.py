@@ -63,16 +63,16 @@ def test_solver_returns_smallest_offset(inst):
         assert solve_pivot_offset(ps, coeff, split, block_end, c) == expect
 
 
-def _steer_by_division(s0, step, modulus, lo, width, max_offsets):
+def _steer_by_division(s0, step, modulus, lo, width):
     """The pivot solver written with % and // by the modulus, as an oracle
-    for the mask-and-shift form; None where no offset below the cap lands."""
+    for the mask-and-shift form: the smallest offset that lands, uncapped."""
     rho = s0 % modulus
     q0 = max(0, -((rho + 1 - lo - width) // -modulus))
     for q in range(q0, q0 + 4):
         target = lo + q * modulus
         u = max(0, -((rho - target) // step))
         val = rho + u * step
-        if target <= val < target + width and u < max_offsets:
+        if target <= val < target + width:
             return u
     return None
 
@@ -84,27 +84,64 @@ def steer_instances(draw):
     step = draw(st.integers(min_value=1, max_value=1 << w))
     bits = draw(st.integers(min_value=0, max_value=e + 8))
     s0 = draw(st.integers(min_value=-(1 << bits), max_value=1 << bits))
-    cap = 1 << draw(st.integers(min_value=0, max_value=e + 1))
-    return e, w, step, s0, cap
+    return e, w, step, s0
 
 
 @settings(deadline=None, max_examples=150)
 @given(steer_instances())
-@example((3, 0, 1, -1, 16))
-@example((12000, 11997, 1 << 11997, -(1 << 12008) + 12345, 1 << 12001))
-@example((12000, 11997, 1, (1 << 12000) - 1, 1 << 12001))
-@example((7190, 40, 3, (1 << 11530) - 977, 1 << 7191))
+@example((3, 0, 1, -1))
+@example((12000, 11997, 1 << 11997, -(1 << 12008) + 12345))
+@example((12000, 11997, 1, (1 << 12000) - 1))
+@example((7190, 40, 3, (1 << 11530) - 977))
 def test_steer_matches_the_division_form(inst):
     # scale e + 1 and window (1, e - w - 1]: modulus 2**e, lo 2**(w + 1),
-    # width 2**w, whatever layout _marker gives them
-    e, w, step, s0, cap = inst
+    # width 2**w, whatever layout _marker gives them; for step <= width
+    # _steer always lands, and the cap is solve_pivot_offset's to check
+    e, w, step, s0 = inst
     marker = _marker(e + 1, 1, e - w - 1)
-    want = _steer_by_division(s0, step, 1 << e, 2 << w, 1 << w, cap)
-    if want is None:
+    assert _steer(s0, step, marker) == _steer_by_division(
+        s0, step, 1 << e, 2 << w, 1 << w)
+
+
+@st.composite
+def capped_solver_instances(draw):
+    # small pivot coefficients at fine precision: the offset can outrun the
+    # pivot run [split, block_end), which margin_ok rules out for a spec
+    c = draw(st.integers(min_value=3, max_value=6))
+    split = draw(st.integers(min_value=1, max_value=40))
+    block_end = split + draw(st.integers(min_value=2 * c + 1, max_value=60))
+    pp = draw(st.integers(min_value=0, max_value=40))
+    pm = draw(st.integers(min_value=1, max_value=1 << (pp + c - 3)))
+    prec = block_end - 1 + pp
+    ps = draw(st.integers(min_value=-(1 << (prec + 8)),
+                          max_value=1 << (prec + 8)))
+    return c, split, block_end, Dyadic(ps, prec), Dyadic(pm, pp)
+
+
+@settings(deadline=None, max_examples=150)
+@given(capped_solver_instances())
+def test_solver_caps_the_offset_at_the_pivot_run(inst):
+    # at scale prec = block_end - 1 + pp the marker is modulus 2**(prec - a),
+    # lo 2**(prec - b - 1) and width 2**(prec - b - 2), and the step is pm
+    c, split, block_end, ps, coeff = inst
+    a, b, prec = split + c, block_end - c, ps.precision
+    want = _steer_by_division(ps.mantissa, coeff.mantissa, 1 << (prec - a),
+                              1 << (prec - b - 1), 1 << (prec - b - 2))
+    if want >> (block_end - split):
         with pytest.raises(NoSolution):
-            _steer(s0, step, marker, cap)
+            solve_pivot_offset(ps, coeff, split, block_end, c)
     else:
-        assert _steer(s0, step, marker, cap) == want
+        assert solve_pivot_offset(ps, coeff, split, block_end, c) == want
+
+
+def test_solver_cap_boundary():
+    # found by a small search over 7-place pivot runs: the first smallest
+    # landing offset is 2**7 - 1, the last the run holds, and the second
+    # is 2**7, the first past it
+    got = solve_pivot_offset(Dyadic(207108, 18), Dyadic(3, 6), 6, 13, 3)
+    assert got == (1 << 7) - 1
+    with pytest.raises(NoSolution, match=r"no admissible offset below 2\*\*7"):
+        solve_pivot_offset(Dyadic(-24319, 15), Dyadic(3, 6), 3, 10, 3)
 
 
 def test_solver_trivial_cases():

@@ -146,6 +146,17 @@ def test_fractal_spec_refuses_bad_arguments(change, error):
 @pytest.mark.parametrize("args", [
     (3, (), Fraction(1, 2), 2),       # no m_1
     (3, (1, 16), Fraction(1, 2), 0),  # no functional to cycle through
+    # every field is exact: a float or bool is refused before the block
+    # table is read, not left to fail inside build_point
+    (3.25, (1, 16, 32, 96), Fraction(1, 2), 2),
+    (3.0, (1, 16, 32, 96), Fraction(1, 2), 2),
+    (True, (1, 16, 32, 96), Fraction(1, 2), 2),
+    (3, (1, 16.0, 32, 96), Fraction(1, 2), 2),
+    (3, (True, 16, 32, 96), Fraction(1, 2), 2),
+    (3, (1, 16, 32, 96), 0.5, 2),
+    (3, (1, 16, 32, 96), False, 2),
+    (3, (1, 16, 32, 96), Fraction(1, 2), 2.0),
+    (3, (1, 16, 32, 96), Fraction(1, 2), True),
 ])
 def test_block_schedule_refuses_bad_arguments(args):
     with pytest.raises(OutOfRange):
