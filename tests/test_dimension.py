@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import polyhedral_specs
 from polyfrac.cli import _ratio_text
 from polyfrac.construct import SamplePoint, make_spec
 from polyfrac.dimension import (BoxCount, ComplexityProfile,
@@ -104,6 +106,139 @@ def strip_cells(system: SlabSystem, r: int) -> int:
     return count
 
 
+# Exact oracle for any slab system, coupled groups included: a cell meets
+# the system when some choice of one band [k 2^-a, k 2^-a + 2^-b) per group
+# and window leaves a nonempty linear system over the cell.  Each system is
+# decided by Fourier-Motzkin elimination over Fraction bounds, with strict
+# inequalities kept strict (Schrijver, Theory of Linear and Integer
+# Programming, section 12.2): the half-open cell and bands meet only on a
+# face in some systems, and there only exact strictness decides.  A row is
+# an integer coefficient tuple c with (bound, strict): c . x < bound when
+# strict, c . x <= bound otherwise.
+
+def _add_row(rows, coeffs, bound, strict):
+    """Add one row, keeping the tightest bound per direction; False when a
+    row with no variable left is violated."""
+    g = math.gcd(*coeffs)
+    if not g:
+        return bound > 0 or (bound == 0 and not strict)
+    coeffs, bound = tuple(c // g for c in coeffs), bound / g
+    old = rows.get(coeffs)
+    if old is None or bound < old[0] or (bound == old[0] and strict):
+        rows[coeffs] = (bound, strict)
+    return True
+
+
+def _eliminate(rows, n):
+    """Rows over the variables past the first n whose solutions are the
+    projection of rows' solutions, or None when that is empty."""
+    for j in range(n):
+        pos, neg, out = [], [], {}
+        for c, (bound, strict) in rows.items():
+            if c[j] > 0:
+                pos.append((c, bound, strict))
+            elif c[j] < 0:
+                neg.append((c, bound, strict))
+            else:
+                out[c] = (bound, strict)
+        for cp, bp, sp in pos:
+            for cn, bn, sn in neg:
+                p, q = cp[j], -cn[j]
+                if not _add_row(out, tuple(q * x + p * y
+                                           for x, y in zip(cp, cn)),
+                                q * bp + p * bn, sp or sn):
+                    return None
+        rows = out
+    return rows
+
+
+def _nonempty(lo, lo_open, hi, hi_open):
+    return lo < hi or (lo == hi and not (lo_open or hi_open))
+
+
+def _span(rows, v):
+    """(lo, lo_open, hi, hi_open) of v . x over the bounded rows, or None
+    when they have no solution: eliminate x from the rows plus t = v . x."""
+    dim = len(v)
+    ext = {c + (0,): row for c, row in rows.items()}
+    _add_row(ext, v + (-1,), Fraction(0), False)
+    _add_row(ext, tuple(-c for c in v) + (1,), Fraction(0), False)
+    out = _eliminate(ext, dim)
+    if out is None:
+        return None
+    hi, hi_open = out[(0,) * dim + (1,)]
+    lo, lo_open = out[(0,) * dim + (-1,)]
+    span = (-lo, lo_open, hi, hi_open)
+    return span if _nonempty(*span) else None
+
+
+def _some_band_choice_fits(rows, todo):
+    """Is there one band per window of todo that rows' solutions meet?
+
+    Windows come coarsest first; each one's bands are those the exact span
+    of its functional over rows meets, so a band that passes leaves rows
+    nonempty and the last window needs no further check."""
+    if not todo:
+        return True
+    (a, b, v, pv), rest = todo[0], todo[1:]
+    span = _span(rows, v)
+    if span is None:
+        return False
+    lo, lo_open, hi, hi_open = span
+    # v . x is 2^pv times the group's value s, so its bands scale alike
+    period, width = Fraction(1 << pv, 1 << a), Fraction(1 << pv, 1 << b)
+    for k in range(math.floor(lo / period), math.floor(hi / period) + 1):
+        bot, top = k * period, k * period + width
+        low = (lo, lo_open) if lo >= bot else (bot, False)
+        high = (hi, hi_open) if hi < top else (top, True)
+        if not _nonempty(*low, *high):
+            continue
+        chosen = dict(rows)
+        _add_row(chosen, tuple(-c for c in v), -bot, False)
+        _add_row(chosen, v, top, True)
+        if _some_band_choice_fits(chosen, rest):
+            return True
+    return False
+
+
+def polytope_cells(system: SlabSystem, r: int) -> int:
+    """Level-r cells meeting the system, decided cell by cell."""
+    dim = system.dim
+    todo = sorted((a, b, g.mantissas, g.precision)
+                  for g in system.groups for a, b in g.windows)
+    count = 0
+    for corner in itertools.product(range(1 << r), repeat=dim):
+        rows = {}
+        for i, c in enumerate(corner):
+            unit = tuple(int(j == i) for j in range(dim))
+            _add_row(rows, tuple(-u for u in unit), Fraction(-c, 1 << r),
+                     False)
+            _add_row(rows, unit, Fraction(c + 1, 1 << r), True)
+        count += _some_band_choice_fits(rows, todo)
+    return count
+
+
+@st.composite
+def coupled_systems(draw):
+    """(system, r): d = 2-3, 2-3 groups with coefficients in [-3, 3] at
+    precision 0-2, windows within depth 8; the first group has no positive
+    coefficient, so its image is closed at the top."""
+    dim = draw(st.integers(2, 3))
+    groups = []
+    for i in range(draw(st.integers(2, 3))):
+        m = draw(st.lists(st.integers(-3, 3), min_size=dim,
+                          max_size=dim).filter(any))
+        if i == 0:
+            m = [-abs(v) for v in m]
+        edges = sorted(draw(st.lists(st.integers(0, 8), min_size=2,
+                                     max_size=4, unique=True)))
+        groups.append(SlabGroup(tuple(m), draw(st.integers(0, 2)),
+                                tuple(zip(edges[::2], edges[1::2]))))
+    # whole-cube enumeration: at most 256 cells in the plane, 64 in space
+    r = draw(st.integers(1, 4 if dim == 2 else 2))
+    return SlabSystem(dim, 8, tuple(groups)), r
+
+
 # -- slab systems ----------------------------------------------------------
 
 def test_slab_system_from_spec(desk_system, l1_system):
@@ -143,9 +278,21 @@ def test_single_window_frozen():
 
 
 def test_scale_zero_and_no_groups():
-    sys1 = SlabSystem(2, 4, ())
-    assert count_exact(sys1, 0).count == 1
-    assert count_exact(sys1, 3).count == 1 << 6
+    # whole (r, lower, upper, examined) triples: the level walk counts
+    # these systems like any other
+    bare = SlabSystem(2, 4, ())
+    windowless = SlabSystem(2, 6, (SlabGroup((1, 1), 0, ()),
+                                   SlabGroup((1, -1), 0, ((1, 3),))))
+    assert [tuple(count_exact(bare, r)) for r in (0, 1, 3)] == [
+        (0, 1, 1, 0), (1, 4, 4, 0), (3, 64, 64, 0)]
+    assert [tuple(count_exact(windowless, r)) for r in (0, 1, 3)] == [
+        (0, 1, 1, 0), (1, 4, 4, 4), (3, 32, 32, 42)]
+    # some states' children lie inside every slab of both groups
+    nested = SlabSystem(1, 12, (
+        SlabGroup((-4,), 1, ((0, 1), (3, 5), (6, 8))),
+        SlabGroup((-2,), 1, ((4, 6), (7, 11)))))
+    assert tuple(count_exact(nested, 12)) == (12, 48, 48, 97)
+    assert polytope_cells(nested, 6) == count_exact(nested, 6).count
 
 
 @settings(deadline=None, max_examples=60)
@@ -214,6 +361,37 @@ def test_two_group_coupled_frozen():
     assert lattice_cells(system, 6) <= got[-1]
     with pytest.raises(OutOfRange):
         decoupled_count(system, 4)  # not in product form
+
+
+def test_polytope_oracle_reproduces_the_coupled_pins():
+    # the two-group counts above, and one-group systems against strip_cells
+    system = SlabSystem(2, 6, (SlabGroup((1, 1), 0, ((1, 3),)),
+                               SlabGroup((1, -1), 0, ((4, 6),))))
+    assert [polytope_cells(system, r) for r in range(1, 7)] == [
+        4, 16, 32, 96, 320, 576]
+    for g in system.groups + (SlabGroup((-1, -3), 1, ((0, 1), (2, 4))),):
+        one = SlabSystem(2, 6, (g,))
+        for r in range(1, 5):
+            assert polytope_cells(one, r) == strip_cells(one, r)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(coupled_systems())
+def test_count_exact_brackets_the_polytope_oracle(case):
+    system, r = case
+    got = count_exact(system, r)
+    assert got.lower <= polytope_cells(system, r) <= got.upper
+
+
+@settings(derandomize=True, deadline=None, max_examples=6)
+@given(spec=polyhedral_specs())
+def test_count_exact_brackets_the_oracle_on_generated_norms(spec):
+    # windows start past place 6 here, so at these scales each cell's image
+    # spans many bands; the oracle still decides every band choice
+    system = slab_system(spec)
+    for r in range(1, 4 if system.dim == 2 else 3):
+        got = count_exact(system, r)
+        assert got.lower <= polytope_cells(system, r) <= got.upper
 
 
 def test_desk_counts_equal_product_formula(desk_system):
