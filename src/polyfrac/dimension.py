@@ -19,8 +19,15 @@ once and reused by every combined state that shares it.  The table is
 exact, not an approximation: classify is a pure function of (group, mask,
 offset) at a fixed level.  It lives for one count_exact call, and a walk
 level's rows are dropped once the walk has passed it (the refinement search
-reads only levels past r).  Every child still passes through bump(), so
-examined, and where a budget runs out, do not depend on the table.
+reads only levels past r).  children() still counts every child against
+the budget, so examined, and where a budget runs out, do not depend on the
+table.
+
+There is one walk for every system and scale.  A state whose groups are
+all inside every slab (all None) adds its cells whole at the next level,
+or passes the corner test at level r; the root of a system with no
+windowed group is the empty state, which is such a state, and at r = 0 the
+root is counted by that corner test alone.
 
 Integers are sized by the walk's depth cap (the deepest level any search
 reaches), not by the deepest window: a group of precision pv counts in
@@ -235,14 +242,10 @@ def count_exact(system: SlabSystem, r: int, budget: int = 10**8) -> ExactCount:
     """
     if not 0 <= r <= system.depth:
         raise OutOfRange(f"scale {r} outside [0, {system.depth}]")
-    if r == 0:
-        return ExactCount(0, 1, 1, 0)  # the origin always qualifies
     dim = system.dim
     active = [g for g in system.groups if g.windows]
-    if not active:
-        n = 1 << (r * dim)
-        return ExactCount(r, n, n, 0)
-    cap = min(max(r, g.windows[-1][1]) for g in active) + _DFS_HEADROOM
+    cap = min((max(r, g.windows[-1][1]) for g in active),
+              default=r) + _DFS_HEADROOM
     gs = [_Group(g, cap, dim) for g in active]
 
     examined = 0
@@ -250,15 +253,9 @@ def count_exact(system: SlabSystem, r: int, budget: int = 10**8) -> ExactCount:
     tables: dict = {}
     inside = (None,) * (1 << dim)
 
-    def bump():
-        nonlocal examined
-        examined += 1
-        if examined > budget:
-            raise BudgetExceeded("box-count budget exhausted",
-                                 examined=examined, scale=r)
-
     def children(state, q: int):
-        """Yield (child state, all_inside) for each child; prunes dead ones."""
+        """Yield each live child, counting every child against the budget."""
+        nonlocal examined
         level = tables.get(q)
         if level is None:
             level = tables[q] = [{} for _ in gs]
@@ -272,9 +269,12 @@ def count_exact(system: SlabSystem, r: int, budget: int = 10**8) -> ExactCount:
                 row = known[st] = g.row(st, q)
             rows.append(row)
         for child in zip(*rows):
-            bump()
+            examined += 1
+            if examined > budget:
+                raise BudgetExceeded("box-count budget exhausted",
+                                     examined=examined, scale=r)
             if _OUT not in child:
-                yield child, child == inside
+                yield child
 
     # the root cell holds the origin, whose image 0 lies in every slab, so
     # no group classifies it _OUT
@@ -288,11 +288,8 @@ def count_exact(system: SlabSystem, r: int, budget: int = 10**8) -> ExactCount:
             if all(st is None for st in state):
                 full += mult << ((r - q) * dim)
                 continue
-            for child, all_in in children(state, q + 1):
-                if all_in:
-                    full += mult << ((r - q - 1) * dim)
-                else:
-                    nxt[child] = nxt.get(child, 0) + mult
+            for child in children(state, q + 1):
+                nxt[child] = nxt.get(child, 0) + mult
         # refine reads only levels past r, so no walk level is read again
         tables.pop(q + 1, None)
         states = nxt
@@ -324,8 +321,8 @@ def count_exact(system: SlabSystem, r: int, budget: int = 10**8) -> ExactCount:
             memo[key] = None
             return None
         undecided = False
-        for child, all_in in children(state, q + 1):
-            sub = True if all_in else refine(child, q + 1)
+        for child in children(state, q + 1):
+            sub = refine(child, q + 1)
             if sub:
                 memo[key] = True
                 return True
