@@ -134,6 +134,7 @@ class SamplePoint(CheckedRecord, _PointFields):
     __slots__ = ()
 
     def __new__(cls, mantissas, precision, index):
+        mantissas = tuple(mantissas)
         if not mantissas:
             raise OutOfRange("point needs at least one coordinate")
         if min(mantissas) < 0 or max(mantissas) >> precision:

@@ -72,6 +72,8 @@ class SlabGroup(CheckedRecord, _GroupFields):
     __slots__ = ()
 
     def __new__(cls, mantissas, precision, windows):
+        mantissas = tuple(mantissas)
+        windows = tuple((a, b) for a, b in windows)
         if precision < 0 or not any(mantissas):
             raise OutOfRange("group needs a nonzero functional")
         prev_b = 0
@@ -98,6 +100,7 @@ class SlabSystem(CheckedRecord, _SystemFields):
     __slots__ = ()
 
     def __new__(cls, dim, depth, groups):
+        groups = tuple(groups)
         for g in groups:
             if len(g.mantissas) != dim:
                 raise OutOfRange("group dimension mismatch")
@@ -416,6 +419,7 @@ class ComplexityProfile(CheckedRecord, _ProfileFields):
     __slots__ = ()
 
     def __new__(cls, segments):
+        segments = tuple((lo, hi, s) for lo, hi, s in segments)
         starts = [0] + [hi for _, hi, _ in segments]
         if not segments or any(lo != start or hi <= lo for (lo, hi, _), start
                                in zip(segments, starts)):

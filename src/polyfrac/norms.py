@@ -69,7 +69,8 @@ class PolyhedralNorm(CheckedRecord, _NormFields):
     """
 
     def __new__(cls, dim, functionals):
-        functionals = tuple(functionals)
+        functionals = tuple(f._replace(mantissas=tuple(f.mantissas))
+                            for f in functionals)
         if dim < 1 or not functionals:
             raise DegenerateNorm("need dim >= 1 and at least one functional")
         for f in functionals:

@@ -70,6 +70,7 @@ class BlockSchedule(CheckedRecord, _ScheduleFields):
     """
 
     def __new__(cls, margin, bounds, free_fraction, n_functionals):
+        bounds = tuple(bounds)
         if not bounds:
             raise OutOfRange("bounds must contain at least m_1")
         # place arithmetic (shifts, block lengths) needs exact integers

@@ -108,6 +108,45 @@ def test_properties_and_methods_survive():
     assert len(spec.tail_paths) == 2
 
 
+def _as_tuples(value):
+    """value with every list in it, however deep, made a tuple."""
+    if isinstance(value, (list, tuple)):
+        items = [_as_tuples(v) for v in value]
+        return type(value)(*items) if hasattr(value, "_fields") else \
+            tuple(items)
+    return value
+
+
+def _extend_lists(value):
+    """Append to every list in value, however deep."""
+    if isinstance(value, (list, tuple)):
+        for v in value:
+            _extend_lists(v)
+        if isinstance(value, list):
+            value.append(value[-1])
+
+
+# each checking record built from lists, nested ones included
+@pytest.mark.parametrize("cls,args", [
+    (BlockSchedule, (3, [1, 16, 32, 96], Fraction(1, 2), 2)),
+    (SamplePoint, ([1, 2], 4, 3)),
+    (SlabGroup, ([1, 0], 0, [[1, 3], [5, 8]])),
+    (SlabSystem, (2, 8, [SlabGroup((1, 0), 0, ((1, 3),))])),
+    (ComplexityProfile, ([[0, 4, 1], [4, 9, 2]],)),
+    (PolyhedralNorm, (2, [Functional([1, 0], 0, 0),
+                          Functional([0, 1], 0, 1)])),
+], ids=["BlockSchedule", "SamplePoint", "SlabGroup", "SlabSystem",
+        "ComplexityProfile", "PolyhedralNorm"])
+def test_records_keep_no_list_of_the_caller(cls, args):
+    # a record holding the caller's list is unhashable, and changes (while
+    # a cached value derived from it does not) when the caller edits it
+    rec = cls(*args)
+    want = cls(*_as_tuples(args))
+    _extend_lists(args)
+    assert rec == want and hash(rec) == hash(want)
+    assert {rec: 1}[want] == 1
+
+
 @pytest.mark.parametrize("args", [
     ((4,), 2, 0),      # 1.0 is not in [0, 1)
     ((1, -1), 2, 0),   # -1/4 is not in [0, 1)
