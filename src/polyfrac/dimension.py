@@ -19,8 +19,8 @@ once and reused by every combined state that shares it.  The table is
 exact, not an approximation: classify is a pure function of (group, mask,
 offset) at a fixed level.  It lives for one count_exact call, and a walk
 level's rows are dropped once the walk has passed it (the refinement search
-reads only levels past r).  children() still counts every child against
-the budget, so examined, and where a budget runs out, do not depend on the
+reads only levels past r).  children() counts every child against the
+budget, so examined, and where a budget runs out, do not depend on the
 table.
 
 There is one walk for every system and scale.  A state whose groups are

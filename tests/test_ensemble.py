@@ -9,7 +9,9 @@ file carries those digits exactly.
 They also check the two premises of the lower bound log2 N_r(E) >= P_draw(r)
 (P_draw(r): the drawn places <= r over all coordinates): the drawn runs and
 the steered pivot runs of a spec cover each coordinate's places once, and
-steering is total, every offset fitting its pivot run with 4 places spare.
+steering is total, every offset fitting its pivot run with 4 places spare;
+and the bound itself, against count_exact's lower count of the slab system
+that contains E, at the benchmark's scales.
 """
 
 from fractions import Fraction
@@ -20,6 +22,7 @@ from hypothesis import given, settings
 from conftest import BASE_M, NORMS, TARGETS, polyhedral_specs
 from polyfrac.construct import (first_failure, make_spec, pinned_point,
                                 read_points, sample_points, write_points)
+from polyfrac.dimension import count_exact, slab_system
 from polyfrac.distset import collapse_first_failure
 from polyfrac.norms import custom_norm, preset
 
@@ -77,6 +80,37 @@ def assert_steering_bound(spec, pts):
         for pt in pts:
             offset = pt.mantissas[block.pivot] >> block.shift
             assert offset & ((1 << run) - 1) <= 1 << spare
+
+
+def p_draw(spec, r):
+    """Drawn places <= r over all coordinates: each draw run covers places
+    [depth - at - nbits + 1, depth - at], and the tail digits (place depth)
+    are drawn too."""
+    depth = spec.schedule.depth
+    count = spec.dim if r == depth else 0
+    for block in spec.plan:
+        for _, nbits, at, _ in block.draws:
+            top = depth - at
+            count += max(0, min(r, top) - (top - nbits))
+    return count
+
+
+@pytest.mark.parametrize("spec,pins", [
+    (make_spec(2, Fraction(3, 2), preset("linf", 2), seed=7, m=BASE_M),
+     ((16, 16), (20, 24), (25, 31), (49, 61), (145, 163))),
+    (make_spec(3, Fraction(9, 4), preset("l1", 3), seed=7, m=BASE_M),
+     ((20, 24), (28, 36), (37, 47), (73, 93), (217, 247))),
+    (make_spec(3, Fraction(9, 4), preset("l1", 3), seed=7, K=6, ratio=2),
+     ((20, 24), (28, 36), (37, 47), (73, 93), (217, 247))),
+], ids=["desk", "l1-d3", "deep"])
+def test_drawn_places_bound_the_exact_count_from_below(spec, pins):
+    # distinct drawn digits give distinct cells, so log2 N_r(E) >= P_draw(r);
+    # E lies in the slab system, so its exact lower count is at least that
+    system = slab_system(spec)
+    got = tuple((p_draw(spec, r), count_exact(system, r).lower.bit_length()
+                 - 1) for r in (8, 12, 16, 32, 96))
+    assert got == pins
+    assert all(drawn <= log2_lower for drawn, log2_lower in got)
 
 
 @pytest.mark.parametrize("spec", _named_specs())
