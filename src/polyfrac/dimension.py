@@ -11,17 +11,28 @@ cell image's offset modulo the coarsest unsatisfied window period.  Between
 windows every surviving cell collapses onto the same state, so the state
 table stays small even at depth ~100.
 
-Stepping from a state to its children goes through a per-level transition
-table.  At a fixed level, a child's group state depends only on its group,
-that group's state in the parent and the child's corner delta, so each
-(level, group, group state) has one row of 2**dim child states, classified
-once and reused by every combined state that shares it.  The table is
-exact, not an approximation: classify is a pure function of (group, mask,
-offset) at a fixed level.  It lives for one count_exact call, and a walk
-level's rows are dropped once the walk has passed it (the refinement search
-reads only levels past r).  children() counts every child against the
-budget, so examined, and where a budget runs out, do not depend on the
-table.
+Stepping from a state to its children goes through transition tables.  A
+child's group state depends only on its group, that group's state in the
+parent and the child's corner delta, so each (group, group state) has one
+row of 2**dim child states, classified once and shared by every combined
+state that holds it.  Raw offsets never repeat from one level to the next,
+so inside a window-free stretch a group state is held by its edge-relative
+class: the mask, the nearest edge of the coarsest unsatisfied window (0,
+the band roof or the period top) and the signed distance to it in level-q
+cell units.  A level lies in a stretch unless some kept window's period or
+band width, in those units, is at least 1 and below 2**reach, where
+2**reach > 2 * (image length); the reach levels after each window start
+and end keep tables of their own.  In a stretch a surviving state
+straddles its edge, so its distance is at most one image length, every
+other edge lies at least 2**reach cells away, and a child lands at twice
+its parent's distance plus its corner increment: classify sees the same
+picture at every level.  So each (group, class) row is built once per
+stretch and read at every level of it, in the level walk and in the
+refinement search alike, and so are each combined state's live children
+and its corner test.  The tables live for one count_exact call.  The walk
+counts all 2**dim children of a state against the budget, the search each
+child up to the first whose cell meets every slab, so examined, and where
+a budget runs out, do not depend on the tables.
 
 There is one walk for every system and scale.  A state whose groups are
 all inside every slab (all None) adds its cells whole at the next level,
@@ -48,7 +59,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import (BudgetExceeded, CheckedRecord, InsufficientData,
-                     OutOfRange)
+                     OutOfRange, is_int)
 
 __all__ = ["SlabGroup", "SlabSystem", "slab_system", "ExactCount",
            "count_exact", "decoupled_count", "count_value_cells",
@@ -74,6 +85,11 @@ class SlabGroup(CheckedRecord, _GroupFields):
     def __new__(cls, mantissas, precision, windows):
         mantissas = tuple(mantissas)
         windows = tuple((a, b) for a, b in windows)
+        # the walk shifts by these, so each must be an exact int
+        if not all(map(is_int, (precision, *mantissas,
+                                *itertools.chain(*windows)))):
+            raise OutOfRange("mantissas, precision and window ends must "
+                             "be ints")
         if precision < 0 or not any(mantissas):
             raise OutOfRange("group needs a nonzero functional")
         prev_b = 0
@@ -101,6 +117,8 @@ class SlabSystem(CheckedRecord, _SystemFields):
 
     def __new__(cls, dim, depth, groups):
         groups = tuple(groups)
+        if not (is_int(dim) and is_int(depth)) or dim < 1:
+            raise OutOfRange("dim and depth must be ints, dim at least 1")
         for g in groups:
             if len(g.mantissas) != dim:
                 raise OutOfRange("group dimension mismatch")
@@ -133,9 +151,12 @@ class ExactCount(NamedTuple):
     @property
     def count(self) -> int:
         if not self.exact:
+            # a gap can pass the int-to-decimal digit limit (deep r = 11520
+            # leaves ~2^16374 cells undecided), so give its bit length
+            gap = (self.upper - self.lower).bit_length()
             raise BudgetExceeded(
-                f"{self.upper - self.lower} cells undecided at scale {self.r}",
-                examined=self.examined, scale=self.r)
+                f"cells undecided at scale {self.r}: upper - lower is a "
+                f"{gap}-bit number", examined=self.examined, scale=self.r)
         return self.lower
 
 
@@ -145,9 +166,20 @@ class ExactCount(NamedTuple):
 _DFS_HEADROOM = 24
 
 
+def _tables(odd, cap: int, lag: int) -> list:
+    """One dict per level 0..cap.  A level shares the dict of the level
+    before it when neither it nor any of the lag levels before it is odd."""
+    tables: list = []
+    for q in sorted({q for q in odd if 0 <= q <= cap} | {cap + 1}):
+        run = q - len(tables)
+        fresh = [{} for _ in range(min(lag, run))]
+        tables += fresh + fresh[-1:] * (run - len(fresh)) + [{}]
+    return tables[:cap + 1]
+
+
 class _Group:
     __slots__ = ("qg", "pv", "wins", "incs", "lenbase", "negabs", "full",
-                 "top_attained", "rests")
+                 "top_attained", "rests", "odd", "rows")
 
     def __init__(self, g: SlabGroup, cap: int, dim: int):
         self.pv = g.precision
@@ -173,6 +205,14 @@ class _Group:
         # interval test must not drop that endpoint
         self.top_attained = not any(v > 0 for v in g.mantissas)
         self.rests: dict = {}
+        # the reach levels from each kept window start and end, where some
+        # period or band width is at least one cell and below 2**reach cells
+        reach = (2 * self.lenbase).bit_length()
+        self.odd = {e - self.pv + i
+                    for ab in kept for e in ab for i in range(reach)}
+        # per child level, its row table: one per window-free stretch,
+        # shared by every child level whose parent level lies in it too
+        self.rows = _tables(self.odd, cap, 2)
 
     def rest(self, mask: int) -> tuple:
         """The kept windows mask leaves unsatisfied, coarsest first."""
@@ -214,6 +254,50 @@ class _Group:
         return tuple(self.classify(mask, offset + (inc << shift), length)
                      for inc in self.incs)
 
+    def form(self, state, q: int):
+        """A classify result as the walk holds it at level q: in a stretch,
+        (mask, edge, distance) with edge 0, 1 or 2 for 0, the band roof or
+        the period top; elsewhere as it is."""
+        if state is None or state is _OUT or q in self.odd:
+            return state
+        mask, offset = state
+        rest = self.rest(mask)
+        if not rest:
+            return (mask, 0, 0)
+        period, wd = rest[0]
+        shift = self.qg - self.pv - q
+        edges = (0, wd, period)
+        # a band narrower than a cell has no roof to lie near
+        e = min((0, 1, 2) if wd >> shift else (0, 2),
+                key=lambda i: abs(offset - edges[i]))
+        return (mask, e, (offset - edges[e]) >> shift)
+
+    def raw(self, state, q: int):
+        """The (mask, offset) state that form(state, q) holds."""
+        if state is None or q in self.odd:
+            return state
+        mask, e, d = state
+        rest = self.rest(mask)
+        edge = (0, rest[0][1], rest[0][0])[e] if rest else 0
+        return (mask, edge + (d << (self.qg - self.pv - q)))
+
+    def corner_ok(self, state, q: int) -> bool:
+        """Does the lowest corner of a level-q cell held in state, an
+        attained point of the cell, lie in every unsatisfied slab?"""
+        mask, offset = self.raw(state, q)
+        corner = offset + (self.negabs << (self.qg - self.pv - q))
+        return all(corner % period < wd for period, wd in self.rest(mask))
+
+    def child_row(self, state, q: int) -> tuple:
+        """The held states of the level-q children of a cell held in
+        state at level q - 1, by delta, from the level's row table."""
+        known = self.rows[q]
+        row = known.get(state)
+        if row is None:
+            row = known[state] = tuple(
+                self.form(c, q) for c in self.row(self.raw(state, q - 1), q))
+        return row
+
 
 def _intersects(lo: int, length: int, wins: tuple, idx: int = 0) -> bool:
     """Does [lo, lo+length) meet the slab set of wins[idx:]?
@@ -243,6 +327,8 @@ def count_exact(system: SlabSystem, r: int, budget: int = 10**8) -> ExactCount:
     boundary-touching cells resist the bounded refinement search.  Raises
     BudgetExceeded when the node budget runs out mid-count.
     """
+    if not (is_int(r) and is_int(budget)):
+        raise OutOfRange("scale and budget must be ints")
     if not 0 <= r <= system.depth:
         raise OutOfRange(f"scale {r} outside [0, {system.depth}]")
     dim = system.dim
@@ -252,49 +338,49 @@ def count_exact(system: SlabSystem, r: int, budget: int = 10**8) -> ExactCount:
     gs = [_Group(g, cap, dim) for g in active]
 
     examined = 0
-    # level -> per group, {group state: its row of 2**dim child states}
-    tables: dict = {}
-    inside = (None,) * (1 << dim)
+    n = 1 << dim
+    inside = (None,) * n
+    whole = (None,) * len(gs)
+    # the combined tables follow every group's stretches at once
+    odd = set().union(*(g.odd for g in gs))
+    steps, corners = _tables(odd, cap, 2), _tables(odd, cap, 1)
 
-    def children(state, q: int):
-        """Yield each live child, counting every child against the budget."""
+    def spend(nodes: int):
         nonlocal examined
-        level = tables.get(q)
-        if level is None:
-            level = tables[q] = [{} for _ in gs]
-        rows = []
-        for g, known, st in zip(gs, level, state):
-            if st is None:
-                rows.append(inside)
-                continue
-            row = known.get(st)
-            if row is None:
-                row = known[st] = g.row(st, q)
-            rows.append(row)
-        for child in zip(*rows):
-            examined += 1
-            if examined > budget:
-                raise BudgetExceeded("box-count budget exhausted",
-                                     examined=examined, scale=r)
-            if _OUT not in child:
-                yield child
+        examined += nodes
+        if examined > budget:
+            raise BudgetExceeded("box-count budget exhausted",
+                                 examined=budget + 1, scale=r)
+
+    def live(state, q: int) -> tuple:
+        """(delta, child) for each live level-q child of a cell held in
+        state at level q - 1, in delta order."""
+        known = steps[q]
+        step = known.get(state)
+        if step is None:
+            rows = [inside if st is None else g.child_row(st, q)
+                    for g, st in zip(gs, state)]
+            step = known[state] = tuple(
+                (i, child) for i, child in enumerate(zip(*rows))
+                if _OUT not in child)
+        return step
 
     # the root cell holds the origin, whose image 0 lies in every slab, so
     # no group classifies it _OUT
-    root = tuple(g.classify(0, -g.negabs << (g.qg - g.pv),
-                            g.lenbase << (g.qg - g.pv)) for g in gs)
+    root = tuple(g.form(g.classify(0, -g.negabs << (g.qg - g.pv),
+                                   g.lenbase << (g.qg - g.pv)), 0)
+                 for g in gs)
     states = {root: 1}
     full = 0
     for q in range(r):
         nxt: dict = {}
         for state, mult in states.items():
-            if all(st is None for st in state):
+            if state == whole:
                 full += mult << ((r - q) * dim)
                 continue
-            for child in children(state, q + 1):
+            spend(n)
+            for _, child in live(state, q + 1):
                 nxt[child] = nxt.get(child, 0) + mult
-        # refine reads only levels past r, so no walk level is read again
-        tables.pop(q + 1, None)
         states = nxt
         if not states:
             break
@@ -303,15 +389,13 @@ def count_exact(system: SlabSystem, r: int, budget: int = 10**8) -> ExactCount:
     memo: dict = {}
 
     def corner_ok(state, q: int) -> bool:
-        # the cell's lowest corner is an attained point of the cell
-        for g, st in zip(gs, state):
-            if st is None:
-                continue
-            corner = st[1] + (g.negabs << (g.qg - g.pv - q))
-            for period, wd in g.rest(st[0]):
-                if (corner % period) >= wd:
-                    return False
-        return True
+        known = corners[q]
+        ok = known.get(state)
+        if ok is None:
+            ok = known[state] = all(g.corner_ok(st, q)
+                                    for g, st in zip(gs, state)
+                                    if st is not None)
+        return ok
 
     def refine(state, q: int):
         key = (q, state)
@@ -324,13 +408,16 @@ def count_exact(system: SlabSystem, r: int, budget: int = 10**8) -> ExactCount:
             memo[key] = None
             return None
         undecided = False
-        for child in children(state, q + 1):
+        for i, child in live(state, q + 1):
             sub = refine(child, q + 1)
             if sub:
+                # the children after this one are never examined
+                spend(i + 1)
                 memo[key] = True
                 return True
             if sub is None:
                 undecided = True
+        spend(n)
         memo[key] = None if undecided else False
         return memo[key]
 

@@ -59,6 +59,12 @@ class FormatError(PolyfracError):
     """Malformed or mismatched on-disk artifact."""
 
 
+def is_int(v) -> bool:
+    """Is v an exact int?  bool is refused, so JSON true never passes
+    for 1."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 class CheckedRecord:
     """First base of a NamedTuple record whose __new__ checks its fields.
 

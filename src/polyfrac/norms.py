@@ -15,7 +15,8 @@ from operator import mul
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import (BadPivot, CheckedRecord, DegenerateNorm,
-                     DimensionMismatch, NonDyadicCoefficient, ZeroVector)
+                     DimensionMismatch, NonDyadicCoefficient, ZeroVector,
+                     is_int)
 
 if TYPE_CHECKING:
     from .dyadic import Dyadic
@@ -30,16 +31,32 @@ def int_dot(mants, coeffs) -> int:
     return sum(map(mul, mants, coeffs))
 
 
-class Functional(NamedTuple):
-    """One face functional: coefficient mantissas at a shared precision.
-
-    Coefficient i is mantissas[i] * 2**-precision.  pivot indexes the
-    coordinate receiving solver-chosen digits; mantissas[pivot] > 0.
-    """
-
+class _FunctionalFields(NamedTuple):
     mantissas: tuple[int, ...]
     precision: int
     pivot: int
+
+
+class Functional(CheckedRecord, _FunctionalFields):
+    """One face functional: coefficient mantissas at a shared precision.
+
+    Coefficient i is mantissas[i] * 2**-precision.  pivot indexes the
+    coordinate receiving solver-chosen digits; mantissas[pivot] > 0.  The
+    constructor refuses a negative or non-int precision and a pivot that
+    is not such an index.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, mantissas, precision, pivot):
+        mantissas = tuple(mantissas)
+        if not is_int(precision) or precision < 0:
+            raise NonDyadicCoefficient(f"bad precision {precision!r}")
+        if (not is_int(pivot) or not 0 <= pivot < len(mantissas)
+                or mantissas[pivot] <= 0):
+            raise BadPivot(f"functional {mantissas} lacks a positive "
+                           f"pivot coefficient at index {pivot}")
+        return tuple.__new__(cls, (mantissas, precision, pivot))
 
     @property
     def dim(self) -> int:
@@ -63,22 +80,18 @@ class _NormFields(NamedTuple):
 class PolyhedralNorm(CheckedRecord, _NormFields):
     """max_l |x . v^l| over a full-rank family of dyadic functionals.
 
-    The constructor refuses a family without positive pivots or of rank
-    below dim.  No __slots__: the instance dict holds the cached shifts
-    and coefficient table.
+    The constructor refuses an empty family, one of another length than
+    dim or of rank below dim; each Functional has refused a pivot that is
+    not positive already.  No __slots__: the instance dict holds the
+    cached shifts and coefficient table.
     """
 
     def __new__(cls, dim, functionals):
-        functionals = tuple(f._replace(mantissas=tuple(f.mantissas))
-                            for f in functionals)
+        functionals = tuple(functionals)
         if dim < 1 or not functionals:
             raise DegenerateNorm("need dim >= 1 and at least one functional")
-        for f in functionals:
-            if f.dim != dim:
-                raise DimensionMismatch("functional length != dim")
-            if not 0 <= f.pivot < dim or f.mantissas[f.pivot] <= 0:
-                raise BadPivot(f"functional {f.mantissas} lacks a positive "
-                               f"pivot coefficient at index {f.pivot}")
+        if any(f.dim != dim for f in functionals):
+            raise DimensionMismatch("functional length != dim")
         rank = _rank([[Fraction(m, 1 << f.precision) for m in f.mantissas]
                       for f in functionals])
         if rank < dim:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
-from .errors import CheckedRecord, InfeasibleSchedule, OutOfRange
+from .errors import CheckedRecord, InfeasibleSchedule, OutOfRange, is_int
 
 __all__ = ["Block", "BlockSchedule", "free_fraction", "generate"]
 
@@ -30,10 +30,6 @@ def free_fraction(s, d: int) -> Fraction:
     if not d - 1 <= s <= d:
         raise OutOfRange(f"target dimension {s} outside [{d - 1}, {d}]")
     return s - (d - 1)
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
 
 
 class _ScheduleFields(NamedTuple):
@@ -74,8 +70,8 @@ class BlockSchedule(CheckedRecord, _ScheduleFields):
         if not bounds:
             raise OutOfRange("bounds must contain at least m_1")
         # place arithmetic (shifts, block lengths) needs exact integers
-        if (not all(_is_int(v) for v in (margin, n_functionals, *bounds))
-                or not (_is_int(free_fraction)
+        if (not all(is_int(v) for v in (margin, n_functionals, *bounds))
+                or not (is_int(free_fraction)
                         or isinstance(free_fraction, Fraction))):
             raise OutOfRange("margin, bounds and n_functionals must be ints "
                              "and the free fraction an int or a Fraction")

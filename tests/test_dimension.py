@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 from conftest import polyhedral_specs
 from polyfrac.cli import _ratio_text
 from polyfrac.construct import SamplePoint, make_spec
-from polyfrac.dimension import (BoxCount, ComplexityProfile,
-                                ExactCount,
-                                SlabGroup, SlabSystem, count_exact,
+from polyfrac.dimension import (_DFS_HEADROOM, _OUT, BoxCount,
+                                ComplexityProfile, ExactCount,
+                                SlabGroup, SlabSystem, _Group, _tables,
+                                count_exact,
                                 count_point_cells, count_value_cells,
                                 decoupled_count, dim_lower_estimate,
                                 distance_slack,
@@ -476,6 +477,71 @@ def test_coupled_fine_windows_frozen():
     }
 
 
+def test_deep_block_end_counts_frozen():
+    # past r = 384, through the window (773, 1915] to the first block
+    # end; both scales stay undecided.  Per scale: examined, the bit
+    # lengths of lower, upper and the gap, and a digest of lower and upper
+    got = {}
+    for r in (768, 1920):
+        e = count_exact(_deep_system(), r)
+        got[r] = (e.examined, e.lower.bit_length(), e.upper.bit_length(),
+                  (e.upper - e.lower).bit_length(), hashlib.sha256(
+                      f"{e.lower} {e.upper}".encode()).hexdigest()[:16])
+    assert got == {768: (539504, 2058, 2058, 994, "078a7faaa756f533"),
+                   1920: (1456957, 4372, 4372, 2828, "eb38f47a191936a7")}
+
+
+def _check_rows_repeat(system, top: int) -> int:
+    """Walk each windowed group of system alone to level top, classifying
+    raw states as the walk did before it held them by edge-relative class.
+    At every level, the row the group's table returns for a state's held
+    form must be the held form of the row classified afresh at that level,
+    held forms must give back the raw state, and a held form's corner test
+    must agree with the first one made in its stretch.  Returns how many
+    rows were read from a table that an earlier level of a stretch
+    filled."""
+    active = [g for g in system.groups if g.windows]
+    cap = min(max(top, g.windows[-1][1]) for g in active) + _DFS_HEADROOM
+    reused = 0
+    for group in active:
+        g = _Group(group, cap, system.dim)
+        corners = _tables(g.odd, cap, 1)
+        shift = g.qg - g.pv
+        states = {g.classify(0, -g.negabs << shift, g.lenbase << shift)}
+        for q in range(1, top + 1):
+            shared = g.rows[q] is g.rows[q - 1]
+            nxt = set()
+            for st in states - {None}:
+                held = g.form(st, q - 1)
+                assert g.raw(held, q - 1) == st
+                ok = g.corner_ok(held, q - 1)
+                assert corners[q - 1].setdefault(held, ok) == ok
+                reused += shared and held in g.rows[q]
+                row = g.row(st, q)
+                assert g.child_row(held, q) == tuple(g.form(c, q)
+                                                     for c in row)
+                nxt.update(c for c in row if c is not _OUT)
+            states = nxt
+    return reused
+
+
+def test_stretch_rows_repeat_on_the_l1_systems():
+    # deep's windows end at places 11, 27, 91 and 379 and the next starts
+    # at 773, so its walk to 768 ends in a ~390-level stretch; the
+    # m = [1, 16, 32, 96] system's last window ends at place 91
+    pairwise = slab_system(make_spec(3, Fraction(9, 4), preset("l1", 3),
+                                     seed=0, m=[1, 16, 32, 96]))
+    for system in (_deep_system(), pairwise):
+        assert _check_rows_repeat(system, 768) > 2000
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(coupled_systems())
+def test_stretch_rows_repeat_on_coupled_systems(case):
+    system, r = case
+    _check_rows_repeat(system, r + _DFS_HEADROOM)
+
+
 def test_decoupled_formula_by_hand(desk_system):
     # r=20 sees only the (12, 13] window: 2*20 - 1 free digits
     assert decoupled_count(desk_system, 20) == 1 << 39
@@ -489,6 +555,14 @@ def test_count_scale_range(desk_system):
         count_exact(desk_system, -1)
     with pytest.raises(OutOfRange):
         count_exact(desk_system, 97)
+
+
+@pytest.mark.parametrize("r,budget", [
+    (4.0, 10**8), (True, 10**8), (4, 1e8), (4, True)])
+def test_count_refuses_inexact_scale_and_budget(desk_system, r, budget):
+    # refused up front, not left to fail inside a shift
+    with pytest.raises(OutOfRange):
+        count_exact(desk_system, r, budget)
 
 
 def test_budget_exhaustion(l1_system):
@@ -533,6 +607,12 @@ def test_exact_count_gap_raises():
         gap.count
     assert err.value.examined == 999 and err.value.scale == 5
     assert ExactCount(5, 10, 10, 1).count == 10
+    # deep's r = 11520 gap has ~4900 decimal digits, past the default
+    # int-to-str limit, and must still raise BudgetExceeded
+    with pytest.raises(BudgetExceeded) as err:
+        ExactCount(11520, 0, 1 << 16374, 7).count
+    assert str(err.value) == ("cells undecided at scale 11520: upper - "
+                              "lower is a 16375-bit number")
 
 
 # -- sampled counting ------------------------------------------------------

@@ -9,7 +9,8 @@ from polyfrac.construct import FractalSpec, PointReport, SamplePoint, make_spec
 from polyfrac.dimension import (BoxCount, ComplexityProfile, ExactCount,
                                 FalconerReport, SlabGroup, SlabSystem)
 from polyfrac.distset import BlockCollapse, CollapseReport, DistanceRecord
-from polyfrac.errors import DegenerateNorm, InfeasibleSchedule, OutOfRange
+from polyfrac.errors import (BadPivot, DegenerateNorm, InfeasibleSchedule,
+                             NonDyadicCoefficient, OutOfRange)
 from polyfrac.norms import Functional, PolyhedralNorm, preset
 from polyfrac.schedule import Block, BlockSchedule, generate
 
@@ -128,6 +129,7 @@ def _extend_lists(value):
 
 # each checking record built from lists, nested ones included
 @pytest.mark.parametrize("cls,args", [
+    (Functional, ([1, 0], 0, 0)),
     (BlockSchedule, (3, [1, 16, 32, 96], Fraction(1, 2), 2)),
     (SamplePoint, ([1, 2], 4, 3)),
     (SlabGroup, ([1, 0], 0, [[1, 3], [5, 8]])),
@@ -135,8 +137,8 @@ def _extend_lists(value):
     (ComplexityProfile, ([[0, 4, 1], [4, 9, 2]],)),
     (PolyhedralNorm, (2, [Functional([1, 0], 0, 0),
                           Functional([0, 1], 0, 1)])),
-], ids=["BlockSchedule", "SamplePoint", "SlabGroup", "SlabSystem",
-        "ComplexityProfile", "PolyhedralNorm"])
+], ids=["Functional", "BlockSchedule", "SamplePoint", "SlabGroup",
+        "SlabSystem", "ComplexityProfile", "PolyhedralNorm"])
 def test_records_keep_no_list_of_the_caller(cls, args):
     # a record holding the caller's list is unhashable, and changes (while
     # a cached value derived from it does not) when the caller edits it
@@ -231,6 +233,13 @@ def test_block_schedule_refuses_infeasible_bounds(args, message):
     ((1, 0), 0, ((-1, 2),)),        # window below place 0
     ((1, 0), 0, ((1, 4), (3, 6))),  # overlapping windows
     ((1, 0), 0, ((5, 8), (1, 3))),  # descending windows
+    # every field is an exact int: the walk shifts by them
+    ((1, 1), 1.5, ((1, 2),)),
+    ((1, 1), True, ((1, 2),)),
+    ((1, 1), 0, ((1.0, 2),)),
+    ((1, 1), 0, ((1, 2.0),)),
+    ((1, 1), 0, ((False, 2),)),
+    ((1.0, 1), 0, ((1, 2),)),
 ])
 def test_slab_group_refuses_bad_arguments(args):
     with pytest.raises(OutOfRange):
@@ -240,10 +249,38 @@ def test_slab_group_refuses_bad_arguments(args):
 @pytest.mark.parametrize("args", [
     (3, 8, (SlabGroup((1, 0), 0, ((1, 3),)),)),  # group dimension
     (2, 2, (SlabGroup((1, 0), 0, ((1, 3),)),)),  # window deeper than the depth
+    (0, 8, ()),     # no coordinate
+    (-1, 8, ()),
+    (2.0, 8, ()),   # dim and depth are exact ints
+    (True, 8, ()),
+    (2, 8.0, ()),
+    (2, True, ()),
 ])
 def test_slab_system_refuses_bad_arguments(args):
     with pytest.raises(OutOfRange):
         SlabSystem(*args)
+
+
+@pytest.mark.parametrize("args,error", [
+    (((1, 0), -1, 0), NonDyadicCoefficient),
+    (((1, 0), 1.5, 0), NonDyadicCoefficient),
+    (((1, 0), True, 0), NonDyadicCoefficient),
+    (((1, 0), 0, 2), BadPivot),     # past the last coordinate
+    (((1, 0), 0, -1), BadPivot),    # an index from the end is no pivot
+    (((1, 0), 0, True), BadPivot),
+    (((0, 1), 0, 0), BadPivot),     # a zero pivot coefficient
+    (((-1, 1), 0, 0), BadPivot),    # a negative one
+])
+def test_functional_refuses_bad_arguments(args, error):
+    with pytest.raises(error):
+        Functional(*args)
+
+
+def test_functional_pivot_message():
+    with pytest.raises(BadPivot) as info:
+        Functional((0, 1), 0, 0)
+    assert str(info.value) == ("functional (0, 1) lacks a positive pivot "
+                               "coefficient at index 0")
 
 
 
@@ -264,9 +301,10 @@ def test_slab_system_refuses_bad_arguments(args):
      OutOfRange),
     (lambda: SlabSystem(2, 8, (SlabGroup((1, 0), 0, ((1, 3),)),)),
      {"dim": 3}, OutOfRange),
+    (lambda: Functional((1, 0), 0, 0), {"pivot": 1}, BadPivot),
 ], ids=["SamplePoint", "FractalSpec-seed", "FractalSpec-schedule",
         "BlockSchedule", "BlockSchedule-bounds", "PolyhedralNorm",
-        "ComplexityProfile", "SlabGroup", "SlabSystem"])
+        "ComplexityProfile", "SlabGroup", "SlabSystem", "Functional"])
 def test_replace_checks_like_the_constructor(make, change, error):
     rec = make()
     assert rec._replace() == rec and type(rec._replace()) is type(rec)
