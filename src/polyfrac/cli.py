@@ -22,11 +22,13 @@ import math
 import os
 import sys
 from fractions import Fraction
+from itertools import islice
 from typing import NamedTuple
 
 from . import __version__
 from . import construct as cn
-from .errors import (BudgetExceeded, FormatError, OutOfRange, PolyfracError)
+from .errors import (BudgetExceeded, FormatError, OutOfRange, PolyfracError,
+                     is_int)
 from .norms import custom_norm, min_margin, preset
 from .schedule import free_fraction, generate
 
@@ -58,7 +60,7 @@ def _rational(name: str, raw) -> Fraction:
 
 def _whole(name: str, value, low: int = 1) -> int:
     # JSON 7.5 or true would otherwise pass for 7 or 1 under another hash
-    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+    if not is_int(value) or value < low:
         raise OutOfRange(f"{name} must be an integer >= {low}, not {value!r}")
     return value
 
@@ -204,10 +206,9 @@ def _write_counts(out: str, tag: str, entries, mhash: str) -> None:
     """boxcounts_<tag>.csv and its log-log plot boxcounts_<tag>.svg."""
     path = os.path.join(out, f"boxcounts_{tag}")
     cn.write_table(path + ".csv", "boxcounts", mhash,
-                   "r,count,log2_count,mode",
-                   (f"{e.r},{e.count},"
-                    f"{math.log2(e.count) if e.count else -math.inf:.6f},"
-                    f"{e.mode}" for e in entries))
+                   "r,count,log2_count,mode", "%d,%d,%.6f,%s\n",
+                   ((e.r, e.count, math.log2(e.count) if e.count else -math.inf,
+                     e.mode) for e in entries))
     with open(path + ".svg", "w", newline="\n") as fh:
         fh.write(_series_svg(entries, mhash, tag))
 
@@ -259,31 +260,16 @@ def cmd_construct(run: _Run, args) -> int:
 def cmd_distset(run: _Run, args) -> int:
     from . import distset as ds
     points = _load_points(run, args)
-    x, ys = points[0], points[1:]
-    r = args.euclid
-    # one lazy record source per mode, each record measured as it is written
-    recs = (ds.pairwise(ys, run.spec.norm, cap=run.budget,
-                        seed=run.spec.seed, euclid=r) if args.pairwise
-            else ds.pinned(x, ys, run.spec.norm, euclid=r))
-    header = "pair_id,ell,mantissa_hex,prec"
-    if r is not None:
-        header += ",euclid_mantissa_hex,euclid_prec"
-
-    def row(rec) -> str:
-        i, j = rec.source
-        line = (f"{i}-{j},{rec.achieving},"
-                f"{cn.mantissa_to_hex(rec.mantissa, rec.precision)},"
-                f"{rec.precision}")
-        if r is not None:
-            line += f",{cn.mantissa_to_hex(rec.euclid, r)},{r}"
-        return line
-
+    # one lazy row source per mode, each row measured as its chunk is written
+    header, template, rows = ds.distance_table(
+        points[0], points[1:], run.spec.norm, pairwise=args.pairwise,
+        cap=run.budget, seed=run.spec.seed, euclid=args.euclid)
     path = os.path.join(args.out, "distances.csv")
-    rows = cn.write_table(path, "distances", run.manifest_hash, header,
-                          map(row, recs))
+    written = cn.write_table(path, "distances", run.manifest_hash, header,
+                             template, rows)
     _write_manifest(run, args)
     kind = "pairwise" if args.pairwise else "pinned"
-    print(f"wrote {rows} {kind} distances to {path}")
+    print(f"wrote {written} {kind} distances to {path}")
     return 0
 
 
@@ -354,10 +340,14 @@ def cmd_boxdim(run: _Run, args) -> int:
     return code
 
 
-def _ratio_text(v: int, r: int) -> str:
-    """v/r in lowest terms: Fraction(v, r)'s numerator/denominator, 0/1 at 0."""
-    g = math.gcd(v, r)
-    return f"{v // g}/{r // g}"
+def _profile_rows(ideal, aware):
+    """Per place r = 1, 2, ...: r, P_ideal(r), P_c_aware(r), then each P/r
+    in lowest terms as numerator and denominator (Fraction(P, r)'s, 0/1 at
+    P = 0); ideal and aware yield P(1), P(2), ..."""
+    gcd = math.gcd
+    for r, (vi, vc) in enumerate(zip(ideal, aware), 1):
+        gi, gc = gcd(vi, r), gcd(vc, r)
+        yield r, vi, vc, vi // gi, r // gi, vc // gc, r // gc
 
 
 def cmd_profile(run: _Run, args) -> int:
@@ -367,15 +357,15 @@ def cmd_profile(run: _Run, args) -> int:
     bases += [(f"dist_ell{ell}", ell)
               for ell in range(run.spec.norm.n_functionals)]
     for tag, ell in bases:
-        ideal = dm.profile_ideal(sched, run.spec.dim, ell).values()
-        aware = dm.profile_c_aware(sched, run.spec.dim, ell).values()
+        # P(0) = 0 has no ratio: both curves start at place 1
+        ideal = islice(dm.profile_ideal(sched, run.spec.dim, ell).values(),
+                       1, None)
+        aware = islice(dm.profile_c_aware(sched, run.spec.dim, ell).values(),
+                       1, None)
         path = os.path.join(args.out, f"profiles_{tag}.csv")
         cn.write_table(path, "profiles", run.manifest_hash,
                        "r,P_ideal,P_c_aware,ratio_ideal,ratio_c_aware",
-                       (f"{r},{vi},{vc},{_ratio_text(vi, r)},"
-                        f"{_ratio_text(vc, r)}"
-                        for r, vi, vc in zip(range(1, sched.depth + 1),
-                                             ideal[1:], aware[1:])))
+                       "%d,%d,%d,%d/%d,%d/%d\n", _profile_rows(ideal, aware))
         print(f"wrote {path}")
     _write_manifest(run, args)
     return 0

@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterator
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -499,8 +500,8 @@ class ComplexityProfile(CheckedRecord, _ProfileFields):
 
     The segments run contiguously from 0, each of positive length; the
     constructor refuses any other list.  value_at(r) and
-    ratio(r) = P(r)/r evaluate one place; values() returns the whole curve
-    P(0..depth) in one pass, for callers that walk every place.
+    ratio(r) = P(r)/r evaluate one place; values() yields the whole curve
+    P(0..depth) in one lazy pass, for callers that walk every place.
     """
 
     __slots__ = ()
@@ -524,13 +525,12 @@ class ComplexityProfile(CheckedRecord, _ProfileFields):
         return sum(s * (min(r, hi) - lo) for lo, hi, s in self.segments
                    if lo < r)
 
-    def values(self) -> list:
-        """[P(0), ..., P(depth)]: the prefix sums of the slope at each
-        place."""
-        slopes = [0]
-        for lo, hi, s in self.segments:
-            slopes += [s] * (hi - lo)
-        return list(itertools.accumulate(slopes))
+    def values(self) -> Iterator:
+        """P(0), ..., P(depth), lazily: the prefix sums of the slope at
+        each place."""
+        return itertools.accumulate(itertools.chain.from_iterable(
+            itertools.repeat(s, hi - lo) for lo, hi, s in self.segments),
+            initial=0)
 
     def ratio(self, r: int) -> Fraction:
         if r < 1:

@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from itertools import combinations, repeat
-from operator import sub
+from itertools import repeat
+from operator import attrgetter, sub
 from typing import TYPE_CHECKING, NamedTuple
 
+from .construct import hex_field, mantissa_to_hex
 from .errors import OutOfRange, PrecisionExceeded
 from .norms import PolyhedralNorm, int_dot
 from .streams import BitStream
@@ -28,9 +29,9 @@ if TYPE_CHECKING:
     from .dyadic import Dyadic
 
 __all__ = ["DistanceRecord", "delta_mantissas", "pinned", "pairwise",
-           "euclid_floor", "euclid_floor_mantissa", "BlockCollapse",
-           "CollapseReport", "collapse_check", "collapse_first_failure",
-           "estimation_values"]
+           "distance_table", "euclid_floor", "euclid_floor_mantissa",
+           "BlockCollapse", "CollapseReport", "collapse_check",
+           "collapse_first_failure", "estimation_values"]
 
 
 class DistanceRecord(NamedTuple):
@@ -62,7 +63,7 @@ def delta_mantissas(x, y) -> list:
     return list(map(sub, x.mantissas, y.mantissas))
 
 
-def _records(pairs, prec: int, norm: PolyhedralNorm,
+def _records(prec: int, quads, norm: PolyhedralNorm,
              euclid: int | None = None) -> Iterator:
     """Lazily, one record per (x, px, y, py): points x and y at precision
     prec and their projections px, py under norm.  ||x - y|| is measured
@@ -70,7 +71,7 @@ def _records(pairs, prec: int, norm: PolyhedralNorm,
     which each record also takes the Euclidean floor of x - y, the only
     use of the coordinate difference."""
     measure = norm.measure_projection
-    for x, px, y, py in pairs:
+    for x, px, y, py in quads:
         mantissa, precision, ties = measure(map(sub, px, py), prec)
         yield DistanceRecord(
             mantissa, precision, ties[0], (x.index, y.index),
@@ -78,21 +79,63 @@ def _records(pairs, prec: int, norm: PolyhedralNorm,
             euclid_floor_mantissa(delta_mantissas(x, y), prec, euclid))
 
 
+def _pinned_quads(x, ys, norm: PolyhedralNorm, euclid: int | None):
+    """(prec, quads) of pinned's pairs: the refusals and the projection of
+    x happen here, each sample is projected as its quad is taken."""
+    prec = _shared_precision([x, *ys], euclid)
+    return prec, zip(repeat(x), repeat(norm.project(x.mantissas)), ys,
+                     map(norm.project, map(attrgetter("mantissas"), ys)))
+
+
 def pinned(x, ys, norm: PolyhedralNorm,
            euclid: int | None = None) -> Iterator:
     """Distances from the pinned point to each sample, lazily and with its
     refusals at call time as in pairwise; euclid as in _records."""
-    prec = _shared_precision([x, *ys], euclid)
-    px, project = norm.project(x.mantissas), norm.project
-    return _records(((x, px, y, project(y.mantissas)) for y in ys),
-                    prec, norm, euclid)
+    return _records(*_pinned_quads(x, ys, norm, euclid), norm, euclid)
 
 
 def _unrank_pair(rank: int, n: int) -> tuple[int, int]:
-    # pairs (i, j), i < j < n, in lexicographic order
+    """Pair number rank of the pairs (i, j), i < j < n, in lexicographic
+    order, in closed form: the reference _walk_pairs is tested against."""
     rev = n * (n - 1) // 2 - 1 - rank
     k = (math.isqrt(8 * rev + 1) - 1) // 2
     return n - 2 - k, n - 1 - (rev - k * (k + 1) // 2)
+
+
+def _walk_pairs(ranks, n: int) -> Iterator:
+    """_unrank_pair(rank, n) for each of the ascending ranks, by one walk
+    down the rows: row i holds the ranks [start, end) of the pairs (i, j),
+    so a rank costs a subtraction instead of an isqrt, and the walk n row
+    steps in all."""
+    i, start, end = 0, 0, n - 1
+    for rank in ranks:
+        while rank >= end:
+            i += 1
+            start, end = end, end + n - 1 - i
+        yield i, i + 1 + rank - start
+
+
+def _pairwise_quads(ys, norm: PolyhedralNorm, cap: int | None, seed: int,
+                    euclid: int | None):
+    """(prec, quads) of pairwise's pairs: the refusals, Floyd's draws and
+    one projection per point happen here."""
+    if cap is not None and cap < 0:
+        raise OutOfRange(f"cap must be >= 0, not {cap}")
+    n = len(ys)
+    total = n * (n - 1) // 2
+    prec = _shared_precision(ys, euclid)
+    if cap is None or total <= cap:
+        ranks = range(total)
+    else:
+        stream = BitStream(seed, "pairs")
+        chosen = set()
+        for t in range(total - cap, total):
+            r = stream.randrange(t + 1)
+            chosen.add(t if r in chosen else r)
+        ranks = sorted(chosen)
+    proj = [norm.project(y.mantissas) for y in ys]
+    return prec, ((ys[i], proj[i], ys[j], proj[j])
+                  for i, j in _walk_pairs(ranks, n))
 
 
 def pairwise(ys, norm: PolyhedralNorm, cap: int | None = None,
@@ -106,23 +149,58 @@ def pairwise(ys, norm: PolyhedralNorm, cap: int | None = None,
     time, as do the refusals of cap < 0 and euclid < 0; each record is
     measured as it is taken.  euclid as in _records.
     """
-    if cap is not None and cap < 0:
-        raise OutOfRange(f"cap must be >= 0, not {cap}")
-    n = len(ys)
-    total = n * (n - 1) // 2
-    prec = _shared_precision(ys, euclid)
-    if cap is None or total <= cap:
-        pairs = combinations(range(n), 2)
-    else:
-        stream = BitStream(seed, "pairs")
-        chosen = set()
-        for t in range(total - cap, total):
-            r = stream.randrange(t + 1)
-            chosen.add(t if r in chosen else r)
-        pairs = map(_unrank_pair, sorted(chosen), repeat(n))
-    proj = [norm.project(y.mantissas) for y in ys]
-    return _records(((ys[i], proj[i], ys[j], proj[j]) for i, j in pairs),
-                    prec, norm, euclid)
+    return _records(*_pairwise_quads(ys, norm, cap, seed, euclid), norm,
+                    euclid)
+
+
+def distance_table(x, ys, norm: PolyhedralNorm, *, pairwise: bool = False,
+                   cap: int | None = None, seed: int = 0,
+                   euclid: int | None = None) -> tuple[str, str, Iterator]:
+    """distances.csv as write_table takes it: (header, row template, rows)
+    for the records pinned(x, ys, norm, euclid) or, with pairwise,
+    pairwise(ys, norm, cap, seed, euclid) gives, in their order and with
+    their refusals at call time.
+
+    A row is the flat fields (first index, second index, achieving
+    functional, w, hex, precision), plus (w, hex, euclid) with euclid:
+    each (w, hex) is the arguments of its column's hex_field.  One loop
+    measures, floors and lays out each row, with no record in between.
+    """
+    prec, quads = (_pairwise_quads(ys, norm, cap, seed, euclid) if pairwise
+                   else _pinned_quads(x, ys, norm, euclid))
+    field, wide = hex_field(prec)
+    header, template = "pair_id,ell,mantissa_hex,prec", f"%d-%d,%d,{field},%d"
+    ewide = False
+    if euclid is not None:
+        field, ewide = hex_field(euclid)
+        header += ",euclid_mantissa_hex,euclid_prec"
+        template += f",{field},%d"
+    return header, template + "\n", _distance_rows(prec, quads, norm, euclid,
+                                                   wide, ewide)
+
+
+def _distance_rows(prec: int, quads, norm: PolyhedralNorm,
+                   euclid: int | None, wide: bool, ewide: bool) -> Iterator:
+    """distance_table's rows, lazily, one per (x, px, y, py) as in
+    _records; wide and ewide are hex_field's flags of the two columns."""
+    measure = norm.measure_projection
+    # (w, pad) per achieving functional and of the Euclidean column; a wide
+    # column's fields are mantissa_to_hex's strings
+    hexes = [((p + 3) >> 2, -p & 3)
+             for p in (prec + f.precision for f in norm.functionals)]
+    if euclid is not None:
+        we, pe = (euclid + 3) >> 2, -euclid & 3
+    for x, px, y, py in quads:
+        mantissa, precision, ties = measure(map(sub, px, py), prec)
+        ell = ties[0]
+        w, pad = hexes[ell]
+        v = mantissa_to_hex(mantissa, precision) if wide else mantissa << pad
+        if euclid is None:
+            yield x.index, y.index, ell, w, v, precision
+        else:
+            e = euclid_floor_mantissa(delta_mantissas(x, y), prec, euclid)
+            yield (x.index, y.index, ell, w, v, precision, we,
+                   mantissa_to_hex(e, euclid) if ewide else e << pe, euclid)
 
 
 # Leading-digit Euclidean floors.  Squaring full mantissas costs more than

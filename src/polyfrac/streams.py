@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import hashlib
 
+from .errors import is_int
+
 __all__ = ["BitStream", "label_path"]
 
 
@@ -52,8 +54,7 @@ class BitStream:
     __slots__ = ("_path", "_key", "_counter", "_buf", "_nbits")
 
     def __init__(self, seed: int, *labels):
-        if (isinstance(seed, bool) or not isinstance(seed, int)
-                or not 0 <= seed < 1 << 64):
+        if not is_int(seed) or not 0 <= seed < 1 << 64:
             raise ValueError("seed must be an unsigned 64-bit integer")
         self._path = hashlib.blake2b(
             seed.to_bytes(8, "big") + label_path(*labels), digest_size=32)

@@ -645,6 +645,66 @@ def test_construct_streams_points_file(tmp_path, capsys):
     assert peak < (tmp_path / "points.txt").stat().st_size
 
 
+def _table_oracle(kind, mhash, header, template, rows) -> bytes:
+    # the table write_table writes, rendered and joined row by row
+    return (f"polyfrac-{kind} v1\n# manifest {mhash}\n{header}\n"
+            + "".join(template % row for row in rows)).encode()
+
+
+def test_write_table_chunks_match_row_by_row(tmp_path):
+    # rows of one length go out in chunks of 1, 2, 4, ... rows, then of per
+    # rows: at each chunk end and one row either side, at per rows and on
+    # ragged rows, the chunked file is the row-by-row one
+    template = "%06d,%0*x,%s\n"
+
+    def row(i):
+        return i, 90, i * 7919, "yz"
+
+    per = cn._CHUNK_BYTES // len(template % row(0))
+    ends, size = [0], 1
+    while ends[-1] < 3 * per:
+        ends.append(ends[-1] + size)
+        size = min(2 * size, per)
+    counts = {end + d for end in ends for d in (-1, 0, 1)} - {-1}
+    for n in sorted(counts | {per - 1, per, per + 1}):
+        rows = [row(i) for i in range(n)]
+        path = tmp_path / f"rows{n}.csv"
+        assert cn.write_table(path, "t", "h", "a,b,c", template,
+                              iter(rows)) == n
+        assert path.read_bytes() == _table_oracle("t", "h", "a,b,c",
+                                                  template, rows), n
+    ragged = [(i, 1 + i % 700, i, "y" * (i % 37)) for i in range(3 * per)]
+    path = tmp_path / "ragged.csv"
+    assert cn.write_table(path, "t", "h", "a,b,c", template,
+                          ragged) == 3 * per
+    assert path.read_bytes() == _table_oracle("t", "h", "a,b,c", template,
+                                              ragged)
+
+
+@pytest.mark.parametrize("argv,pattern", [
+    (["distset", "--pairwise", "--euclid", "24"], "distances.csv"),
+    (["profile"], "profiles_*.csv"),
+], ids=["distset-pairwise", "profile"])
+def test_tables_are_written_in_bounded_chunks(tmp_path, capsys, argv,
+                                              pattern):
+    # 190 rows of 11520-bit distances, or 11520 places per profile: the
+    # traced peak of a rerun (its imports done) stays below every table it
+    # writes, which a writer holding the text, its lines or its rows exceeds
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(DEEP_CONFIG))
+    construct(str(cfg), tmp_path)
+    argv = [argv[0], "--config", str(cfg), "--out", str(tmp_path), *argv[1:]]
+    assert main(argv) == 0
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    sizes = [path.stat().st_size for path in tmp_path.glob(pattern)]
+    assert sizes and peak < min(sizes), (peak, sizes)
+
+
 def test_read_points_streams_points_file(tmp_path):
     # read_points reads points.txt one row at a time: on the same deep file
     # its traced peak stays below the file, which a reader holding the text,

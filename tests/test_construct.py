@@ -7,9 +7,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from polyfrac.construct import (FractalSpec, SamplePoint, _marker, _steer,
-                                build_point, first_failure, make_spec,
-                                mantissa_to_hex, pinned_point, read_points,
-                                sample_points, solve_pivot_offset,
+                                build_point, first_failure, hex_field,
+                                make_spec, mantissa_to_hex, pinned_point,
+                                read_points, sample_points, solve_pivot_offset,
                                 verify_point, write_points)
 from polyfrac.dyadic import Dyadic
 from polyfrac.errors import (DimensionMismatch, FormatError, NoSolution,
@@ -414,6 +414,23 @@ def test_hex_matches_format(prec, data):
                                             max_value=1 << (prec + 9))))
     for m in values:
         assert mantissa_to_hex(m, prec) == format(m << pad, f"0{w}x"), m
+
+
+@pytest.mark.parametrize("prec", [0, 1, 3, 4, 96, 11520])
+def test_template_hex_field_matches_mantissa_to_hex(prec):
+    # the row templates' two field forms against the reference renderer,
+    # also for m >= 2**prec (wider fields) and at prec 0 ("0", not "")
+    w, pad = (prec + 3) // 4, -prec & 3
+    rng = random.Random(prec)
+    values = [0, 1, (1 << prec) - 1, 1 << prec, (1 << (prec + 9)) - 1,
+              rng.getrandbits(prec), rng.getrandbits(prec + 7) | 1 << prec]
+    field, wide = hex_field(prec)
+    assert (field, wide) == (("%*s", True) if prec > 512 else ("%0*x", False))
+    for m in values:
+        want = mantissa_to_hex(m, prec)
+        assert "%0*x" % (w, m << pad) == want, m
+        assert "%*s" % (w, want) == want, m
+        assert field % (w, want if wide else m << pad) == want, m
 
 
 def test_hex_frozen():

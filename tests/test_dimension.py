@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import polyhedral_specs
-from polyfrac.cli import _ratio_text
+from polyfrac.cli import _profile_rows
 from polyfrac.construct import SamplePoint, make_spec
 from polyfrac.dimension import (_DFS_HEADROOM, _OUT, BoxCount,
                                 ComplexityProfile, ExactCount,
@@ -746,7 +746,7 @@ def test_distance_c_aware_profile():
 @example(dim=3, name="l1", alpha=Fraction(0), K=0, ratio=2)
 @example(dim=2, name="linf", alpha=Fraction(0), K=6, ratio=1)
 def test_profile_values_match_value_at(dim, name, alpha, K, ratio):
-    # the one-pass curve and the CLI's reduced ratio text against the
+    # the one-pass curve and the CLI's reduced ratio fields against the
     # per-place reference, on every base of geometric schedules; depths past
     # 6000 cost seconds here, and the CLI's profile pins cover the
     # 11520-place deep schedule byte for byte
@@ -757,12 +757,13 @@ def test_profile_values_match_value_at(dim, name, alpha, K, ratio):
     for ell in [None, *range(sched.n_functionals)]:
         for kind in (profile_ideal, profile_c_aware):
             prof = kind(sched, dim, ell)
-            got = prof.values()
+            got = list(prof.values())
             assert got == [prof.value_at(r) for r in range(prof.depth + 1)]
-            for r in range(1, prof.depth + 1):
+            rows = list(_profile_rows(got[1:], got[1:]))
+            assert [row[0] for row in rows] == list(range(1, prof.depth + 1))
+            for r, row in enumerate(rows, 1):
                 q = prof.ratio(r)
-                assert _ratio_text(got[r], r) == \
-                    f"{q.numerator}/{q.denominator}"
+                assert row[3:5] == row[5:] == (q.numerator, q.denominator)
 
 
 @settings(deadline=None, max_examples=100)
@@ -770,19 +771,22 @@ def test_profile_values_match_value_at(dim, name, alpha, K, ratio):
                 min_size=1, max_size=5))
 def test_profile_values_any_segment_list(parts):
     # any contiguous list from 0, negative slopes included for the ratio
-    # text, against a place-by-place sum of slopes
+    # fields, against a place-by-place sum of slopes
     segments, lo = [], 0
     for length, slope in parts:
         segments.append((lo, lo + length, slope))
         lo += length
     prof = ComplexityProfile(tuple(segments))
     slopes = [s for lo, hi, s in segments for _ in range(lo, hi)]
-    got = prof.values()
+    got = list(prof.values())
     assert got == [sum(slopes[:r]) for r in range(prof.depth + 1)]
     assert got == [prof.value_at(r) for r in range(prof.depth + 1)]
-    for r in range(1, prof.depth + 1):
+    rows = list(_profile_rows(got[1:], [0] * prof.depth))
+    assert len(rows) == prof.depth
+    for r, row in enumerate(rows, 1):
         q = prof.ratio(r)
-        assert _ratio_text(got[r], r) == f"{q.numerator}/{q.denominator}"
+        assert row[:5] == (r, got[r], 0, q.numerator, q.denominator)
+        assert row[5:] == (0, 1)
 
 
 @pytest.mark.parametrize("segments", [

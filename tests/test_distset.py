@@ -1,22 +1,23 @@
 import math
+import random
 from collections.abc import Iterator
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, repeat
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from polyfrac.construct import (SamplePoint, make_spec, pinned_point,
-                                sample_points)
+from polyfrac.construct import (SamplePoint, make_spec, mantissa_to_hex,
+                                pinned_point, sample_points)
 from polyfrac.distset import (CollapseReport, DistanceRecord, _unrank_pair,
-                              collapse_check, collapse_first_failure,
-                              delta_mantissas,
+                              _walk_pairs, collapse_check, collapse_first_failure,
+                              delta_mantissas, distance_table,
                               estimation_values, euclid_floor,
                               euclid_floor_mantissa, pairwise, pinned)
 from polyfrac.dyadic import Dyadic
 from polyfrac.errors import DimensionMismatch, OutOfRange, PrecisionExceeded
-from polyfrac.norms import PolyhedralNorm, preset
+from polyfrac.norms import PolyhedralNorm, custom_norm, preset
 
 
 @pytest.fixture(scope="module")
@@ -106,6 +107,10 @@ def test_wrong_dimension_points_refused(desk, desk_points, extra):
     with pytest.raises(DimensionMismatch):
         pairwise(ys, desk.norm, cap=3, seed=5)
     with pytest.raises(DimensionMismatch):
+        distance_table(x, ys, desk.norm)
+    with pytest.raises(DimensionMismatch):
+        distance_table(x, ys, desk.norm, pairwise=True, cap=3, seed=5)
+    with pytest.raises(DimensionMismatch):
         collapse_check(x, ys[0], desk)
     with pytest.raises(DimensionMismatch):
         collapse_first_failure(x, ys, desk)
@@ -121,7 +126,13 @@ def test_negative_places_and_cap_refused_at_call_time(desk, desk_points):
         pairwise(ys, desk.norm, euclid=-1)
     with pytest.raises(OutOfRange):
         pairwise(ys, desk.norm, cap=-1)
+    for kw in ({"euclid": -3}, {"pairwise": True, "euclid": -1},
+               {"pairwise": True, "cap": -1}):
+        with pytest.raises(OutOfRange):
+            distance_table(x, ys, desk.norm, **kw)
     assert list(pairwise(ys, desk.norm, cap=0)) == []
+    assert list(distance_table(x, ys, desk.norm, pairwise=True,
+                               cap=0)[2]) == []
     assert [r.euclid for r in pinned(x, ys[:1], desk.norm, euclid=0)] == [0]
 
 
@@ -129,6 +140,22 @@ def test_negative_places_and_cap_refused_at_call_time(desk, desk_points):
 def test_unrank_pair_is_lexicographic(n):
     pairs = [_unrank_pair(r, n) for r in range(n * (n - 1) // 2)]
     assert pairs == list(combinations(range(n), 2))
+
+
+def test_walk_pairs_matches_unrank_pair():
+    # the one row walk against the closed form, rank by rank: on every rank
+    # and on seeded subsets holding the first and last rank, as Floyd's
+    # sorted draws can
+    for n in range(2, 41):
+        total = n * (n - 1) // 2
+        subsets = [range(total)]
+        for seed in range(4):
+            rng = random.Random(n * 100 + seed)
+            picked = rng.sample(range(total), rng.randint(0, total))
+            subsets.append(sorted({0, total - 1, *picked}))
+        for ranks in subsets:
+            assert list(_walk_pairs(ranks, n)) == list(
+                map(_unrank_pair, ranks, repeat(n))), (n, ranks)
 
 
 def test_pairwise_full_enumeration(desk, desk_points):
@@ -152,6 +179,43 @@ def test_pairwise_cap_is_deterministic(desk, desk_points):
     full = [r.source for r in pairwise(ys, desk.norm)]
     it = iter(full)
     assert all(src in it for src in (r.source for r in a))
+
+
+def _record_line(rec, euclid) -> str:
+    # a distances.csv row rendered field by field from its record
+    i, j = rec.source
+    line = (f"{i}-{j},{rec.achieving},"
+            f"{mantissa_to_hex(rec.mantissa, rec.precision)},{rec.precision}")
+    if euclid is not None:
+        line += f",{mantissa_to_hex(rec.euclid, euclid)},{euclid}"
+    return line + "\n"
+
+
+@pytest.mark.parametrize("prec", [1, 95, 96, 600])
+def test_distance_table_rows_render_the_records(prec):
+    # the fused rows, through their template, against the records pinned
+    # and pairwise give, rendered one by one: a norm whose functionals sit
+    # at precisions 0 and 1 gives each row its own width and pad, 600 places
+    # takes the wide field, and euclid covers 0, odd and wide place counts
+    norm = custom_norm([[[1, 0], [0, 0]], [[1, 1], [1, 1]],
+                        [[1, 1], [-1, 1]]])
+    rng = random.Random(prec)
+    pts = [SamplePoint((rng.getrandbits(prec), rng.getrandbits(prec)), prec,
+                       i) for i in range(9)]
+    pts[3] = pts[2]._replace(index=3)  # one zero distance
+    x, ys = pts[0], pts[1:]
+    for euclid in (None, 0, 3, 24, 600):
+        cases = [(pinned(x, ys, norm, euclid), {}),
+                 (pairwise(ys, norm, euclid=euclid), {"pairwise": True}),
+                 (pairwise(ys, norm, cap=11, seed=4, euclid=euclid),
+                  {"pairwise": True, "cap": 11, "seed": 4})]
+        for recs, kw in cases:
+            header, template, rows = distance_table(x, ys, norm,
+                                                    euclid=euclid, **kw)
+            assert header == "pair_id,ell,mantissa_hex,prec" + (
+                "" if euclid is None else ",euclid_mantissa_hex,euclid_prec")
+            assert [template % row for row in rows] == [
+                _record_line(rec, euclid) for rec in recs], (euclid, kw)
 
 
 def test_pairwise_is_lazy(desk, monkeypatch):
