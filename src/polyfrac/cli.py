@@ -290,7 +290,8 @@ def cmd_boxdim(run: _Run, args) -> int:
     for e in set_counts:
         print(f"r={e.r} count={e.count} mode={e.mode}")
 
-    values = ds.estimation_values(ds.pinned(points[0], points[1:], spec.norm))
+    values = ds.estimation_values(
+        ds.pinned_measures(points[0], points[1:], spec.norm))
     sched = spec.schedule
     dist_counts = []
     for ell in range(spec.norm.n_functionals):

@@ -299,20 +299,8 @@ def verify_point(point: SamplePoint, spec: FractalSpec) -> PointReport:
 # -- packed verification ---------------------------------------------------
 
 # Bits of one packed chunk: a chunk holds _LANE_BITS // W points of lane
-# width W (_lane_width), and each block's checks cost a few big-integer
-# operations per chunk instead of a few per point.  first_failure on a
-# whole points file, ms, best of 15 (desk) or 7 (deep) in each of two runs,
-# CPython 3.11 on a shared 2-CPU x86-64 host; "all" packs the file into one
-# integer, and deep at 2**12 and 2**14 (one run) packs one point a chunk:
-#
-#   _LANE_BITS                2**12    2**14   2**16   2**18      all  per point
-#   desk, 10001 pts, W=104   10-15     6-11     6       7-11    10-15   104-123
-#   deep, 501 pts, W=11528   58       63       41-45   39-53  123-132    20-28
-#
-# Lanes pay off while a chunk holds many narrow points; at ~11.5k bits a
-# lane only adds masking passes.  At 2**14 desk packs 157 points a chunk
-# and deep one, which goes to verify_point unpacked; at 2**16 deep would
-# pack five, slower than verify_point.
+# width W, and checks them in a few big-integer operations (polyfrac.lanes,
+# which has the measurements behind this size).
 _LANE_BITS = 1 << 14
 
 
@@ -330,68 +318,6 @@ def _lane_width(spec: FractalSpec, prec: int) -> int:
     return (need + 7) & ~7
 
 
-def _pack(values, nbytes: int) -> int:
-    """values, each below 2**(8 * nbytes), as the lanes of one integer:
-    value j in bytes [j * nbytes, (j + 1) * nbytes)."""
-    return int.from_bytes(
-        b"".join([v.to_bytes(nbytes, "little") for v in values]), "little")
-
-
-def _lane_table(spec: FractalSpec, prec: int, width: int, n: int) -> tuple:
-    """(lane bytes, bias, rows) for n lanes of width bits at precision
-    prec: one row of chunk-wide masks per block with a window, each mask
-    its one-lane form repeated in every lane."""
-    nbytes = width >> 3
-
-    def every(lane: int) -> int:
-        return int.from_bytes(lane.to_bytes(nbytes, "little") * n, "little")
-
-    rows = []
-    for k, coeffs, pv, _, m_hi, a, b, _, _, marker in spec.plan:
-        if not marker:
-            continue
-        mask, lo, band = marker
-        r = prec - m_hi   # mantissa bits below place m_hi
-        t = prec + pv - b  # bit of window place b in a full sum
-        rows.append((
-            k, coeffs,
-            every((1 << prec) - (1 << r)),       # places up to m_hi
-            every((1 << prec) - (2 << r)),       # places up to m_hi - 1
-            every(((1 << (b - a)) - 1) << t),    # window (a, b]
-            every((1 << width) - (1 << t)),      # the floor at place b
-            every((mask ^ (band - 1)) << (r + 1)),  # marker bits above band
-            every(lo << (r + 1))))               # ... which must read lo
-    return nbytes, every(1 << (width - 1)), tuple(rows)
-
-
-def _lane_failures(points, table: tuple) -> list:
-    """(k, check, word) for each check of each block with a window: lane j
-    of word is nonzero exactly when verify_point reports check failing on
-    block k of points[j].
-
-    The points share their spec's dimension and one precision at or past
-    its schedule depth; table is _lane_table's for them.  Each sum is held
-    biased in every lane, so a floor is a mask: membership reads the
-    window digits of the full sum, carry compares the full and truncated
-    sums above the window's last place, and pattern reads the marker band
-    of the sum truncated one place earlier, exactly as verify_point does.
-    """
-    nbytes, bias, rows = table
-    cols = [_pack(col, nbytes) for col in zip(*[p.mantissas for p in points])]
-    fulls = {}  # the full dot product per functional
-    words = []
-    for k, coeffs, keep, keep1, window, floor, band, want in rows:
-        full = fulls.get(coeffs)
-        if full is None:
-            full = fulls[coeffs] = int_dot(cols, coeffs) + bias
-        cut = int_dot([c & keep for c in cols], coeffs) + bias
-        marked = int_dot([c & keep1 for c in cols], coeffs) + bias
-        words += [(k, "membership", full & window),
-                  (k, "carry", (full ^ cut) & floor),
-                  (k, "pattern", (marked & band) ^ want)]
-    return words
-
-
 def _first_unverified(points, spec: FractalSpec):
     for pt in points:
         report = verify_point(pt, spec)
@@ -404,34 +330,22 @@ def first_failure(points, spec: FractalSpec):
     """(point, verify_point report) of the first point that fails a check,
     None when every point passes.
 
-    Chunks of points are checked in packed lanes (_lane_failures).  A chunk
-    that fails, or whose points do not share the spec's dimension and one
-    precision at or past the schedule depth, is re-run point by point, so
-    verify_point alone writes every report and raises PrecisionExceeded or
-    DimensionMismatch where it would.  Chunks of one point (wide points)
-    skip the packing.
+    When a chunk of _LANE_BITS bits holds two points or more, chunks are
+    checked in packed lanes (lanes.first_failure), and a chunk that fails
+    or is mis-shaped is re-run point by point, so verify_point alone writes
+    every report and raises PrecisionExceeded or DimensionMismatch where it
+    would.  Wide points (one a chunk) go to verify_point directly and never
+    load the lane module.
     """
     if not points:
         return None
     prec = points[0].precision
     width = _lane_width(spec, prec)
     n = _LANE_BITS // width
-    if n < 2 or prec < spec.schedule.depth:
+    if n < 2 or len(points) < 2 or prec < spec.schedule.depth:
         return _first_unverified(points, spec)
-    dim = spec.dim
-    table = _lane_table(spec, prec, width, n)
-    for start in range(0, len(points), n):
-        chunk = points[start:start + n]
-        if all(p.precision == prec and len(p.mantissas) == dim
-               for p in chunk):
-            # spare lanes of a short last chunk repeat its first point
-            lanes = chunk + chunk[:1] * (n - len(chunk))
-            if not any(word for _, _, word in _lane_failures(lanes, table)):
-                continue
-        hit = _first_unverified(chunk, spec)
-        if hit:
-            return hit
-    return None
+    from . import lanes
+    return lanes.first_failure(points, spec, prec, width, n)
 
 
 # -- points file -----------------------------------------------------------

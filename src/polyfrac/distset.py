@@ -10,6 +10,10 @@ explains why pinned distances cluster: whichever functional achieves the
 norm, the digits of the achieved value are constant across that functional's
 scheduled windows, so each distance is determined by far fewer digits than
 its precision suggests.
+
+measure_projection is the reference measure.  Narrow pinned pairs are
+measured a chunk at a time by its packed form, polyfrac.lanes, equal lane
+for lane; wide points (one a chunk) and pairwise rows never load it.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from itertools import repeat
 from operator import attrgetter, sub
 from typing import TYPE_CHECKING, NamedTuple
 
+from . import construct as cn
 from .construct import hex_field, mantissa_to_hex
 from .errors import OutOfRange, PrecisionExceeded
 from .norms import PolyhedralNorm, int_dot
@@ -31,7 +36,7 @@ if TYPE_CHECKING:
 __all__ = ["DistanceRecord", "delta_mantissas", "pinned", "pairwise",
            "distance_table", "euclid_floor", "euclid_floor_mantissa",
            "BlockCollapse", "CollapseReport", "collapse_check",
-           "collapse_first_failure", "estimation_values"]
+           "collapse_first_failure", "pinned_measures", "estimation_values"]
 
 
 class DistanceRecord(NamedTuple):
@@ -92,6 +97,47 @@ def pinned(x, ys, norm: PolyhedralNorm,
     """Distances from the pinned point to each sample, lazily and with its
     refusals at call time as in pairwise; euclid as in _records."""
     return _records(*_pinned_quads(x, ys, norm, euclid), norm, euclid)
+
+
+def _lane_shape(norm: PolyhedralNorm, prec: int, count: int):
+    """(width, n) of the pinned lane kernel for count samples at precision
+    prec: n lanes of width bits, whole bytes, in construct._LANE_BITS bits.
+    None, and measure_projection measures each pair, unless two samples or
+    more would share a chunk.
+
+    |d| = |x . c - y . c| < 2**(prec + L), L = bitlen(max sum |c_i|) over
+    the coefficients at the finest precision; a key is |d| << bitlen(k - 1)
+    and a collapse window reads bits of |d| below prec + that precision.
+    One bit more keeps every key below the lanes' bias 2**(width - 1).
+    """
+    top = max(f.precision for f in norm.functionals)
+    sums = max(sum(map(abs, c)) for c in norm._coeffs).bit_length()
+    need = prec + max(sums, top) + (norm.n_functionals - 1).bit_length() + 1
+    width = (need + 7) & ~7
+    n = cn._LANE_BITS // width
+    return (width, n) if n >= 2 and count >= 2 else None
+
+
+def _measures(px, ys, norm: PolyhedralNorm, prec: int) -> Iterator:
+    """(mantissa, precision, achieving) of x - y per y in ys, lazily, for
+    px = project(x) and ys of x's shape, as measure_projection gives them."""
+    shape = _lane_shape(norm, prec, len(ys))
+    if shape:
+        from . import lanes
+        yield from lanes.pinned_measures(px, ys, norm, prec, *shape)
+        return
+    measure, project = norm.measure_projection, norm.project
+    for y in ys:
+        mantissa, precision, ties = measure(
+            map(sub, px, project(y.mantissas)), prec)
+        yield mantissa, precision, ties[0]
+
+
+def pinned_measures(x, ys, norm: PolyhedralNorm) -> Iterator:
+    """The first three fields of pinned's records, lazily and with its
+    refusals at call time."""
+    prec = _shared_precision([x, *ys])
+    return _measures(norm.project(x.mantissas), ys, norm, prec)
 
 
 def _unrank_pair(rank: int, n: int) -> tuple[int, int]:
@@ -166,8 +212,13 @@ def distance_table(x, ys, norm: PolyhedralNorm, *, pairwise: bool = False,
     each (w, hex) is the arguments of its column's hex_field.  One loop
     measures, floors and lays out each row, with no record in between.
     """
-    prec, quads = (_pairwise_quads(ys, norm, cap, seed, euclid) if pairwise
-                   else _pinned_quads(x, ys, norm, euclid))
+    if pairwise:
+        prec, quads = _pairwise_quads(ys, norm, cap, seed, euclid)
+        measured = _measured_quads(prec, quads, norm)
+    else:
+        prec = _shared_precision([x, *ys], euclid)
+        measured = zip(repeat(x), ys,
+                       _measures(norm.project(x.mantissas), ys, norm, prec))
     field, wide = hex_field(prec)
     header, template = "pair_id,ell,mantissa_hex,prec", f"%d-%d,%d,{field},%d"
     ewide = False
@@ -175,24 +226,30 @@ def distance_table(x, ys, norm: PolyhedralNorm, *, pairwise: bool = False,
         field, ewide = hex_field(euclid)
         header += ",euclid_mantissa_hex,euclid_prec"
         template += f",{field},%d"
-    return header, template + "\n", _distance_rows(prec, quads, norm, euclid,
-                                                   wide, ewide)
+    return header, template + "\n", _distance_rows(
+        prec, measured, norm, euclid, wide, ewide)
 
 
-def _distance_rows(prec: int, quads, norm: PolyhedralNorm,
-                   euclid: int | None, wide: bool, ewide: bool) -> Iterator:
-    """distance_table's rows, lazily, one per (x, px, y, py) as in
-    _records; wide and ewide are hex_field's flags of the two columns."""
+def _measured_quads(prec: int, quads, norm: PolyhedralNorm) -> Iterator:
+    """(x, y, (mantissa, precision, achieving)) per (x, px, y, py) of
+    _records, measured by measure_projection."""
     measure = norm.measure_projection
+    for x, px, y, py in quads:
+        mantissa, precision, ties = measure(map(sub, px, py), prec)
+        yield x, y, (mantissa, precision, ties[0])
+
+
+def _distance_rows(prec: int, measured, norm: PolyhedralNorm,
+                   euclid: int | None, wide: bool, ewide: bool) -> Iterator:
+    """distance_table's rows, lazily, one per (x, y, measure) of measured;
+    wide and ewide are hex_field's flags of the two columns."""
     # (w, pad) per achieving functional and of the Euclidean column; a wide
     # column's fields are mantissa_to_hex's strings
     hexes = [((p + 3) >> 2, -p & 3)
              for p in (prec + f.precision for f in norm.functionals)]
     if euclid is not None:
         we, pe = (euclid + 3) >> 2, -euclid & 3
-    for x, px, y, py in quads:
-        mantissa, precision, ties = measure(map(sub, px, py), prec)
-        ell = ties[0]
+    for x, y, (mantissa, precision, ell) in measured:
         w, pad = hexes[ell]
         v = mantissa_to_hex(mantissa, precision) if wide else mantissa << pad
         if euclid is None:
@@ -338,7 +395,9 @@ def collapse_first_failure(x, ys, spec):
 
     x is projected once and each y as it is reached; each pair is measured
     and its trimmed windows read as in collapse_check, from window tables
-    built once per call.
+    built once per call.  Chunks that _lane_shape allows are read in packed
+    lanes first, and only one with a failing or mis-shaped sample is
+    scanned pair by pair: reports, refusals and their order are the scan's.
     """
     sched, norm, project = spec.schedule, spec.norm, spec.norm.project
     px, prec, dim = project(x.mantissas), x.precision, x.dim
@@ -346,25 +405,36 @@ def collapse_first_failure(x, ys, spec):
                                                           prec + f.precision)]
                for ell, f in enumerate(norm.functionals)]
     measure, deep = norm.measure_projection, prec >= sched.depth
-    for y in ys:
-        if not deep or y.precision != prec or len(y.mantissas) != dim:
-            _collapse_precision(x, y, sched)  # raises: y is refused
-        v, _, ties = measure(map(sub, px, project(y.mantissas)), prec)
-        for k, window in trimmed[ties[0]]:
-            if not _constant(v, window):
-                return y, k
-    return None
+
+    def scan(ys):
+        for y in ys:
+            if not deep or y.precision != prec or len(y.mantissas) != dim:
+                _collapse_precision(x, y, sched)  # raises: y is refused
+            v, _, ties = measure(map(sub, px, project(y.mantissas)), prec)
+            for k, window in trimmed[ties[0]]:
+                if not _constant(v, window):
+                    return y, k
+        return None
+
+    shape = _lane_shape(norm, prec, len(ys)) if deep else None
+    if shape:
+        from . import lanes
+        return lanes.collapse_first_failure(x, px, ys, norm, trimmed,
+                                            *shape, scan)
+    return scan(ys)
 
 
 def estimation_values(records) -> dict:
     """Nonzero distance values per achieving functional, each as its
-    record's first two fields: a (mantissa, precision) pair.
+    record's first two fields: a (mantissa, precision) pair.  A record is
+    anything whose first three fields are mantissa, precision and
+    achieving: a DistanceRecord or a pinned_measures triple.
 
     Zero distances (coincident points) carry no box-counting information and
     would pin a spurious cell at the origin, so they are dropped.
     """
     out: dict = {}
     for rec in records:
-        if rec.mantissa:
-            out.setdefault(rec.achieving, []).append(rec[:2])
+        if rec[0]:
+            out.setdefault(rec[2], []).append(rec[:2])
     return out

@@ -83,7 +83,7 @@ class PolyhedralNorm(CheckedRecord, _NormFields):
     The constructor refuses an empty family, one of another length than
     dim or of rank below dim; each Functional has refused a pivot that is
     not positive already.  No __slots__: the instance dict holds the
-    cached shifts and coefficient table.
+    cached shifts, scales and coefficient table.
     """
 
     def __new__(cls, dim, functionals):
@@ -107,6 +107,13 @@ class PolyhedralNorm(CheckedRecord, _NormFields):
         # per functional, the finest functional precision less its own
         top = max(f.precision for f in self.functionals)
         return tuple(top - f.precision for f in self.functionals)
+
+    @cached_property
+    def _scales(self) -> tuple[tuple[int, int], ...]:
+        # per functional, (shift, precision) of the measures it attains;
+        # read per distance, so one cached tuple instead of record fields
+        return tuple(zip(self._shifts,
+                         [f.precision for f in self.functionals]))
 
     @cached_property
     def _coeffs(self) -> tuple[tuple[int, ...], ...]:
@@ -159,8 +166,8 @@ class PolyhedralNorm(CheckedRecord, _NormFields):
             ties = (first,)
         else:
             ties = tuple(i for i, k in enumerate(keys) if k == best)
-        return (best >> self._shifts[first],
-                prec + self.functionals[first].precision, ties)
+        shift, precision = self._scales[first]
+        return best >> shift, prec + precision, ties
 
     def evaluate(self, x) -> Dyadic:
         """||x||, exact."""

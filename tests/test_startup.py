@@ -1,6 +1,7 @@
 """Start-up loads only what a command runs: the package and the CLI import
 no dataclasses, inspect or logging, and neither dimension nor distset; no
-module a command imports loads the Dyadic test oracle."""
+module a command imports loads the Dyadic test oracle, nor the lane
+kernels, which only a chunk of two points or more loads."""
 
 import json
 import logging
@@ -17,7 +18,7 @@ from polyfrac.norms import preset
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "src")
 HEAVY = ("dataclasses", "inspect", "logging", "polyfrac.dimension",
-         "polyfrac.distset", "polyfrac.dyadic")
+         "polyfrac.distset", "polyfrac.dyadic", "polyfrac.lanes")
 
 _PROBE = """
 import json, sys
