@@ -17,13 +17,14 @@ from __future__ import annotations
 import os
 from functools import cached_property
 from itertools import chain, islice, repeat
+from operator import or_
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import (CheckedRecord, DimensionMismatch, FormatError,
                      NoSolution, OutOfRange, PrecisionExceeded, is_int)
 from .norms import PolyhedralNorm, int_dot, min_margin
 from .schedule import BlockSchedule, free_fraction, generate
-from .streams import BitStream, label_path
+from .streams import child_bits, index_states, label_path, path_state
 
 if TYPE_CHECKING:
     from .dyadic import Dyadic
@@ -206,19 +207,60 @@ def solve_pivot_offset(partial_sum: Dyadic, pivot_coeff: Dyadic, split: int,
 
 # -- point construction ----------------------------------------------------
 
-def build_point(spec: FractalSpec, index: int = 0) -> SamplePoint:
-    mants = [0] * spec.dim
-    stream = BitStream(spec.seed, "point", index, "coord")
+# Mantissa bits of one chunk of points built together: each draw hashes
+# the chunk's points in one comprehension and each block steers them in a
+# few, so the loop over the blocks runs once a chunk.  sample_points,
+# CPython 3.11.7 on x86-64, best of 5: desk (d=2, depth 96) builds 10,000
+# samples in 186 ms in 5-point chunks (2**10), 133 ms in 85-point ones and
+# 126 ms from 341 points on; deep (d=3, depth 11520) builds 500 in 63 ms
+# one point at a time, 43 ms in 7-point chunks and 40 ms from 15 points
+# (2**19) on.  Past that a chunk only takes memory: 201 deep points trace
+# a 1.10 MB peak in construct at 2**19 and 1.55 MB at 2**22 (121-point
+# chunks), against the 1.74 MB points file it writes, and a desk chunk's
+# 2730 path states (448 bytes each) add 1.2 MB to construct's peak RSS.
+_BUILD_BITS = 1 << 19
+
+
+def _chunk_size(spec: FractalSpec) -> int:
+    return max(1, _BUILD_BITS // (spec.dim * spec.schedule.depth))
+
+
+_COORD = label_path("coord")
+
+
+def _build(spec: FractalSpec, indices) -> list[SamplePoint]:
+    """The points at indices, built together block by block.
+
+    Per coordinate, a column holds every point's mantissa so far; each
+    draw fills its run in one column from one child_bits call over the
+    points' path states, and each block steers its pivot column from the
+    columns' dot sums.
+    """
+    states = index_states(path_state(spec.seed, "point"), indices, _COORD)
+    cols = [[0] * len(states) for _ in range(spec.dim)]
     for _, coeffs, _, pivot, _, _, _, draws, shift, marker in spec.plan:
         for i, nbits, at, path in draws:
-            mants[i] |= stream.draw(nbits, path) << at
+            cols[i] = [m | b << at for m, b in
+                       zip(cols[i], child_bits(states, path, nbits))]
         if marker:
             # the pivot's unsolved places are still zero
-            s0 = int_dot([m >> shift for m in mants], coeffs)
-            mants[pivot] |= _steer(s0, coeffs[pivot], marker) << shift
+            sums = map(int_dot, zip(*[[m >> shift for m in col]
+                                      for col in cols]), repeat(coeffs))
+            step = coeffs[pivot]
+            cols[pivot] = [m | _steer(s0, step, marker) << shift
+                           for m, s0 in zip(cols[pivot], sums)]
     for i, path in enumerate(spec.tail_paths):
-        mants[i] |= stream.draw(1, path)
-    return SamplePoint(tuple(mants), spec.schedule.depth, index)
+        cols[i] = list(map(or_, cols[i], child_bits(states, path, 1)))
+    depth = spec.schedule.depth
+    return [SamplePoint(ms, depth, index)
+            for ms, index in zip(zip(*cols), indices)]
+
+
+def build_point(spec: FractalSpec, index: int = 0) -> SamplePoint:
+    """Point index: the pinned point at 0, samples from 1."""
+    if not is_int(index) or index < 0:
+        raise OutOfRange("point index must be an int >= 0")
+    return _build(spec, (index,))[0]
 
 
 def pinned_point(spec: FractalSpec) -> SamplePoint:
@@ -226,19 +268,22 @@ def pinned_point(spec: FractalSpec) -> SamplePoint:
 
 
 def sample_points(spec: FractalSpec, count: int) -> list[SamplePoint]:
-    """count independent sample points with stream indices 1..count."""
-    if count < 1:
-        raise OutOfRange("sample count must be >= 1")
+    """count independent sample points with stream indices 1..count, built
+    in chunks of _BUILD_BITS mantissa bits."""
+    if not is_int(count) or count < 1:
+        raise OutOfRange("sample count must be an int >= 1")
+    size = _chunk_size(spec)
     points = []
     seen = {}
-    for index in range(1, count + 1):
-        pt = build_point(spec, index)
-        if pt.mantissas in seen:
-            import logging  # only here: start-up skips it
-            logging.getLogger(__name__).warning(
-                "points %d and %d are identical", seen[pt.mantissas], pt.index)
-        seen[pt.mantissas] = pt.index
-        points.append(pt)
+    for lo in range(1, count + 1, size):
+        for pt in _build(spec, range(lo, min(lo + size, count + 1))):
+            if pt.mantissas in seen:
+                import logging  # only here: start-up skips it
+                logging.getLogger(__name__).warning(
+                    "points %d and %d are identical", seen[pt.mantissas],
+                    pt.index)
+            seen[pt.mantissas] = pt.index
+            points.append(pt)
     return points
 
 

@@ -12,7 +12,8 @@ import hashlib
 
 from .errors import is_int
 
-__all__ = ["BitStream", "label_path"]
+__all__ = ["BitStream", "child_bits", "index_states", "label_path",
+           "path_state"]
 
 
 def label_path(*labels) -> bytes:
@@ -27,6 +28,15 @@ def label_path(*labels) -> bytes:
     return path
 
 
+def path_state(seed: int, *labels):
+    """The BLAKE2b state of the path (seed, *labels): its digest keys
+    BitStream(seed, *labels), and child_bits extends copies of it."""
+    if not is_int(seed) or not 0 <= seed < 1 << 64:
+        raise ValueError("seed must be an unsigned 64-bit integer")
+    return hashlib.blake2b(seed.to_bytes(8, "big") + label_path(*labels),
+                           digest_size=32)
+
+
 _COUNTER_0 = bytes(8)
 
 
@@ -35,53 +45,71 @@ def _keyed(key: bytes):
     return hashlib.blake2b(key=key, digest_size=64)
 
 
-def _block(keyed, counter: int) -> bytes:
-    """Block counter of a keyed stream: 512 bits, big-endian.  Copying the
-    keyed state skips constructing and keying one per block."""
+def _block(keyed, counter: bytes) -> bytes:
+    """The block at counter (8 big-endian bytes) of a keyed stream: 512
+    bits.  Copying the keyed state skips constructing and keying one per
+    block."""
     h = keyed.copy()
-    h.update(counter.to_bytes(8, "big"))
+    h.update(counter)
     return h.digest()
+
+
+def _extend(state, path: bytes):
+    """A copy of a path state, fed path."""
+    child = state.copy()
+    child.update(path)
+    return child
+
+
+def index_states(state, indices, tail: bytes) -> list:
+    """For state = path_state(seed, *labels) and tail = label_path(*more),
+    path_state(seed, *labels, i, *more) for each int i in indices.  An int
+    label encodes as "/%d", so one bytes format serves every index."""
+    return [_extend(state, b"/%d%s" % (i, tail)) for i in indices]
+
+
+def child_bits(states, path: bytes, n: int) -> list[int]:
+    """First n bits of the child stream at path, a label_path(*more), of
+    each path state: for states[j] = path_state(seed, *labels), item j is
+    BitStream(seed, *labels, *more).take_bits(n).  A state is only copied,
+    so a list of them serves every draw of a chunk of points."""
+    if n < 0:
+        raise ValueError("bit count must be >= 0")
+    new, from_bytes = hashlib.blake2b, int.from_bytes
+    if n <= 512:  # one block: a one-shot hash beats keying and copying
+        cut = 512 - n
+        return [from_bytes(new(_COUNTER_0,
+                               key=_extend(s, path).digest()).digest(),
+                           "big") >> cut for s in states]
+    count = (n + 511) >> 9
+    cut = 512 * count - n
+    counters = [c.to_bytes(8, "big") for c in range(count)]
+    out = []
+    for s in states:
+        keyed = _keyed(_extend(s, path).digest())
+        blocks = b"".join([_block(keyed, c) for c in counters])
+        out.append(from_bytes(blocks, "big") >> cut)
+    return out
 
 
 class BitStream:
     """Counter-mode deterministic bit source for one labelled stream.
 
-    The key is the BLAKE2b digest of the seed and the label path, taken at
-    the first refill, and the stream keeps one state keyed by it.  A stream
-    keeps its hashed path, so draw() extends it without rehashing it.
+    The key is the digest of the stream's path state, taken at the first
+    refill, and the stream keeps one BLAKE2b state keyed by it.
     """
 
     __slots__ = ("_path", "_key", "_counter", "_buf", "_nbits")
 
     def __init__(self, seed: int, *labels):
-        if not is_int(seed) or not 0 <= seed < 1 << 64:
-            raise ValueError("seed must be an unsigned 64-bit integer")
-        self._path = hashlib.blake2b(
-            seed.to_bytes(8, "big") + label_path(*labels), digest_size=32)
+        self._path = path_state(seed, *labels)
         self._key = None
         self._counter = self._buf = self._nbits = 0
-
-    def draw(self, n: int, path: bytes) -> int:
-        """First n bits of the child stream at path, a label_path(*labels):
-        BitStream(seed, *this stream's labels, *labels).take_bits(n),
-        whatever this stream has drawn so far."""
-        if n < 0:
-            raise ValueError("bit count must be >= 0")
-        child = self._path.copy()
-        child.update(path)
-        key = child.digest()
-        if n <= 512:  # one block: a one-shot hash beats keying and copying
-            block = hashlib.blake2b(_COUNTER_0, key=key, digest_size=64)
-            return int.from_bytes(block.digest(), "big") >> (512 - n)
-        count = (n + 511) >> 9
-        keyed = _keyed(key)
-        blocks = b"".join([_block(keyed, c) for c in range(count)])
-        return int.from_bytes(blocks, "big") >> (512 * count - n)
 
     def _refill(self) -> None:
         if self._key is None:
             self._key = _keyed(self._path.digest())
-        block = _block(self._key, self._counter)
+        block = _block(self._key, self._counter.to_bytes(8, "big"))
         self._counter += 1
         self._buf = (self._buf << 512) | int.from_bytes(block, "big")
         self._nbits += 512

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from polyfrac.construct import build_point, make_spec
+from polyfrac.construct import make_spec, pinned_point, sample_points
 from polyfrac.errors import BadPivot, DegenerateNorm
 from polyfrac.norms import custom_norm, preset
 
@@ -29,7 +29,7 @@ def ensemble():
         for s in TARGETS:
             for seed in range(10):
                 spec = make_spec(2, s, norm, seed=seed, m=BASE_M)
-                pts = [build_point(spec, i) for i in range(1001)]
+                pts = [pinned_point(spec)] + sample_points(spec, 1000)
                 runs.append((name, s, seed, spec, pts))
     return runs
 

@@ -390,6 +390,19 @@ def test_sample_count_validation(desk):
         sample_points(desk, 0)
 
 
+@pytest.mark.parametrize("build,arg", [
+    (build_point, "2"), (build_point, 1.5), (build_point, True),
+    (build_point, -3), (sample_points, 2.0), (sample_points, True),
+    (sample_points, "3"),
+], ids=["index-str", "index-float", "index-bool", "index-negative",
+        "count-float", "count-bool", "count-str"])
+def test_indices_and_counts_must_be_ints(desk, build, arg):
+    # a point index is an int >= 0 and a sample count an int >= 1; a bool
+    # is neither
+    with pytest.raises(OutOfRange):
+        build(desk, arg)
+
+
 @given(st.integers(min_value=1, max_value=400),
        st.data())
 def test_hex_round_trip(prec, data):

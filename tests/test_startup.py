@@ -12,6 +12,7 @@ import sys
 import pytest
 
 import polyfrac
+from polyfrac import construct
 from polyfrac.construct import make_spec, sample_points
 from polyfrac.norms import preset
 
@@ -59,7 +60,7 @@ def test_unknown_name_is_attribute_error():
     assert dimension.count_exact is polyfrac.count_exact
 
 
-def test_identical_points_are_logged(caplog):
+def _identical_points_logged(caplog):
     # d = 1 at s = 0: every digit is solved except the last, so samples
     # repeat with period 2 in their index
     spec = make_spec(1, 0, preset("linf", 1), seed=0, m=[1, 16, 32])
@@ -68,3 +69,15 @@ def test_identical_points_are_logged(caplog):
     assert pts[0].mantissas == pts[2].mantissas
     assert [r.getMessage() for r in caplog.records] == [
         "points 1 and 3 are identical", "points 2 and 4 are identical"]
+
+
+def test_identical_points_are_logged(caplog):
+    _identical_points_logged(caplog)
+
+
+@pytest.mark.parametrize("size", [1, 3])
+def test_identical_points_are_logged_across_chunks(caplog, monkeypatch, size):
+    # chunks of 1 and of 3 points (d = 1, depth 32): pairs that straddle a
+    # chunk are logged alike, in the same order
+    monkeypatch.setattr(construct, "_BUILD_BITS", size * 32)
+    _identical_points_logged(caplog)

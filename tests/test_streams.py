@@ -2,7 +2,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from polyfrac.streams import BitStream, label_path
+from polyfrac.streams import (BitStream, child_bits, index_states, label_path,
+                              path_state)
 
 
 def test_deterministic_across_instances():
@@ -43,15 +44,17 @@ def test_stream_layout_frozen():
     assert format(bits, "0175x") == GOLDEN_700
 
 
-def test_draw_extends_the_label_path():
-    root = BitStream(7, "point", 3, "coord")
-    root.take_bits(100)  # what the parent drew does not matter
+def test_child_bits_extend_the_label_path():
+    root = path_state(7, "point", 3, "coord")
     for labels in [(1, "block", 2), (0,), ()]:
-        assert root.draw(1500, label_path(*labels)) == \
-            BitStream(7, "point", 3, "coord", *labels).take_bits(1500)
-    grand = BitStream(7, "point").draw(700, label_path(3, "coord", 1,
-                                                       "block", 2))
-    assert format(grand, "0175x") == GOLDEN_700
+        assert child_bits([root], label_path(*labels), 1500) == \
+            [BitStream(7, "point", 3, "coord", *labels).take_bits(1500)]
+    grand = child_bits([path_state(7, "point")],
+                       label_path(3, "coord", 1, "block", 2), 700)
+    assert [format(g, "0175x") for g in grand] == [GOLDEN_700]
+    # index_states extends a path by an int label and a tail path
+    [state] = index_states(path_state(7, "point"), [3], label_path("coord"))
+    assert child_bits([state], label_path(1, "block", 2), 700) == grand
 
 
 _LABEL = st.one_of(st.integers(min_value=-10**6, max_value=10**6),
@@ -61,28 +64,36 @@ _LABEL = st.one_of(st.integers(min_value=-10**6, max_value=10**6),
 @given(n=st.integers(min_value=0, max_value=2100),
        prefix=st.lists(_LABEL, max_size=3),
        labels=st.lists(_LABEL, max_size=3),
-       drawn=st.integers(min_value=0, max_value=1100))
-@example(n=511, prefix=[], labels=[1, "block", 2], drawn=0)
-@example(n=512, prefix=["coord"], labels=[0], drawn=3)
-@example(n=513, prefix=["point", 3], labels=["coord", 1], drawn=512)
-@example(n=1024, prefix=[], labels=[], drawn=0)
-@example(n=1025, prefix=["x"], labels=["7", 7], drawn=1)
+       ahead=st.integers(min_value=0, max_value=20))
+@example(n=511, prefix=[], labels=[1, "block", 2], ahead=0)
+@example(n=512, prefix=["coord"], labels=[0], ahead=3)
+@example(n=513, prefix=["point", 3], labels=["coord", 1], ahead=512)
+@example(n=1024, prefix=[], labels=[], ahead=0)
+@example(n=1025, prefix=["x"], labels=["7", 7], ahead=1)
 # deep's widest draw: 19 blocks of one keyed stream
 @example(n=9600, prefix=["point", 3, "coord"], labels=[0, "block", 6],
-         drawn=0)
-def test_draw_matches_the_full_path(n, prefix, labels, drawn):
-    parent = BitStream(11, *prefix)
-    parent.take_bits(drawn)  # a draw ignores the parent's own position
+         ahead=0)
+def test_child_bits_match_the_full_path(n, prefix, labels, ahead):
+    # the stream is last in a batch of ahead + 1: its place there does not
+    # matter
+    states = index_states(path_state(11, *prefix), range(ahead), b"")
+    states.append(path_state(11, *prefix))
     want = BitStream(11, *prefix, *labels).take_bits(n)
-    assert parent.draw(n, label_path(*labels)) == want
-    assert parent.draw(n, label_path(*labels)) == want  # parent unchanged
+    got = child_bits(states, label_path(*labels), n)
+    assert len(got) == ahead + 1 and got[-1] == want
+    if ahead:  # and the first sibling, path (11, *prefix, 0), is its own
+        assert got[0] == BitStream(11, *prefix, 0, *labels).take_bits(n)
+    # the states are only copied: a second batch draws the same bits
+    assert child_bits(states, label_path(*labels), n)[-1] == want
 
 
-def test_draw_rejects_negative_count():
-    s = BitStream(0, "x")
-    assert s.draw(0, label_path("y")) == 0
+def test_child_bits_reject_negative_count():
+    s = path_state(0, "x")
+    assert child_bits([s], label_path("y"), 0) == [0]
     with pytest.raises(ValueError):
-        s.draw(-1, label_path("y"))
+        child_bits([s], label_path("y"), -1)
+    with pytest.raises(ValueError):
+        path_state(-1, "x")
 
 
 def test_chunking_does_not_matter():
